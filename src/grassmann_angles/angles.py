@@ -7,8 +7,9 @@ It equals the product of the principal cosines when dim V <= dim W and is
 pi/2 otherwise.  The complementary angle is the Grassmann angle against the
 orthogonal complement of W; unlike the plain angle it is symmetric.
 
-Every route here reports an ``AngleReport`` carrying the method used and a
-cross-method residual when one was computed.  All cos^2 values are clamped
+Every route here evaluates its own formula once, independently of the
+others (so each is a cross-check oracle for the rest), and reports an
+``AngleReport`` carrying the method used.  All cos^2 values are clamped
 into [0, 1] before sqrt/arccos; negative values beyond round-off raise
 NumericalConsistencyError so genuine bugs cannot hide behind a clamp.
 """
@@ -30,10 +31,16 @@ from .fields import (
     NEGATIVE_COS_SQ_SLACK,
     Field,
     Tolerance,
+    as_basis,
     as_field_array,
 )
-from .linalg import det, gram
-from .subspaces import Subspace, complement, project_blade
+from .linalg import det, exact_rescale, gram
+from .subspaces import Subspace, _require_same_space, complement, principal_cosines, project_blade
+
+# A raw basis of p vectors whose largest singular value s has s^p outside
+# 2^(+-250) is rescaled exactly to s ~ 1: its Gram determinants scale like
+# s^(2p), and a product of two of them must stay inside 2^(+-1000).
+_SCALE_EXPONENT_LIMIT = 250
 
 __all__ = [
     "AngleMethod",
@@ -65,8 +72,8 @@ class AngleMethod(enum.Enum):
 class AngleReport:
     """An angle in [0, pi/2] plus how it was computed.
 
-    ``residual`` is the largest disagreement against the cross-check routes
-    evaluated alongside the main one (0.0 when none were).
+    ``residual`` stays for a stable output format and is always 0.0: each
+    route evaluates one formula; compare routes by calling them.
     """
 
     value: float
@@ -96,32 +103,28 @@ def _real_scalar(z, context: str) -> float:
     return float(np.real(z))
 
 
-def _report_from_cos_sq(cos_sq: float, method: AngleMethod, residual: float = 0.0) -> AngleReport:
+def _report_from_cos_sq(cos_sq: float, method: AngleMethod) -> AngleReport:
     if cos_sq < -NEGATIVE_COS_SQ_SLACK:
         raise NumericalConsistencyError(f"squared cosine came out at {cos_sq}, well below 0")
     clamped = min(max(cos_sq, 0.0), 1.0)
     cosine = math.sqrt(clamped)
-    return AngleReport(value=math.acos(cosine), cosine=cosine, method=method, residual=residual)
+    return AngleReport(value=math.acos(cosine), cosine=cosine, method=method)
 
 
 def _basis_matrix(vectors, field: Field | None) -> tuple[np.ndarray, Field]:
-    """Stack basis vectors into columns and reject dependent/ill-conditioned lists."""
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        mat = vectors
-    else:
-        rows = [np.asarray(v) for v in vectors]
-        if not rows:
-            raise DegenerateBasisError("a basis needs at least one vector")
-        mat = np.column_stack(rows)
-    if field is None:
-        field = Field.COMPLEX if np.iscomplexobj(mat) else Field.REAL
-    mat = as_field_array(mat, field)
+    """Basis matrix of a list that is independent, well-conditioned and finite."""
+    mat, field = as_basis(vectors, field)
     if mat.shape[1] == 0:
         raise DegenerateBasisError("a basis needs at least one vector")
-    s = np.linalg.svd(mat, compute_uv=False)
-    # cond(Gram) = cond(basis)^2; reject above the Gram condition limit
-    if s[-1] == 0.0 or (s[0] / s[-1]) ** 2 > GRAM_CONDITION_LIMIT:
-        raise DegenerateBasisError("basis vectors are linearly dependent or too ill-conditioned")
+    try:
+        s = np.linalg.svd(mat, compute_uv=False)
+    except np.linalg.LinAlgError:
+        raise DegenerateBasisError("basis vectors must have finite entries") from None
+    # cond(Gram) = cond(basis)^2; reject above the Gram condition limit (and NaN)
+    if not (s[-1] > 0.0 and (s[0] / s[-1]) ** 2 <= GRAM_CONDITION_LIMIT):
+        raise DegenerateBasisError("basis vectors are linearly dependent, too ill-conditioned or not finite")
+    if abs(math.frexp(s[0])[1]) * mat.shape[1] > _SCALE_EXPONENT_LIMIT:
+        mat = exact_rescale(mat)
     return mat, field
 
 
@@ -130,9 +133,7 @@ def _paired_bases(basis_v, basis_w, field: Field | None):
     mw, fw = _basis_matrix(basis_w, field)
     if field is None and fv is not fw:
         # one side looked real only because its entries happened to be real
-        target = Field.COMPLEX
-        mv, mw = mv.astype(target.dtype), mw.astype(target.dtype)
-        fv = target
+        return _paired_bases(basis_v, basis_w, Field.COMPLEX)
     if mv.shape[0] != mw.shape[0]:
         raise DimensionMismatchError(f"ambient dimensions differ: {mv.shape[0]} vs {mw.shape[0]}")
     return mv, mw, fv
@@ -152,8 +153,12 @@ def vector_angle(v, w, field: Field | None = None) -> VectorAngles:
     if av.shape != aw.shape or av.ndim != 1:
         raise DimensionMismatchError(f"need two vectors of equal length, got {av.shape} and {aw.shape}")
     nv, nw = np.linalg.norm(av), np.linalg.norm(aw)
-    if nv == 0.0 or nw == 0.0:
-        raise DomainError("vector angles are undefined for the zero vector")
+    if not 0.0 < nv * nw < math.inf:
+        # a zero or non-finite vector, or norms that over- or underflow
+        av, aw = exact_rescale(av), exact_rescale(aw)
+        nv, nw = np.linalg.norm(av), np.linalg.norm(aw)
+        if nv == 0.0 or nw == 0.0:
+            raise DomainError("vector angles are undefined for the zero vector")
     ip = np.vdot(av, aw)
     euclidean = math.acos(min(max(float(np.real(ip)) / (nv * nw), -1.0), 1.0))
     hermitian = None
@@ -162,44 +167,34 @@ def vector_angle(v, w, field: Field | None = None) -> VectorAngles:
     return VectorAngles(euclidean, hermitian)
 
 
-def _principal_cosines(v: Subspace, w: Subspace) -> np.ndarray:
-    return np.clip(np.linalg.svd(gram(w.onb, v.onb), compute_uv=False), 0.0, 1.0)
-
-
 def grassmann_angle(v: Subspace, w: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> AngleReport:
     """Grassmann angle of v with w by the projected-blade definition.
 
     Conventions for degenerate dimensions: the angle is 0 when v is the zero
     subspace, and pi/2 whenever dim v > dim w (in particular when w is zero
-    and v is not).  The report's residual is the disagreement against the
-    product of principal cosines, computed on the same inputs.
+    and v is not).  The cosine is the norm of the projected unit blade of v.
     """
-    if v.field is not w.field or v.ambient_dim != w.ambient_dim:
-        raise DimensionMismatchError("subspaces live in different spaces")
+    _require_same_space(v, w)
     if v.dim == 0:
         return AngleReport(0.0, 1.0, AngleMethod.PROJECTION)
     if v.dim > w.dim:
         return AngleReport(math.pi / 2, 0.0, AngleMethod.PROJECTION)
-    cos_proj = blade_norm(project_blade(v.spanning_blade(), w), tol)
-    cos_prin = float(np.prod(_principal_cosines(v, w)))
-    residual = abs(cos_proj - cos_prin)
-    cosine = min(max(cos_proj, 0.0), 1.0)
-    return AngleReport(math.acos(cosine), cosine, AngleMethod.PROJECTION, residual)
+    cosine = min(max(blade_norm(project_blade(v.spanning_blade(), w), tol), 0.0), 1.0)
+    return AngleReport(math.acos(cosine), cosine, AngleMethod.PROJECTION)
 
 
 def grassmann_angle_principal(v: Subspace, w: Subspace) -> AngleReport:
     """Grassmann angle as the product of principal cosines."""
-    if v.field is not w.field or v.ambient_dim != w.ambient_dim:
-        raise DimensionMismatchError("subspaces live in different spaces")
+    _require_same_space(v, w)
     if v.dim == 0:
         return AngleReport(0.0, 1.0, AngleMethod.PRINCIPAL_PRODUCT)
     if v.dim > w.dim:
         return AngleReport(math.pi / 2, 0.0, AngleMethod.PRINCIPAL_PRODUCT)
-    cosine = float(np.prod(_principal_cosines(v, w)))
+    cosine = float(np.prod(principal_cosines(v, w)))
     return AngleReport(math.acos(min(cosine, 1.0)), cosine, AngleMethod.PRINCIPAL_PRODUCT)
 
 
-def grassmann_angle_equal_dim(basis_v, basis_w, field: Field | None = None, tol: Tolerance = DEFAULT_TOLERANCE) -> AngleReport:
+def grassmann_angle_equal_dim(basis_v, basis_w, field: Field | None = None) -> AngleReport:
     """Grassmann angle of two equal-dimensional subspaces from arbitrary bases.
 
     With the Gram matrices A (of the w's), D (of the v's) and the cross
@@ -216,7 +211,7 @@ def grassmann_angle_equal_dim(basis_v, basis_w, field: Field | None = None, tol:
     return _report_from_cos_sq(abs(b) ** 2 / (a * d), AngleMethod.EQUAL_DIM_FORMULA)
 
 
-def grassmann_angle_any_dim(basis_v, basis_w, field: Field | None = None, tol: Tolerance = DEFAULT_TOLERANCE) -> AngleReport:
+def grassmann_angle_any_dim(basis_v, basis_w, field: Field | None = None) -> AngleReport:
     """Grassmann angle from arbitrary bases of any dimensions.
 
     Uses cos^2 = det(B* A^-1 B) / det D, evaluated by a linear solve against
@@ -237,22 +232,15 @@ def grassmann_angle_any_dim(basis_v, basis_w, field: Field | None = None, tol: T
 def complementary_angle(v: Subspace, w: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> AngleReport:
     """Angle of v with the orthogonal complement of w (symmetric in v, w).
 
-    Computed by the projection definition against complement(w) and
-    cross-checked against the product of principal sines and against the
-    determinant formula det(1 - P P*) in orthonormal bases; the report's
-    residual is the worst disagreement.
+    Computed by the projection definition against complement(w).  The
+    determinant routes complementary_angle_formula and
+    complementary_angle_orthonormal give the same angle independently.
     """
-    if v.field is not w.field or v.ambient_dim != w.ambient_dim:
-        raise DimensionMismatchError("subspaces live in different spaces")
-    base = grassmann_angle(v, complement(w), tol)
-    sines = np.sqrt(np.clip(1.0 - _principal_cosines(v, w) ** 2, 0.0, 1.0))
-    cos_sines = float(np.prod(sines))
-    cos_det = math.sqrt(max(complementary_angle_orthonormal(v, w, tol).cos_squared, 0.0))
-    residual = max(abs(base.cosine - cos_sines), abs(base.cosine - cos_det), base.residual)
-    return AngleReport(base.value, base.cosine, AngleMethod.COMPLEMENTARY_PROJECTION, residual)
+    base = grassmann_angle(v, complement(w), tol)  # raises unless v and w share a space
+    return AngleReport(base.value, base.cosine, AngleMethod.COMPLEMENTARY_PROJECTION)
 
 
-def complementary_angle_formula(basis_v, basis_w, field: Field | None = None, tol: Tolerance = DEFAULT_TOLERANCE) -> AngleReport:
+def complementary_angle_formula(basis_v, basis_w, field: Field | None = None) -> AngleReport:
     """Complementary angle from arbitrary bases via a Schur complement:
     cos^2 = det(A - B D^-1 B*) / det A."""
     mv, mw, _ = _paired_bases(basis_v, basis_w, field)
@@ -265,11 +253,10 @@ def complementary_angle_formula(basis_v, basis_w, field: Field | None = None, to
     return _report_from_cos_sq(num / den, AngleMethod.COMPLEMENTARY_FORMULA)
 
 
-def complementary_angle_orthonormal(v: Subspace, w: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> AngleReport:
+def complementary_angle_orthonormal(v: Subspace, w: Subspace) -> AngleReport:
     """Complementary angle via cos^2 = det(1 - P P*) with P the projection
     matrix between the stored orthonormal bases."""
-    if v.field is not w.field or v.ambient_dim != w.ambient_dim:
-        raise DimensionMismatchError("subspaces live in different spaces")
+    _require_same_space(v, w)
     p = gram(w.onb, v.onb)
     eye = np.eye(w.dim, dtype=w.field.dtype)
     cos_sq = _real_scalar(det(eye - p @ p.conj().T), "det(1 - P P*)")

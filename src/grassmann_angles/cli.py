@@ -104,16 +104,16 @@ def _cmd_angle(args) -> int:
         if args.method == "projection":
             report = complementary_angle(doc.subspace(name_v), doc.subspace(name_w), tol)
         elif args.method in ("equal-dim", "any-dim"):
-            report = complementary_angle_formula(basis_v, basis_w, field=doc.field, tol=tol)
+            report = complementary_angle_formula(basis_v, basis_w, field=doc.field)
         else:
-            report = complementary_angle_orthonormal(doc.subspace(name_v), doc.subspace(name_w), tol)
+            report = complementary_angle_orthonormal(doc.subspace(name_v), doc.subspace(name_w))
     else:
         if args.method == "projection":
             report = grassmann_angle(doc.subspace(name_v), doc.subspace(name_w), tol)
         elif args.method == "equal-dim":
-            report = grassmann_angle_equal_dim(basis_v, basis_w, field=doc.field, tol=tol)
+            report = grassmann_angle_equal_dim(basis_v, basis_w, field=doc.field)
         elif args.method == "any-dim":
-            report = grassmann_angle_any_dim(basis_v, basis_w, field=doc.field, tol=tol)
+            report = grassmann_angle_any_dim(basis_v, basis_w, field=doc.field)
         else:
             report = grassmann_angle_principal(doc.subspace(name_v), doc.subspace(name_w))
 
@@ -133,21 +133,19 @@ def _cmd_principal(args) -> int:
     degrees = args.degrees or doc.options.degrees
     name_v, name_w = args.subspaces
     pd = principal_decomposition(doc.subspace(name_v), doc.subspace(name_w))
+    radians = [float(a) for a in pd.angles]
     payload = {
-        "angles_radians": [float(a) for a in pd.angles],
+        "angles_radians": radians,
         "cosines": [float(c) for c in pd.cosines],
         "e_basis": [encode_vector(col, doc.field) for col in pd.e_basis.T],
         "f_basis": [encode_vector(col, doc.field) for col in pd.f_basis.T],
         "pairing_residual": pd.pairing_residual(),
     }
+    lines = [f"principal angles of {name_v} and {name_w} (radians): {radians}"]
     if degrees:
-        payload["angles_degrees"] = [math.degrees(float(a)) for a in pd.angles]
-    lines = [
-        f"principal angles of {name_v} and {name_w} (radians): {[float(a) for a in pd.angles]}",
-    ]
-    if degrees:
-        lines.append(f"principal angles (degrees): {[math.degrees(float(a)) for a in pd.angles]}")
-    lines.append(f"pairing residual: {pd.pairing_residual():.3e}")
+        payload["angles_degrees"] = [math.degrees(a) for a in radians]
+        lines.append(f"principal angles (degrees): {payload['angles_degrees']}")
+    lines.append(f"pairing residual: {payload['pairing_residual']:.3e}")
     _emit(args, payload, lines)
     return EXIT_OK
 

@@ -16,7 +16,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import DomainError, MultiIndexError, NumericalConsistencyError
-from .fields import DEFAULT_TOLERANCE, Field, Tolerance, as_field_array
+from .fields import DEFAULT_TOLERANCE, Field, Tolerance, as_basis
 from .linalg import det, gram
 
 # Combinatorial guard rails: C(16, 8) = 12870 keeps every enumeration cheap.
@@ -86,24 +86,6 @@ def sigma_sign(index: MultiIndex) -> int:
     return -1 if (index.weight + p * (p + 1) // 2) % 2 else 1
 
 
-def _stack_factors(factors, field: Field | None, ambient_dim: int | None):
-    if isinstance(factors, np.ndarray) and factors.ndim == 2:
-        mat = factors
-    else:
-        vectors = [np.asarray(v) for v in factors]
-        if vectors and any(v.ndim != 1 for v in vectors):
-            raise DomainError("blade factors must be 1-D vectors")
-        if vectors:
-            mat = np.column_stack(vectors)
-        else:
-            if ambient_dim is None:
-                raise DomainError("an empty factor list needs an explicit ambient_dim")
-            mat = np.zeros((ambient_dim, 0))
-    if field is None:
-        field = Field.COMPLEX if np.iscomplexobj(mat) else Field.REAL
-    return as_field_array(mat, field), field
-
-
 class Blade:
     """A decomposed exterior product ``coefficient * (f_1 ^ ... ^ f_p)``.
 
@@ -116,7 +98,7 @@ class Blade:
     __slots__ = ("factors", "field", "coefficient")
 
     def __init__(self, factors, field: Field | None = None, coefficient=1.0, ambient_dim: int | None = None):
-        mat, field = _stack_factors(factors, field, ambient_dim)
+        mat, field = as_basis(factors, field, ambient_dim)
         if mat.shape[0] > AMBIENT_LIMIT:
             raise DomainError(f"ambient dimension {mat.shape[0]} exceeds the cap of {AMBIENT_LIMIT}")
         if mat.shape[1] > GRADE_LIMIT:
@@ -205,13 +187,14 @@ def blade_norm(a: Blade, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """Norm ``sqrt(<a, a>)``: the factor-parallelotope volume (squared volume
     of the underlying real parallelotope, in the complex case).
 
-    A Gram determinant with a negative real part beyond round-off raises
-    NumericalConsistencyError instead of being clamped.
+    A Gram determinant with a negative real part beyond round-off, or one
+    that is not finite, raises NumericalConsistencyError instead of being
+    clamped.
     """
     g = np.real(blade_inner(a, a))
     scale = max(1.0, _gram_scale(a) * abs(a.coefficient) ** 2)
-    if g < -tol.residual_eps * scale:
-        raise NumericalConsistencyError(f"squared blade norm came out negative: {g}")
+    if not -tol.residual_eps * scale <= g < np.inf:
+        raise NumericalConsistencyError(f"squared blade norm came out negative or not finite: {g}")
     return float(np.sqrt(max(g, 0.0)))
 
 
@@ -298,7 +281,7 @@ def coordinate_blades(basis, p: int, field: Field | None = None) -> CoordinateBl
     """Coordinate p-blades of a basis (given as vectors or an (n, q) column
     matrix).  If the basis is orthonormal the set is orthonormal in grade p.
     """
-    mat, field = _stack_factors(basis, field, None)
+    mat, field = as_basis(basis, field)
     q = mat.shape[1]
     if not 0 <= p <= q:
         raise MultiIndexError(f"grade must satisfy 0 <= p <= {q}, got {p}")

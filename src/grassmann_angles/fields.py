@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DegenerateBasisError, DimensionMismatchError, DomainError
+
 
 class Field(enum.Enum):
     """Scalar field of the ambient space."""
@@ -66,7 +68,29 @@ def as_field_array(data, field: Field) -> np.ndarray:
     """
     arr = np.asarray(data)
     if field is Field.REAL and np.iscomplexobj(arr):
-        from .errors import DimensionMismatchError
-
         raise DimensionMismatchError("complex entries are not allowed over the real field")
     return arr.astype(field.dtype)
+
+
+def as_basis(vectors, field: Field | None = None, ambient_dim: int | None = None) -> tuple[np.ndarray, Field]:
+    """Basis vectors as matrix columns over ``field`` (inferred when None).
+
+    A 2-D array passes through; a sequence of 1-D vectors is stacked as
+    columns.  An empty sequence needs ``ambient_dim``, else it raises
+    DegenerateBasisError.
+    """
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
+        mat = vectors
+    else:
+        cols = [np.asarray(v) for v in vectors]
+        if any(c.ndim != 1 for c in cols):
+            raise DomainError("basis vectors must be 1-D")
+        if cols:
+            mat = np.column_stack(cols)
+        elif ambient_dim is None:
+            raise DegenerateBasisError("an empty basis needs an explicit ambient dimension")
+        else:
+            mat = np.zeros((ambient_dim, 0))
+    if field is None:
+        field = Field.COMPLEX if np.iscomplexobj(mat) else Field.REAL
+    return as_field_array(mat, field), field

@@ -25,9 +25,7 @@ from .angles import (
 )
 from .documents import InputDocument, parse_document
 from .errors import DocumentError
-from .exterior import multi_indices
-from .fields import Field
-from .subspaces import Subspace, complement, principal_decomposition
+from .subspaces import _coordinate_subspaces, complement, principal_decomposition
 
 EXAMPLES_TOLERANCE = 1e-8
 
@@ -78,14 +76,6 @@ class GalleryResult:
 def load_case_document(name: str) -> InputDocument:
     text = resources.files("grassmann_angles").joinpath("data", name).read_text()
     return parse_document(json.loads(text))
-
-
-def _coordinate_subspaces(basis: np.ndarray, p: int, field: Field) -> list[Subspace]:
-    out = []
-    for index in multi_indices(p, basis.shape[1]):
-        cols = basis[:, index.zero_based()]
-        out.append(Subspace(cols / np.linalg.norm(cols, axis=0), field, _validate=False))
-    return out
 
 
 def _case_3_2() -> list[GalleryCheck]:

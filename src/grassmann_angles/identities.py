@@ -21,11 +21,12 @@ from .angles import (
 )
 from .errors import DomainError
 from .exterior import Blade, coordinate_blades, multi_indices
-from .fields import DEFAULT_TOLERANCE, Field, Tolerance, as_field_array
+from .fields import DEFAULT_TOLERANCE, Field, Tolerance, as_basis
 from .linalg import gram
 # random_instance is re-exported: the seeded generators are part of this
 # module's public surface alongside the checkers
 from .sampling import (
+    MAX_DRAWS,
     random_blade,
     random_instance,  # noqa: F401
     random_orthogonal_basis,
@@ -39,10 +40,12 @@ from .subspaces import (
     ORTHOGONALITY_DEFECT,
     Partition,
     Subspace,
+    _coordinate_subspaces,
     _require_subset,
     direct_sum,
     is_partially_orthogonal,
     is_principal_partition,
+    principal_cosines,
     principal_decomposition,
     project_subspace,
 )
@@ -87,28 +90,18 @@ def _check(name: str, residual: float, witness: str, tol: Tolerance) -> Identity
 
 def _orthogonal_basis_matrix(basis, field: Field) -> np.ndarray:
     """Validate a full orthogonal (not necessarily normalized) basis."""
-    if isinstance(basis, np.ndarray) and basis.ndim == 2:
-        mat = basis
-    else:
-        mat = np.column_stack([np.asarray(v) for v in basis])
-    mat = as_field_array(mat, field)
+    mat, _ = as_basis(basis, field)
     n = mat.shape[0]
     if mat.shape[1] != n:
         raise DomainError(f"need {n} basis vectors for dimension {n}, got {mat.shape[1]}")
     norms = np.linalg.norm(mat, axis=0)
-    if np.any(norms == 0.0):
-        raise DomainError("basis contains a zero vector")
+    if not np.all((norms > 0.0) & (norms < math.inf)):
+        raise DomainError("basis vectors must be nonzero with a finite norm")
     cross = np.abs(gram(mat, mat)) / np.outer(norms, norms)
     np.fill_diagonal(cross, 0.0)
-    if float(np.max(cross, initial=0.0)) > ORTHOGONALITY_DEFECT:
+    if not float(np.max(cross, initial=0.0)) <= ORTHOGONALITY_DEFECT:
         raise DomainError("basis vectors are not orthogonal")
     return mat
-
-
-def _coordinate_subspace(mat: np.ndarray, index, field: Field) -> Subspace:
-    cols = mat[:, index.zero_based()]
-    norms = np.linalg.norm(cols, axis=0)
-    return Subspace(cols / norms if cols.shape[1] else cols, field, _validate=False)
 
 
 def check_line_partition(line: Subspace, partition: Partition, tol: Tolerance = DEFAULT_TOLERANCE) -> IdentityCheck:
@@ -134,10 +127,7 @@ def check_coordinate_pythagorean(v: Subspace, basis, tol: Tolerance = DEFAULT_TO
     p, n = v.dim, v.ambient_dim
     if p < 1:
         raise DomainError("the subspace must be nonzero")
-    total = sum(
-        grassmann_angle(v, _coordinate_subspace(mat, index, v.field), tol).cos_squared
-        for index in multi_indices(p, n)
-    )
+    total = sum(grassmann_angle(v, x, tol).cos_squared for x in _coordinate_subspaces(mat, p, v.field))
     witness = f"dim {p} subspace vs C({n},{p}) coordinate subspaces ({v.field.value})"
     return _check("pythagorean", abs(total - 1.0), witness, tol)
 
@@ -156,16 +146,10 @@ def check_binomial_identities(v: Subspace, basis, q: int, tol: Tolerance = DEFAU
     if not 0 <= q <= n:
         raise DomainError(f"coordinate dimension must be in [0, {n}], got {q}")
     if p <= q:
-        total = sum(
-            grassmann_angle(v, _coordinate_subspace(mat, index, v.field), tol).cos_squared
-            for index in multi_indices(q, n)
-        )
+        total = sum(grassmann_angle(v, x, tol).cos_squared for x in _coordinate_subspaces(mat, q, v.field))
         target = float(math.comb(n - p, n - q))
     else:
-        total = sum(
-            grassmann_angle(_coordinate_subspace(mat, index, v.field), v, tol).cos_squared
-            for index in multi_indices(q, n)
-        )
+        total = sum(grassmann_angle(x, v, tol).cos_squared for x in _coordinate_subspaces(mat, q, v.field))
         target = float(math.comb(p, q))
     witness = f"p={p}, q={q}, n={n} ({v.field.value}), target {target:g}"
     return _check("binomial", abs(total - target), witness, tol)
@@ -246,9 +230,8 @@ def check_partition_chain(partition: Partition, w: Subspace, tol: Tolerance = DE
     """k-part extension of the direct-sum rule: the angle cosine of the whole
     equals the product of the part cosines times the chain of complementary
     cosines of projected tails."""
-    partition.validate()
     parts = partition.parts
-    parent = partition.parent()
+    parent = partition.parent()  # raises unless the parts are orthogonal
     lhs = grassmann_angle(parent, w, tol).cosine
     rhs = 1.0
     for part in parts:
@@ -399,16 +382,17 @@ def _principal_pair(rng, field, n, p, min_cosine=0.3, min_gap=0.15):
     1e-8 threshold: the 45-degree mixing of the extreme principal vectors
     then perturbs the product rule by at least ~min_cosine^4 * min_gap^2 / 2.
     """
-    while True:
+    for _ in range(MAX_DRAWS):
         q = int(rng.integers(p, n)) if p < n else p  # keep q < n so angles are not all equal
         v = random_subspace(rng, field, n, p)
         w = random_subspace(rng, field, n, q)
-        cosines = np.linalg.svd(gram(w.onb, v.onb), compute_uv=False)
+        cosines = principal_cosines(v, w)
         if cosines[-1] < min_cosine:
             continue
         if p >= 2 and (cosines[0] - cosines[-1]) < min_gap:
             continue
         return v, w
+    raise DomainError(f"no subspace pair in dimension {n} met the margins in {MAX_DRAWS} draws")
 
 
 def _grouped_principal_partition(rng, e_basis: np.ndarray, field) -> Partition:

@@ -10,13 +10,19 @@ cofactor recursion.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import DimensionMismatchError, MultiIndexError, SingularPivotError
+from .errors import DimensionMismatchError, DomainError, MultiIndexError, SingularPivotError
 from .fields import DEFAULT_TOLERANCE, Tolerance
 
 # Naive cofactor recursion is O(n!); anything bigger than this is a mistake.
 _COFACTOR_LIMIT = 10
+
+# Column norms inside this range come from squares that neither overflow nor
+# underflow, for columns of fewer than 2^22 entries.
+_NORM_MIN, _NORM_MAX = 2.0**-500, 2.0**500
 
 
 def as_matrix(m) -> np.ndarray:
@@ -141,6 +147,16 @@ def schur_det(a, b, c, d, pivot: str = "A", tol: Tolerance = DEFAULT_TOLERANCE) 
     return det(block) * det(complement)
 
 
+def exact_rescale(x: np.ndarray) -> np.ndarray:
+    """``x`` times the power of two that puts its largest real or imaginary
+    part in [0.5, 1); exact, so scale-invariant results keep every bit.
+    Raises DomainError on an entry that is not finite."""
+    if not np.isfinite(x).all():
+        raise DomainError("entries must be finite (no NaN or infinity)")
+    e = -math.frexp(max(np.max(np.abs(x.real), initial=0.0), np.max(np.abs(x.imag), initial=0.0)))[1]
+    return x * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)  # in two factors, since 2^e alone may overflow
+
+
 def orthonormalize(columns, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, int]:
     """Orthonormal basis of the column space, by modified Gram-Schmidt.
 
@@ -148,7 +164,9 @@ def orthonormalize(columns, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndar
     i of q lies in the span of the first i independent input columns.  A
     column whose residual after projection drops below ``rank_eps`` times its
     original norm is dropped as dependent.  One re-orthogonalization pass
-    keeps ``q* q`` within ~1e-15 of the identity.
+    keeps ``q* q`` within ~1e-15 of the identity.  A column whose norm would
+    over- or underflow is rescaled exactly first; a non-finite entry raises
+    DomainError.
     """
     arr = as_matrix(columns)
     n = arr.shape[0]
@@ -156,6 +174,10 @@ def orthonormalize(columns, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndar
     for j in range(arr.shape[1]):
         v = arr[:, j].astype(arr.dtype, copy=True)
         original = np.linalg.norm(v)
+        if not _NORM_MIN <= original <= _NORM_MAX:
+            # not finite, zero, or the squares behind the norm left the float range
+            v = exact_rescale(v)
+            original = np.linalg.norm(v)
         for _ in range(2):
             for q in kept:
                 v -= q * np.vdot(q, v)

@@ -14,6 +14,10 @@ from .exterior import Blade
 from .fields import Field
 from .subspaces import Partition, Subspace
 
+# Rejection loops give up with DomainError after this many draws.  The
+# hardest request, a well-separated 16 x 16 blade, accepts ~1 draw in 3000.
+MAX_DRAWS = 100_000
+
 
 def rng_from_seed(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
@@ -54,15 +58,7 @@ def random_subspace_within(rng: np.random.Generator, parent: Subspace, dim: int)
 def random_partition(rng: np.random.Generator, field: Field, n: int, dims) -> Partition:
     """Orthogonal partition of the full n-dimensional space with the given
     part dimensions (zeros allowed); the dims must sum to n."""
-    dims = [int(d) for d in dims]
-    if any(d < 0 for d in dims) or sum(dims) != n:
-        raise DomainError(f"part dimensions {dims} do not partition dimension {n}")
-    u = random_unitary(rng, field, n)
-    parts, start = [], 0
-    for d in dims:
-        parts.append(Subspace(u[:, start : start + d], field, _validate=False))
-        start += d
-    return Partition(tuple(parts))
+    return split_subspace(rng, Subspace.full(n, field), dims)
 
 
 def split_subspace(rng: np.random.Generator, parent: Subspace, dims) -> Partition:
@@ -91,11 +87,13 @@ def random_blade(rng: np.random.Generator, field: Field, n: int, grade: int, sca
     """Random nonzero blade with well-separated factors."""
     if not 1 <= grade <= n:
         raise DomainError(f"cannot build a grade-{grade} blade in dimension {n}")
-    while True:
+    for _ in range(MAX_DRAWS):
         factors = random_matrix(rng, field, n, grade)
         s = np.linalg.svd(factors, compute_uv=False)
         if s[-1] > 0.1 * s[0]:
             break
+    else:
+        raise DomainError(f"no well-separated grade-{grade} factors in {MAX_DRAWS} draws")
     if scaled:
         factors = factors * rng.uniform(0.5, 2.0, size=grade)
     coefficient = 1.0
@@ -109,11 +107,12 @@ def random_blade(rng: np.random.Generator, field: Field, n: int, grade: int, sca
 def random_mixing(rng: np.random.Generator, field: Field, dim: int, cond_limit: float = 100.0) -> np.ndarray:
     """Random well-conditioned square matrix (for turning orthonormal bases
     into generic raw bases without tripping degeneracy checks)."""
-    while True:
+    for _ in range(MAX_DRAWS):
         m = random_matrix(rng, field, dim, dim)
         s = np.linalg.svd(m, compute_uv=False)
         if s[-1] > 0.0 and s[0] / s[-1] <= cond_limit:
             return m
+    raise DomainError(f"no {dim} x {dim} draw had condition number <= {cond_limit} in {MAX_DRAWS} draws")
 
 
 def random_instance(field: Field, n: int, dims, seed) -> list[Subspace]:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .exterior import Blade
-from .fields import DEFAULT_TOLERANCE, Field, Tolerance, as_field_array
+from .exterior import Blade, multi_indices
+from .fields import DEFAULT_TOLERANCE, Field, Tolerance, as_basis, as_field_array
 from .linalg import gram, orthonormalize
 
 # Looser than machine epsilon: subset checks go through projections whose
@@ -43,9 +43,9 @@ class Subspace:
             raise DimensionMismatchError("orthonormal basis must be a 2-D column matrix")
         if onb.shape[1] > onb.shape[0]:
             raise DimensionMismatchError(f"{onb.shape[1]} basis columns in ambient dimension {onb.shape[0]}")
-        if _validate and onb.shape[1] > 0:
-            defect = np.max(np.abs(gram(onb, onb) - np.eye(onb.shape[1])))
-            if defect > 1e-10:
+        if _validate:
+            defect = _orthonormality_defect(onb)
+            if not defect <= 1e-10:
                 raise DomainError(f"basis columns are not orthonormal (defect {defect:.2e}); use from_spanning")
         self.ambient_dim = onb.shape[0]
         self.field = field
@@ -54,14 +54,10 @@ class Subspace:
     @classmethod
     def from_spanning(cls, vectors, field: Field | None = None, tol: Tolerance = DEFAULT_TOLERANCE) -> "Subspace":
         """Subspace spanned by arbitrary vectors (rows of a sequence or
-        columns of a matrix); dependent vectors are dropped."""
-        if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-            mat = vectors
-        else:
-            mat = np.column_stack([np.asarray(v) for v in vectors])
-        if field is None:
-            field = Field.COMPLEX if np.iscomplexobj(mat) else Field.REAL
-        q, _ = orthonormalize(as_field_array(mat, field), tol)
+        columns of a matrix); dependent vectors are dropped.  Entries that
+        are not finite raise DomainError."""
+        mat, field = as_basis(vectors, field)
+        q, _ = orthonormalize(mat, tol)
         return cls(q, field, _validate=False)
 
     @classmethod
@@ -86,6 +82,19 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, field={self.field.value})"
+
+
+def _orthonormality_defect(mat: np.ndarray) -> float:
+    """Largest entry of ``|mat* mat - 1|``; 0 for no columns, not finite if an entry is not."""
+    if mat.shape[1] == 0:
+        return 0.0
+    return float(np.max(np.abs(gram(mat, mat) - np.eye(mat.shape[1]))))
+
+
+def _coordinate_subspaces(basis: np.ndarray, p: int, field: Field) -> list[Subspace]:
+    """Spans of the p-subsets of the columns of an orthogonal basis, in lexicographic order."""
+    blocks = [basis[:, index.zero_based()] for index in multi_indices(p, basis.shape[1])]
+    return [Subspace(b / np.linalg.norm(b, axis=0), field, _validate=False) for b in blocks]
 
 
 def _require_same_space(a: Subspace, b: Subspace):
@@ -152,14 +161,13 @@ def direct_sum(*parts: Subspace) -> Subspace:
     for p in parts[1:]:
         _require_same_space(first, p)
     stacked = np.hstack([p.onb for p in parts])
-    if stacked.shape[1] > 0:
-        defect = np.max(np.abs(gram(stacked, stacked) - np.eye(stacked.shape[1])))
-        if defect > 1e-8:
-            raise DomainError(f"parts are not pairwise orthogonal (defect {defect:.2e})")
+    defect = _orthonormality_defect(stacked)
+    if not defect <= ORTHOGONALITY_DEFECT:
+        raise DomainError(f"parts are not pairwise orthogonal (defect {defect:.2e})")
     return Subspace(stacked, first.field, _validate=False)
 
 
-def orthogonal_complement_within(u: Subspace, v: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> Subspace:
+def orthogonal_complement_within(u: Subspace, v: Subspace) -> Subspace:
     """The orthogonal complement of u inside v (u must be a subspace of v)."""
     _require_same_space(u, v)
     _require_subset(u, v)
@@ -179,8 +187,13 @@ def is_partially_orthogonal(v: Subspace, w: Subspace, tol: Tolerance = DEFAULT_T
         return False
     if v.dim > w.dim:
         return True
-    cosines = np.linalg.svd(gram(w.onb, v.onb), compute_uv=False)
-    return bool(cosines[-1] < tol.rank_eps)
+    return bool(principal_cosines(v, w)[-1] < tol.rank_eps)
+
+
+def principal_cosines(v: Subspace, w: Subspace) -> np.ndarray:
+    """Cosines of the min(dim v, dim w) principal angles, descending: the
+    singular values of the projection matrix ``w* v``, clipped into [0, 1]."""
+    return np.clip(np.linalg.svd(gram(w.onb, v.onb), compute_uv=False), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -252,14 +265,14 @@ def is_principal_subspace(
     if u.dim == 0 or u.dim == v.dim:
         return True
     pu = project_subspace(u, w, tol)
-    pu_rest = project_subspace(orthogonal_complement_within(u, v, tol), w, tol)
+    pu_rest = project_subspace(orthogonal_complement_within(u, v), w, tol)
     return _max_cross_cosine(pu, pu_rest) < tol.residual_eps
 
 
 def _max_cross_cosine(a: Subspace, b: Subspace) -> float:
     if a.dim == 0 or b.dim == 0:
         return 0.0
-    return float(np.linalg.svd(gram(a.onb, b.onb), compute_uv=False)[0])
+    return float(principal_cosines(b, a)[0])
 
 
 @dataclass(frozen=True)
@@ -280,21 +293,15 @@ class Partition:
         """The direct sum of the parts; raises if they are not orthogonal."""
         return direct_sum(*self.parts)
 
-    def validate(self, max_defect: float = ORTHOGONALITY_DEFECT):
-        stacked = np.hstack([p.onb for p in self.parts])
-        if stacked.shape[1] == 0:
-            return
-        defect = float(np.max(np.abs(gram(stacked, stacked) - np.eye(stacked.shape[1]))))
-        if defect > max_defect:
-            raise DomainError(f"partition parts are not pairwise orthogonal (defect {defect:.2e})")
+    def validate(self):
+        """Raise DomainError unless the parts are pairwise orthogonal."""
+        self.parent()
 
 
 def is_principal_partition(partition: Partition, w: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Whether an orthogonal partition of some subspace is principal w.r.t. w,
     i.e. the projected parts are pairwise orthogonal."""
     partition.validate()
-    for p in partition.parts:
-        _require_same_space(p, w)
     projected = [project_subspace(p, w, tol) for p in partition.parts]
     for i in range(len(projected)):
         for j in range(i + 1, len(projected)):

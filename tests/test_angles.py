@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grassmann_angles import (
     AngleMethod,
@@ -9,9 +11,11 @@ from grassmann_angles import (
     DegenerateBasisError,
     DimensionMismatchError,
     DomainError,
+    GrassmannError,
     NumericalConsistencyError,
     Subspace,
     blade_norm,
+    check_coordinate_pythagorean,
     complement,
     complementary_angle,
     complementary_angle_formula,
@@ -77,6 +81,13 @@ class TestVectorAngle:
         with pytest.raises(DomainError):
             vector_angle(np.zeros(3), np.ones(3))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_norms_that_overflow_or_underflow_are_rescaled(self):
+        assert vector_angle(np.array([1e200, 1e200]), np.array([1.0, 0.0])).euclidean == pytest.approx(math.pi / 4)
+        assert vector_angle(np.array([1e200, 0.0]), np.array([-1e200, 0.0])).euclidean == pytest.approx(math.pi)
+        out = vector_angle(np.array([1e-200, 0.0j]), np.array([1e-200, 1e-200j]))
+        assert out.hermitian == pytest.approx(math.pi / 4)
+
 
 class TestGrassmannAngle:
     def test_equal_subspaces(self):
@@ -119,8 +130,8 @@ class TestGrassmannAngle:
             v = random_subspace(rng, field, n, int(rng.integers(1, n + 1)))
             w = random_subspace(rng, field, n, int(rng.integers(1, n + 1)))
             report = grassmann_angle(v, w)
-            assert report.residual <= 1e-10
-            assert report.method is AngleMethod.PROJECTION
+            assert abs(report.cosine - grassmann_angle_principal(v, w).cosine) <= 1e-10
+            assert report.method is AngleMethod.PROJECTION and report.residual == 0.0
 
 
 class TestEqualDimFormula:
@@ -233,7 +244,11 @@ class TestComplementaryAngle:
             # a forced intersection puts the true cosine at 0, where the
             # sine-product and determinant routes keep only half the digits
             bound = 1e-8 if v.dim + w.dim <= n else 1e-7
-            assert complementary_angle(v, w).residual <= bound
+            cosine = complementary_angle(v, w).cosine
+            cosines = np.linalg.svd(v.onb.conj().T @ w.onb, compute_uv=False)
+            sine_product = float(np.prod(np.sqrt(np.clip(1.0 - cosines**2, 0.0, 1.0))))
+            assert abs(cosine - sine_product) <= bound
+            assert abs(cosine - complementary_angle_orthonormal(v, w).cosine) <= bound
 
 
 class TestComplementaryFormula:
@@ -468,3 +483,67 @@ class TestConsistencyGuards:
     def test_above_one_clamps(self):
         report = _report_from_cos_sq(1.0 + 1e-12, AngleMethod.PROJECTION)
         assert report.cosine == 1.0 and report.value == 0.0
+
+
+class TestNonFiniteAndExtremeInput:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_every_entry_point_rejects_non_finite_entries(self, bad):
+        bv = np.array([[1.0, bad, 0.0], [0.0, 1.0, 1.0]]).T
+        bw = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]).T
+        calls = [
+            lambda: grassmann_angle_any_dim(bv, bw),
+            lambda: grassmann_angle_equal_dim(bv, bw),
+            lambda: complementary_angle_formula(bv, bw),
+            lambda: Subspace.from_spanning(bv),
+            lambda: Subspace(np.array([[bad], [0.0], [0.0]]), Field.REAL),
+            lambda: vector_angle(bv[:, 0], bw[:, 0]),
+            lambda: blade_norm(Blade(bv)),
+            lambda: oriented_grassmann_cos(Blade(bv), Blade(bw)),
+            lambda: check_coordinate_pythagorean(Subspace.from_spanning(bw), np.diag([1.0, bad, 1.0])),
+            lambda: check_coordinate_pythagorean(Subspace.full(1, Field.REAL), np.array([[bad]])),
+        ]
+        for call in calls:
+            with pytest.raises(GrassmannError):
+                call()
+
+    def test_empty_basis_is_degenerate_on_every_input_path(self):
+        for call in (
+            lambda: Subspace.from_spanning([]),
+            lambda: grassmann_angle_any_dim([], PLANE_R4),
+            lambda: Blade([]),
+            lambda: check_coordinate_pythagorean(Subspace.from_spanning(LINE_R4), []),
+        ):
+            with pytest.raises(DegenerateBasisError):
+                call()
+        assert Blade([], ambient_dim=3).grade == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        field=st.sampled_from(FIELDS),
+        exponents=st.lists(st.integers(-150, 150), min_size=10, max_size=10),
+    )
+    def test_scaling_the_columns_leaves_every_cosine(self, seed, field, exponents):
+        rng = rng_from_seed(seed)
+        n = int(rng.integers(2, 7))
+        p = int(rng.integers(1, n))
+        q = int(rng.integers(1, n - p + 1))  # p + q <= n keeps complementary cosines off the endpoint 0
+        bv = random_subspace(rng, field, n, p).onb @ random_mixing(rng, field, p, cond_limit=10.0)
+        bw = random_subspace(rng, field, n, q).onb @ random_mixing(rng, field, q, cond_limit=10.0)
+        scales = 10.0 ** np.array(exponents, dtype=float)
+        # the spanning routes normalize column by column; the raw-basis
+        # routes get one scale per basis, since per-column scales change cond
+        span = (Subspace.from_spanning(bv, field=field), Subspace.from_spanning(bw, field=field))
+        span_scaled = (
+            Subspace.from_spanning(bv * scales[:p], field=field),
+            Subspace.from_spanning(bw * scales[5 : 5 + q], field=field),
+        )
+        for route in (grassmann_angle, grassmann_angle_principal, complementary_angle, complementary_angle_orthonormal):
+            assert abs(route(*span_scaled).cosine - route(*span).cosine) <= 1e-12
+        raw, raw_scaled = (bv, bw), (bv * scales[0], bw * scales[9])
+        routes = [grassmann_angle_any_dim, complementary_angle_formula] + ([grassmann_angle_equal_dim] if p == q else [])
+        for route in routes:
+            for order in (slice(None), slice(None, None, -1)):
+                scaled = route(*raw_scaled[order], field=field).cosine
+                assert abs(scaled - route(*raw[order], field=field).cosine) <= 1e-12

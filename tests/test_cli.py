@@ -100,6 +100,26 @@ class TestAngleCommand:
         code, _, err = run_cli(capsys, "angle", str(path), "V", "W", "--method", "equal-dim")
         assert code == 2 and "dependent" in err
 
+    @pytest.mark.parametrize("method", ["projection", "any-dim", "principal"])
+    def test_nan_entry_is_input_error(self, capsys, tmp_path, method):
+        # json.loads accepts NaN; it must not be dropped as a dependent vector
+        path = tmp_path / "nan.json"
+        path.write_text('{"field": "real", "ambient": 3, "subspaces": {"V": [[NaN, 0, 1]], "W": [[1, 0, 0]]}}')
+        code, out, err = run_cli(capsys, "angle", str(path), "V", "W", "--method", method, "--json")
+        assert code == 2 and out == "" and "finite" in err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "flags", [["--method", "projection"], ["--method", "any-dim"], ["--complementary", "--method", "any-dim"]]
+    )
+    def test_overflowing_entries_are_rescaled(self, capsys, tmp_path, flags):
+        doc = {"field": "real", "ambient": 3, "subspaces": {"V": [[1e200, 0, 1e200]], "W": [[1, 0, 0]]}}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "angle", str(path), "V", "W", *flags, "--json")
+        assert code == 0
+        assert json.loads(out)["cos"] == pytest.approx(math.sqrt(0.5), abs=1e-12)
+
     def test_bit_for_bit_roundtrip(self, capsys):
         _, out1, _ = run_cli(capsys, "angle", COMPLEX_DOC, "V", "W", "--method", "any-dim", "--json")
         _, out2, _ = run_cli(capsys, "angle", COMPLEX_DOC, "V", "W", "--method", "any-dim", "--json")

@@ -24,6 +24,7 @@ from grassmann_angles import (
 from grassmann_angles.fields import Field
 from grassmann_angles.linalg import gram
 from grassmann_angles.sampling import (
+    random_mixing,
     random_orthogonal_basis,
     random_partition,
     random_subspace,
@@ -326,6 +327,11 @@ class TestRandomInstance:
     def test_infeasible_dims_rejected(self):
         with pytest.raises(DomainError):
             random_instance(Field.REAL, 3, [4], seed=0)
+
+    def test_unmeetable_rejection_loop_gives_up(self):
+        # no 2 x 2 Gaussian draw has condition number exactly 1
+        with pytest.raises(DomainError):
+            random_mixing(rng_from_seed(0), Field.REAL, 2, cond_limit=1.0)
 
 
 class TestRunSuite:

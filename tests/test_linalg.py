@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from grassmann_angles import (
     DimensionMismatchError,
+    DomainError,
     MultiIndexError,
     SingularPivotError,
     Tolerance,
@@ -133,6 +134,19 @@ class TestOrthonormalize:
     def test_zero_matrix(self):
         q, rank = orthonormalize(np.zeros((4, 2)))
         assert rank == 0 and q.shape == (4, 0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-200j])
+    def test_extreme_columns_are_rescaled_not_dropped(self, scale):
+        basis = np.array([[1.0, 0.0, 1.0], [0.0, 2.0, 0.0]]).T
+        q, rank = orthonormalize(basis * scale)
+        assert rank == 2
+        np.testing.assert_allclose(q, basis / np.linalg.norm(basis, axis=0) * (scale / abs(scale)), atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_column_raises(self, bad):
+        with pytest.raises(DomainError):
+            orthonormalize(np.array([[1.0, bad, 0.0]]).T)
 
     def test_complex_pair_gram_is_identity(self):
         xi = complex(-0.5, math.sqrt(3) / 2)
