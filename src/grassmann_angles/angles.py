@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateBasisError, DimensionMismatchError, DomainError, NumericalConsistencyError
-from .exterior import Blade, blade_inner, blade_norm
+from .exterior import Blade, _factor_squares, _norm_from_square, _vanishes, blade_inner, blade_norm
 from .fields import (
     DEFAULT_TOLERANCE,
     GRAM_CONDITION_LIMIT,
@@ -41,6 +41,10 @@ from .subspaces import Subspace, _require_same_space, complement, principal_cosi
 # 2^(+-250) is rescaled exactly to s ~ 1: its Gram determinants scale like
 # s^(2p), and a product of two of them must stay inside 2^(+-1000).
 _SCALE_EXPONENT_LIMIT = 250
+
+# Squared norms below the smallest normal float have lost digits to
+# underflow; the oriented route rescales blade factors instead.
+_SQUARE_MIN = 2.0**-1022  # the smallest normal float
 
 __all__ = [
     "AngleMethod",
@@ -269,10 +273,33 @@ def oriented_grassmann_cos(nu: Blade, omega: Blade, tol: Tolerance = DEFAULT_TOL
     A field scalar whose modulus is the unoriented cosine; over the reals its
     sign tracks relative orientation, over the complex field it carries the
     phase of the blade inner product (only the cosine is defined there).
+    When a squared norm leaves the normal float range, each factor is first
+    rescaled exactly by a power of two.
     """
     if nu.grade != omega.grade:
         raise DomainError(f"oriented angle needs equal grades, got {nu.grade} and {omega.grade}")
-    nn, no = blade_norm(nu, tol), blade_norm(omega, tol)
-    if nu.is_zero(tol) or omega.is_zero(tol) or nn == 0.0 or no == 0.0:
+    blades = (nu, omega)
+    squares = [float(np.real(blade_inner(b, b))) for b in blades]
+    if not all(_in_normal_range(b, g) for b, g in zip(blades, squares)):
+        blades = tuple(_rescaled_factors(b) for b in blades)
+        squares = [float(np.real(blade_inner(b, b))) for b in blades]
+    nn, no = (_norm_from_square(b, g, tol) for b, g in zip(blades, squares))
+    if any(_vanishes(b, g, tol) for b, g in zip(blades, squares)):
         raise DomainError("oriented angle is undefined for zero blades")
-    return blade_inner(nu, omega) / (nn * no)
+    return blade_inner(*blades) / (nn * no)
+
+
+def _in_normal_range(blade: Blade, square: float) -> bool:
+    """Whether the squared factor norms, their product (the Hadamard bound)
+    and ``square = <blade, blade>`` are all normal floats; false for a zero blade."""
+    factor_squares = _factor_squares(blade)
+    return all(_SQUARE_MIN <= x < math.inf for x in (*factor_squares, math.prod(factor_squares), square))
+
+
+def _rescaled_factors(blade: Blade) -> Blade:
+    """The blade with each factor column times its own power of two: a
+    positive multiple of it, so every oriented cosine keeps its value."""
+    factors = blade.factors.copy()
+    for j in range(blade.grade):
+        factors[:, j] = exact_rescale(factors[:, j])
+    return Blade(factors, field=blade.field, coefficient=blade.coefficient, ambient_dim=blade.ambient_dim)

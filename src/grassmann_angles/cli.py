@@ -74,7 +74,7 @@ def _cmd_angle(args) -> int:
     doc = load_document(args.document)
     tol = _tolerance_from(args, doc)
     degrees = args.degrees or doc.options.degrees
-    name_v, name_w = args.subspaces
+    name_v, name_w = args.v, args.w
     basis_v, basis_w = doc.basis(name_v), doc.basis(name_w)
 
     if args.oriented:
@@ -131,7 +131,7 @@ def _cmd_angle(args) -> int:
 def _cmd_principal(args) -> int:
     doc = load_document(args.document)
     degrees = args.degrees or doc.options.degrees
-    name_v, name_w = args.subspaces
+    name_v, name_w = args.v, args.w
     pd = principal_decomposition(doc.subspace(name_v), doc.subspace(name_w))
     radians = [float(a) for a in pd.angles]
     payload = {
@@ -203,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     angle = sub.add_parser("angle", help="angle between two named subspaces of a JSON document")
     angle.add_argument("document", help="path to the input JSON document")
-    angle.add_argument("subspaces", nargs=2, metavar=("V", "W"), help="names of the two subspaces")
+    angle.add_argument("v", metavar="V", help="name of the first subspace")
+    angle.add_argument("w", metavar="W", help="name of the second subspace")
     angle.add_argument("--method", choices=_METHODS, default="projection")
     angle.add_argument("--complementary", action="store_true", help="angle with the orthogonal complement of W")
     angle.add_argument("--oriented", action="store_true", help="signed/phased cosine of the raw basis blades")
@@ -214,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     principal = sub.add_parser("principal", help="principal angles and bases of two named subspaces")
     principal.add_argument("document")
-    principal.add_argument("subspaces", nargs=2, metavar=("V", "W"))
+    principal.add_argument("v", metavar="V")
+    principal.add_argument("w", metavar="W")
     principal.add_argument("--degrees", action="store_true")
     principal.add_argument("--json", action="store_true")
     principal.set_defaults(fn=_cmd_principal)

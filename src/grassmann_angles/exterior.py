@@ -9,6 +9,7 @@ field.  Grade-0 blades are scalars with an empty factor list.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Mapping
@@ -132,13 +133,7 @@ class Blade:
 
     def is_zero(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
         """Numerical zero test: Gram determinant below rank_eps^2 at the blade's scale."""
-        if abs(self.coefficient) == 0.0:
-            return True
-        scale = _gram_scale(self)
-        if scale == 0.0:
-            return True
-        g = np.real(det(gram(self.factors, self.factors)))
-        return g < tol.rank_eps**2 * scale
+        return _vanishes(self, float(np.real(blade_inner(self, self))), tol)
 
     def __repr__(self):
         return f"Blade(grade={self.grade}, ambient={self.ambient_dim}, field={self.field.value})"
@@ -153,9 +148,12 @@ def _require_compatible(a: Blade, b: Blade):
 
 def _gram_scale(blade: Blade) -> float:
     # Hadamard bound for the Gram determinant: product of squared factor norms.
-    if blade.grade == 0:
-        return 1.0
-    return float(np.prod(np.sum(np.abs(blade.factors) ** 2, axis=0)))
+    return float(math.prod(_factor_squares(blade)))
+
+
+def _factor_squares(blade: Blade) -> list[float]:
+    """Squared norms of the factors."""
+    return (np.abs(blade.factors) ** 2).sum(axis=0).tolist()
 
 
 def wedge(a: Blade, b: Blade) -> Blade:
@@ -191,11 +189,20 @@ def blade_norm(a: Blade, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     that is not finite, raises NumericalConsistencyError instead of being
     clamped.
     """
-    g = np.real(blade_inner(a, a))
+    return _norm_from_square(a, float(np.real(blade_inner(a, a))), tol)
+
+
+def _norm_from_square(a: Blade, square: float, tol: Tolerance) -> float:
+    """``sqrt(square)`` for ``square = <a, a>`` already computed, checked as in blade_norm."""
     scale = max(1.0, _gram_scale(a) * abs(a.coefficient) ** 2)
-    if not -tol.residual_eps * scale <= g < np.inf:
-        raise NumericalConsistencyError(f"squared blade norm came out negative or not finite: {g}")
-    return float(np.sqrt(max(g, 0.0)))
+    if not -tol.residual_eps * scale <= square < np.inf:
+        raise NumericalConsistencyError(f"squared blade norm came out negative or not finite: {square}")
+    return float(np.sqrt(max(square, 0.0)))
+
+
+def _vanishes(a: Blade, square: float, tol: Tolerance) -> bool:
+    """The zero test of ``Blade.is_zero`` on ``square = <a, a>`` already computed."""
+    return not square > tol.rank_eps**2 * _gram_scale(a) * abs(a.coefficient) ** 2
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,19 @@ otherwise), evaluates both sides of its identity numerically, and returns an
 :class:`IdentityCheck` whose ``passed`` flag is exactly
 ``residual <= residual_eps``.  The ``run_suite`` driver feeds the checkers
 seeded random configurations for either field.
+
+The checkers that sum over coordinate subspaces (pythagorean, binomial,
+oriented-sum, weighted-average) do not call an angle route per term: they
+take the projection matrices of all C(n, p) terms out of one Gram matrix
+and evaluate them in one stacked determinant.  Every operand there is
+orthonormal or orthogonal, so the determinant loses nothing to conditioning.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -20,7 +27,7 @@ from .angles import (
     oriented_grassmann_cos,
 )
 from .errors import DomainError
-from .exterior import Blade, coordinate_blades, multi_indices
+from .exterior import Blade, blade_norm
 from .fields import DEFAULT_TOLERANCE, Field, Tolerance, as_basis
 from .linalg import gram
 # random_instance is re-exported: the seeded generators are part of this
@@ -40,7 +47,6 @@ from .subspaces import (
     ORTHOGONALITY_DEFECT,
     Partition,
     Subspace,
-    _coordinate_subspaces,
     _require_subset,
     direct_sum,
     is_partially_orthogonal,
@@ -104,6 +110,23 @@ def _orthogonal_basis_matrix(basis, field: Field) -> np.ndarray:
     return mat
 
 
+def _index_stack(n: int, p: int) -> np.ndarray:
+    """The (C(n, p), p) array of the p-subsets of range(n), in the
+    lexicographic order of ``multi_indices(p, n)``; one empty row for p = 0."""
+    flat = np.fromiter(chain.from_iterable(combinations(range(n), p)), dtype=np.intp)
+    return flat.reshape(math.comb(n, p), p)
+
+
+def _stacked_cos_squared(b: np.ndarray) -> np.ndarray:
+    """Squared Grassmann cosines ``det(b* b)`` of stacked (k, q, p) projection
+    matrices ``b = W* V`` between orthonormal bases, clipped into [0, 1]:
+    zeros when p > q, ones when p = 0, as in ``grassmann_angle``."""
+    k, q, p = b.shape
+    if p > q:
+        return np.zeros(k)
+    return np.clip(np.real(np.linalg.det(np.swapaxes(b, 1, 2).conj() @ b)), 0.0, 1.0)
+
+
 def check_line_partition(line: Subspace, partition: Partition, tol: Tolerance = DEFAULT_TOLERANCE) -> IdentityCheck:
     """Squared angle cosines of a line against an orthogonal partition of the
     whole space sum to 1 (the direction-cosine identity, any dimension,
@@ -120,14 +143,18 @@ def check_line_partition(line: Subspace, partition: Partition, tol: Tolerance = 
 
 def check_coordinate_pythagorean(v: Subspace, basis, tol: Tolerance = DEFAULT_TOLERANCE) -> IdentityCheck:
     """Squared cosines of a p-dimensional subspace against all coordinate
-    p-subspaces of an orthogonal basis sum to 1."""
+    p-subspaces of an orthogonal basis sum to 1.
+
+    All C(n, p) terms are evaluated in one stacked determinant.
+    """
     mat = _orthogonal_basis_matrix(basis, v.field)
     if mat.shape[0] != v.ambient_dim:
         raise DomainError("basis and subspace ambient dimensions differ")
     p, n = v.dim, v.ambient_dim
     if p < 1:
         raise DomainError("the subspace must be nonzero")
-    total = sum(grassmann_angle(v, x, tol).cos_squared for x in _coordinate_subspaces(mat, p, v.field))
+    projections = gram(mat / np.linalg.norm(mat, axis=0), v.onb)  # rows I hold W_I* V
+    total = np.sum(_stacked_cos_squared(projections[_index_stack(n, p)]))
     witness = f"dim {p} subspace vs C({n},{p}) coordinate subspaces ({v.field.value})"
     return _check("pythagorean", abs(total - 1.0), witness, tol)
 
@@ -138,6 +165,8 @@ def check_binomial_identities(v: Subspace, basis, q: int, tol: Tolerance = DEFAU
 
       p <= q:  sum_I cos^2(angle of V with W_I)  = C(n-p, n-q)
       p >  q:  sum_I cos^2(angle of W_I with V)  = C(p, q)
+
+    All C(n, q) terms are evaluated in one stacked determinant.
     """
     mat = _orthogonal_basis_matrix(basis, v.field)
     n, p = v.ambient_dim, v.dim
@@ -145,11 +174,12 @@ def check_binomial_identities(v: Subspace, basis, q: int, tol: Tolerance = DEFAU
         raise DomainError("basis and subspace ambient dimensions differ")
     if not 0 <= q <= n:
         raise DomainError(f"coordinate dimension must be in [0, {n}], got {q}")
+    blocks = gram(mat / np.linalg.norm(mat, axis=0), v.onb)[_index_stack(n, q)]  # W_I* V
     if p <= q:
-        total = sum(grassmann_angle(v, x, tol).cos_squared for x in _coordinate_subspaces(mat, q, v.field))
+        total = np.sum(_stacked_cos_squared(blocks))
         target = float(math.comb(n - p, n - q))
     else:
-        total = sum(grassmann_angle(x, v, tol).cos_squared for x in _coordinate_subspaces(mat, q, v.field))
+        total = np.sum(_stacked_cos_squared(np.swapaxes(blocks, 1, 2).conj()))  # V* W_I
         target = float(math.comb(p, q))
     witness = f"p={p}, q={q}, n={n} ({v.field.value}), target {target:g}"
     return _check("binomial", abs(total - target), witness, tol)
@@ -164,6 +194,9 @@ def check_oriented_sum(nu: Blade, omega: Blade, basis, tol: Tolerance = DEFAULT_
     plus the derived inequality for the unoriented cosines,
     cos(angle of V with W) <= sum_I cos(.,X_I) cos(.,X_I) moduli.
     Over the reals the conjugation is vacuous.
+
+    The C(n, p) inner products with the coordinate blades, and their norms,
+    are minors of two Gram matrices, each stack taken in one determinant.
     """
     if nu.grade != omega.grade or nu.grade < 1:
         raise DomainError("need two nonzero blades of the same positive grade")
@@ -173,13 +206,21 @@ def check_oriented_sum(nu: Blade, omega: Blade, basis, tol: Tolerance = DEFAULT_
     if mat.shape[0] != nu.ambient_dim:
         raise DomainError("basis and blades ambient dimensions differ")
     lhs = oriented_grassmann_cos(nu, omega, tol)
-    rhs = 0.0 + 0.0j if nu.field is Field.COMPLEX else 0.0
-    bound = 0.0
-    for _, x_blade in coordinate_blades(mat, nu.grade, field=nu.field):
-        cv = oriented_grassmann_cos(nu, x_blade, tol)
-        cw = oriented_grassmann_cos(omega, x_blade, tol)
-        rhs += cv * np.conjugate(cw)
-        bound += abs(cv) * abs(cw)
+    rows = _index_stack(nu.ambient_dim, nu.grade)
+    coordinate_norms = np.sqrt(np.real(np.linalg.det(gram(mat, mat)[rows[:, :, None], rows[:, None, :]])))
+
+    def coordinate_cosines(blade: Blade) -> np.ndarray:
+        minors = np.moveaxis(gram(blade.factors, mat)[:, rows], 1, 0)  # <factors, X_I factors>
+        inner = blade.field.conj(blade.coefficient) * np.linalg.det(minors)
+        denom = blade_norm(blade, tol) * coordinate_norms
+        if blade.field is Field.REAL:
+            return inner / denom
+        # part by part: numpy's complex-by-real division is not correctly rounded
+        return inner.real / denom + 1j * (inner.imag / denom)
+
+    cv, cw = coordinate_cosines(nu), coordinate_cosines(omega)
+    rhs = np.sum(cv * np.conjugate(cw))
+    bound = np.sum(np.abs(cv) * np.abs(cw))
     residual = max(abs(lhs - rhs), max(abs(lhs) - bound, 0.0))
     witness = f"grade {nu.grade} blades in dim {nu.ambient_dim} ({nu.field.value})"
     return _check("oriented-sum", residual, witness, tol)
@@ -188,20 +229,20 @@ def check_oriented_sum(nu: Blade, omega: Blade, basis, tol: Tolerance = DEFAULT_
 def check_weighted_average(u: Subspace, v: Subspace, w: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> IdentityCheck:
     """cos^2 of (U, W) is the weighted average of the cos^2 of (V_I, W) over
     the coordinate r-subspaces V_I of a principal basis of V w.r.t. W, with
-    weights cos^2 of (U, V_I); the weights themselves sum to 1."""
+    weights cos^2 of (U, V_I); the weights themselves sum to 1.
+
+    The C(p, r) weights and the C(p, r) terms are each evaluated in one
+    stacked determinant.
+    """
     if u.dim < 1 or v.dim < 1 or w.dim < 1:
         raise DomainError("all three subspaces must be nonzero")
     _require_subset(u, v)
-    pd = principal_decomposition(v, w)
-    e_basis = pd.e_basis
+    e_basis = principal_decomposition(v, w).e_basis
     lhs = grassmann_angle(u, w, tol).cos_squared
-    total, weight_sum = 0.0, 0.0
-    for index in multi_indices(u.dim, v.dim):
-        v_i = Subspace(e_basis[:, index.zero_based()], v.field, _validate=False)
-        weight = grassmann_angle(u, v_i, tol).cos_squared
-        total += weight * grassmann_angle(v_i, w, tol).cos_squared
-        weight_sum += weight
-    residual = max(abs(lhs - total), abs(weight_sum - 1.0))
+    rows = _index_stack(v.dim, u.dim)
+    weights = _stacked_cos_squared(gram(e_basis, u.onb)[rows])  # V_I* U
+    terms = _stacked_cos_squared(np.moveaxis(gram(w.onb, e_basis)[:, rows], 1, 0))  # W* V_I
+    residual = max(abs(lhs - np.sum(weights * terms)), abs(np.sum(weights) - 1.0))
     witness = f"r={u.dim} inside p={v.dim}, q={w.dim}, n={v.ambient_dim} ({v.field.value})"
     return _check("weighted-average", residual, witness, tol)
 

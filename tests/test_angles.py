@@ -547,3 +547,8 @@ class TestNonFiniteAndExtremeInput:
             for order in (slice(None), slice(None, None, -1)):
                 scaled = route(*raw_scaled[order], field=field).cosine
                 assert abs(scaled - route(*raw[order], field=field).cosine) <= 1e-12
+        if p == q:
+            # a blade moves by a positive factor under column scaling, so its oriented cosine stays
+            nu, omega = Blade(bv, field=field), Blade(bw, field=field)
+            nu_scaled, omega_scaled = Blade(bv * scales[:p], field=field), Blade(bw * scales[5 : 5 + q], field=field)
+            assert abs(oriented_grassmann_cos(nu_scaled, omega_scaled) - oriented_grassmann_cos(nu, omega)) <= 1e-12

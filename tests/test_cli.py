@@ -21,6 +21,22 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+class TestParser:
+    @pytest.mark.parametrize("command", ["angle", "principal", "verify", "examples"])
+    def test_help_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["angle", "principal"])
+    def test_missing_subspace_names_are_usage_errors(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, R4_DOC, "V"])
+        assert exc.value.code == 2
+        assert "required: W" in capsys.readouterr().err
+
+
 class TestAngleCommand:
     def test_equal_dim_cos_value(self, capsys):
         code, out, _ = run_cli(capsys, "angle", COMPLEX_DOC, "V", "W", "--method", "equal-dim", "--json")
@@ -118,6 +134,16 @@ class TestAngleCommand:
         path.write_text(json.dumps(doc))
         code, out, _ = run_cli(capsys, "angle", str(path), "V", "W", *flags, "--json")
         assert code == 0
+        assert json.loads(out)["cos"] == pytest.approx(math.sqrt(0.5), abs=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_oriented_route_rescales_extreme_entries(self, capsys, tmp_path, scale):
+        doc = {"field": "real", "ambient": 3, "subspaces": {"V": [[scale, 0, scale]], "W": [[1, 0, 0]]}}
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "angle", str(path), "V", "W", "--oriented", "--json")
+        assert code == 0, err
         assert json.loads(out)["cos"] == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
     def test_bit_for_bit_roundtrip(self, capsys):

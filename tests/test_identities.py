@@ -16,14 +16,19 @@ from grassmann_angles import (
     check_partition_chain,
     check_partition_converse,
     check_weighted_average,
+    coordinate_blades,
     grassmann_angle,
+    multi_indices,
+    oriented_grassmann_cos,
     principal_decomposition,
     random_instance,
     run_suite,
 )
 from grassmann_angles.fields import Field
+from grassmann_angles.identities import _index_stack, _stacked_cos_squared
 from grassmann_angles.linalg import gram
 from grassmann_angles.sampling import (
+    random_blade,
     random_mixing,
     random_orthogonal_basis,
     random_partition,
@@ -32,6 +37,7 @@ from grassmann_angles.sampling import (
     rng_from_seed,
     split_subspace,
 )
+from grassmann_angles.subspaces import _coordinate_subspaces
 
 FIELDS = (Field.REAL, Field.COMPLEX)
 XI = complex(-0.5, math.sqrt(3) / 2)
@@ -311,6 +317,88 @@ class TestPartitionConverse:
         out = check_partition_converse(Partition((v,)), w)
         assert not out.passed and math.isinf(out.residual)
         assert "precondition" in out.witness
+
+
+# Per-term references for the stacked checkers: one scalar route call per
+# coordinate subspace, as the checkers evaluated their sums before stacking.
+
+
+def loop_binomial_residual(v, mat, q):
+    n, p = v.ambient_dim, v.dim
+    parts = _coordinate_subspaces(mat, q, v.field)
+    if p <= q:
+        return abs(sum(grassmann_angle(v, x).cos_squared for x in parts) - math.comb(n - p, n - q))
+    return abs(sum(grassmann_angle(x, v).cos_squared for x in parts) - math.comb(p, q))
+
+
+def loop_oriented_residual(nu, omega, mat):
+    lhs = oriented_grassmann_cos(nu, omega)
+    pairs = [(oriented_grassmann_cos(nu, x), oriented_grassmann_cos(omega, x)) for _, x in coordinate_blades(mat, nu.grade)]
+    rhs = sum(cv * np.conjugate(cw) for cv, cw in pairs)
+    bound = sum(abs(cv) * abs(cw) for cv, cw in pairs)
+    return max(abs(lhs - rhs), max(abs(lhs) - bound, 0.0))
+
+
+def loop_weighted_residual(u, v, w):
+    e_basis = principal_decomposition(v, w).e_basis
+    total = weight_sum = 0.0
+    for index in multi_indices(u.dim, v.dim):
+        v_i = Subspace(e_basis[:, index.zero_based()], v.field, _validate=False)
+        weight = grassmann_angle(u, v_i).cos_squared
+        total += weight * grassmann_angle(v_i, w).cos_squared
+        weight_sum += weight
+    return max(abs(grassmann_angle(u, w).cos_squared - total), abs(weight_sum - 1.0))
+
+
+class TestStackedCoordinateSums:
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_checkers_match_the_per_term_routes(self, field, n):
+        rng = rng_from_seed((41, n, FIELDS.index(field)))
+        mat = random_orthogonal_basis(rng, field, n)
+        for p in range(n + 1):  # p = 0, p > q, q = 0 and q = n all occur
+            v = random_subspace(rng, field, n, p)
+            for q in range(n + 1):
+                stacked = check_binomial_identities(v, mat, q).residual
+                assert abs(stacked - loop_binomial_residual(v, mat, q)) <= 1e-13
+            if p == 0:
+                continue
+            stacked = check_coordinate_pythagorean(v, mat).residual
+            assert abs(stacked - loop_binomial_residual(v, mat, p)) <= 1e-13
+            nu, omega = random_blade(rng, field, n, p), random_blade(rng, field, n, p)
+            assert abs(check_oriented_sum(nu, omega, mat).residual - loop_oriented_residual(nu, omega, mat)) <= 1e-13
+            for r in range(1, p + 1):  # r = p included
+                u = random_subspace_within(rng, v, r)
+                w = random_subspace(rng, field, n, int(rng.integers(1, n + 1)))
+                assert abs(check_weighted_average(u, v, w).residual - loop_weighted_residual(u, v, w)) <= 1e-13
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_kernel_terms_match_grassmann_angle(self, field):
+        rng = rng_from_seed(42)
+        n = 5
+        mat = random_orthogonal_basis(rng, field, n)
+        units = mat / np.linalg.norm(mat, axis=0)
+        for p in range(n + 1):
+            v = random_subspace(rng, field, n, p)
+            for q in range(n + 1):
+                parts = _coordinate_subspaces(mat, q, field)
+                blocks = gram(units, v.onb)[_index_stack(n, q)]
+                expected = [grassmann_angle(v, x).cos_squared for x in parts]
+                assert np.allclose(_stacked_cos_squared(blocks), expected, rtol=0.0, atol=1e-13)
+                expected = [grassmann_angle(x, v).cos_squared for x in parts]
+                assert np.allclose(_stacked_cos_squared(np.swapaxes(blocks, 1, 2).conj()), expected, rtol=0.0, atol=1e-13)
+
+    def test_kernel_conventions(self):
+        assert _stacked_cos_squared(np.zeros((3, 2, 0))).tolist() == [1.0, 1.0, 1.0]  # p = 0
+        assert _stacked_cos_squared(np.ones((2, 1, 2))).tolist() == [0.0, 0.0]  # p > q
+        assert _stacked_cos_squared(np.zeros((1, 0, 0), dtype=complex)).tolist() == [1.0]  # p = q = 0
+
+    def test_index_stack_follows_multi_indices(self):
+        for n in range(9):
+            for p in range(n + 2):
+                stack = _index_stack(n, p)
+                assert stack.dtype == np.intp and stack.shape == (math.comb(n, p), p)
+                assert stack.tolist() == [index.zero_based() for index in multi_indices(p, n)]
 
 
 class TestRandomInstance:
