@@ -156,7 +156,8 @@ def vector_angle(v, w, field: Field | None = None) -> VectorAngles:
     av, aw = as_field_array(av, field), as_field_array(aw, field)
     if av.shape != aw.shape or av.ndim != 1:
         raise DimensionMismatchError(f"need two vectors of equal length, got {av.shape} and {aw.shape}")
-    nv, nw = np.linalg.norm(av), np.linalg.norm(aw)
+    with np.errstate(over="ignore"):  # a norm that overflows is rescaled below
+        nv, nw = float(np.linalg.norm(av)), float(np.linalg.norm(aw))
     if not 0.0 < nv * nw < math.inf:
         # a zero or non-finite vector, or norms that over- or underflow
         av, aw = exact_rescale(av), exact_rescale(aw)
@@ -279,8 +280,10 @@ def oriented_grassmann_cos(nu: Blade, omega: Blade, tol: Tolerance = DEFAULT_TOL
     if nu.grade != omega.grade:
         raise DomainError(f"oriented angle needs equal grades, got {nu.grade} and {omega.grade}")
     blades = (nu, omega)
-    squares = [float(np.real(blade_inner(b, b))) for b in blades]
-    if not all(_in_normal_range(b, g) for b, g in zip(blades, squares)):
+    with np.errstate(over="ignore", invalid="ignore"):  # squares out of range are redone on rescaled factors
+        squares = [float(np.real(blade_inner(b, b))) for b in blades]
+        in_range = all(_in_normal_range(b, g) for b, g in zip(blades, squares))
+    if not in_range:
         blades = tuple(_rescaled_factors(b) for b in blades)
         squares = [float(np.real(blade_inner(b, b))) for b in blades]
     nn, no = (_norm_from_square(b, g, tol) for b, g in zip(blades, squares))

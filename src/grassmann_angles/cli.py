@@ -9,6 +9,7 @@ replays the bundled worked examples.  Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -238,9 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import: parsing leaves the parser unchanged
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except GrassmannError as exc:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, MultiIndexError, NumericalConsistencyError
 from .fields import DEFAULT_TOLERANCE, Field, Tolerance, as_basis
-from .linalg import det, gram
+from .linalg import det, gram, orthonormalize
 
 # Combinatorial guard rails: C(16, 8) = 12870 keeps every enumeration cheap.
 AMBIENT_LIMIT = 16
@@ -132,8 +132,11 @@ class Blade:
         return blade_norm(self, tol)
 
     def is_zero(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-        """Numerical zero test: Gram determinant below rank_eps^2 at the blade's scale."""
-        return _vanishes(self, float(np.real(blade_inner(self, self))), tol)
+        """Numerical zero test: a zero coefficient, or a factor within rank_eps
+        of the span of the factors before it (the rank rule of orthonormalize,
+        which rescales each factor first).  A Gram determinant would not do:
+        for dependent factors it rounds to about eps times its Hadamard bound."""
+        return self.coefficient == 0 or orthonormalize(self.factors, tol)[1] < self.grade
 
     def __repr__(self):
         return f"Blade(grade={self.grade}, ambient={self.ambient_dim}, field={self.field.value})"
@@ -146,9 +149,20 @@ def _require_compatible(a: Blade, b: Blade):
         raise DomainError(f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}")
 
 
-def _gram_scale(blade: Blade) -> float:
-    # Hadamard bound for the Gram determinant: product of squared factor norms.
-    return float(math.prod(_factor_squares(blade)))
+def _hadamard_bound(blade: Blade, t: float) -> float:
+    """``t`` times the Hadamard bound ``|c|^2 prod |f_i|^2`` of ``<blade, blade>``,
+    inf when that overflows.  The product runs over mantissas and exponents,
+    so no partial product overflows or underflows."""
+    m, e = math.frexp(t)
+    cm, ce = math.frexp(abs(blade.coefficient))
+    m, e = m * cm * cm, e + 2 * ce
+    for x in _factor_squares(blade):
+        xm, xe = math.frexp(x)
+        m, e = m * xm, e + xe
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.inf
 
 
 def _factor_squares(blade: Blade) -> list[float]:
@@ -194,15 +208,16 @@ def blade_norm(a: Blade, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
 
 def _norm_from_square(a: Blade, square: float, tol: Tolerance) -> float:
     """``sqrt(square)`` for ``square = <a, a>`` already computed, checked as in blade_norm."""
-    scale = max(1.0, _gram_scale(a) * abs(a.coefficient) ** 2)
-    if not -tol.residual_eps * scale <= square < np.inf:
+    if not -max(tol.residual_eps, _hadamard_bound(a, tol.residual_eps)) <= square < np.inf:
         raise NumericalConsistencyError(f"squared blade norm came out negative or not finite: {square}")
     return float(np.sqrt(max(square, 0.0)))
 
 
 def _vanishes(a: Blade, square: float, tol: Tolerance) -> bool:
-    """The zero test of ``Blade.is_zero`` on ``square = <a, a>`` already computed."""
-    return not square > tol.rank_eps**2 * _gram_scale(a) * abs(a.coefficient) ** 2
+    """Whether ``square = <a, a>``, already computed, is below rank_eps^2 times
+    its Hadamard bound: a cheap guard that misses dependent factors whose
+    Gram determinant rounds above that (see Blade.is_zero)."""
+    return not square > _hadamard_bound(a, tol.rank_eps**2)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,10 @@ LAPACK-backed fast paths (pivoted-LU determinant, SVD) sit behind small
 wrappers so that everything above this module goes through one place.  The
 Laplace-expansion determinant is deliberately *not* LAPACK-backed: it is the
 independent oracle the fast path is tested against, so it only uses naive
-cofactor recursion.
+cofactor recursion.  Orthonormal bases come from block classical
+Gram-Schmidt with two passes, two matrix-vector products per pass, rather
+than from Householder QR, whose fixed cost per call dominates on the one- and
+two-column bases that most callers pass.
 """
 
 from __future__ import annotations
@@ -158,35 +161,42 @@ def exact_rescale(x: np.ndarray) -> np.ndarray:
 
 
 def orthonormalize(columns, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, int]:
-    """Orthonormal basis of the column space, by modified Gram-Schmidt.
+    """Orthonormal basis of the column space, by block classical Gram-Schmidt
+    with two passes ("twice is enough": Giraud, Langou & Rozloznik 2005).
 
     Returns ``(q, rank)`` where q has ``rank`` orthonormal columns and column
-    i of q lies in the span of the first i independent input columns.  A
-    column whose residual after projection drops below ``rank_eps`` times its
-    original norm is dropped as dependent.  One re-orthogonalization pass
-    keeps ``q* q`` within ~1e-15 of the identity.  A column whose norm would
-    over- or underflow is rescaled exactly first; a non-finite entry raises
-    DomainError.
+    i of q lies in the span of the first i independent input columns, with a
+    positive real inner product with its input column.  Each column is
+    projected against all kept columns at once, twice: ``v -= Q (Q* v)``,
+    which keeps ``q* q`` within ~1e-15 of the identity.  A column whose
+    residual drops below ``rank_eps`` times its original norm is dropped as
+    dependent.  A column whose norm would over- or underflow is rescaled
+    exactly first; a non-finite entry in any column raises DomainError.
     """
     arr = as_matrix(columns)
-    n = arr.shape[0]
-    kept: list[np.ndarray] = []
-    for j in range(arr.shape[1]):
-        v = arr[:, j].astype(arr.dtype, copy=True)
-        original = np.linalg.norm(v)
-        if not _NORM_MIN <= original <= _NORM_MAX:
-            # not finite, zero, or the squares behind the norm left the float range
-            v = exact_rescale(v)
-            original = np.linalg.norm(v)
-        for _ in range(2):
-            for q in kept:
-                v -= q * np.vdot(q, v)
-        norm = np.linalg.norm(v)
-        if norm > tol.rank_eps * original and norm > 0.0:
-            kept.append(v / norm)
-    if not kept:
-        return np.zeros((n, 0), dtype=arr.dtype), 0
-    return np.column_stack(kept), len(kept)
+    n, k = arr.shape
+    q = np.empty((n, min(n, k)), dtype=np.promote_types(arr.dtype, np.float64))
+    rank = 0
+    # a first norm may overflow (or its cross terms turn NaN); that column is rescaled
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(k):
+            v = arr[:, j]
+            original = math.sqrt(np.vdot(v, v).real)
+            if not _NORM_MIN <= original <= _NORM_MAX:
+                # not finite, zero, or the squares behind the norm left the float range
+                v = exact_rescale(v)
+                original = math.sqrt(np.vdot(v, v).real)
+            if rank == n:
+                continue  # the span is full: later columns are only checked for finite entries
+            if rank:
+                kept = q[:, :rank]
+                for _ in range(2):
+                    v = v - kept.dot(v.conj().dot(kept).conj())  # Q (Q* v), as (v* Q)* saves a conjugate of Q
+            norm = math.sqrt(np.vdot(v, v).real)
+            if norm > tol.rank_eps * original and norm > 0.0:
+                q[:, rank] = v / norm
+                rank += 1
+    return q[:, :rank], rank
 
 
 def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -81,7 +81,7 @@ class TestVectorAngle:
         with pytest.raises(DomainError):
             vector_angle(np.zeros(3), np.ones(3))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_norms_that_overflow_or_underflow_are_rescaled(self):
         assert vector_angle(np.array([1e200, 1e200]), np.array([1.0, 0.0])).euclidean == pytest.approx(math.pi / 4)
         assert vector_angle(np.array([1e200, 0.0]), np.array([-1e200, 0.0])).euclidean == pytest.approx(math.pi)

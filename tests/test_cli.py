@@ -5,6 +5,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from grassmann_angles import cli
 from grassmann_angles.cli import main
 
 
@@ -28,6 +29,22 @@ class TestParser:
             main([command, "--help"])
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+    def test_back_to_back_calls_match_fresh_parsers(self, capsys, monkeypatch):
+        argvs = [
+            ["angle", R4_DOC, "V", "W", "--json"],
+            ["angle", COMPLEX_DOC, "V", "W", "--complementary", "--method", "any-dim", "--degrees"],
+            ["principal", R4_DOC, "W", "V", "--json"],
+            ["verify", "--suite", "binomial", "--field", "real", "--trials", "2", "--n", "4", "--json"],
+            ["examples", "--only", "3.5"],
+            ["angle", R4_DOC, "W", "V", "--method", "equal-dim"],
+        ]
+        argvs += argvs[::-1]
+        reused = [run_cli(capsys, *argv) for argv in argvs]
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per call
+        assert reused == [run_cli(capsys, *argv) for argv in argvs]
+        assert cli.build_parser() is not cli.build_parser()
 
     @pytest.mark.parametrize("command", ["angle", "principal"])
     def test_missing_subspace_names_are_usage_errors(self, capsys, command):
@@ -124,7 +141,7 @@ class TestAngleCommand:
         code, out, err = run_cli(capsys, "angle", str(path), "V", "W", "--method", method, "--json")
         assert code == 2 and out == "" and "finite" in err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "flags", [["--method", "projection"], ["--method", "any-dim"], ["--complementary", "--method", "any-dim"]]
     )
@@ -136,7 +153,7 @@ class TestAngleCommand:
         assert code == 0
         assert json.loads(out)["cos"] == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_oriented_route_rescales_extreme_entries(self, capsys, tmp_path, scale):
         doc = {"field": "real", "ambient": 3, "subspaces": {"V": [[scale, 0, scale]], "W": [[1, 0, 0]]}}

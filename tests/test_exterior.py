@@ -10,7 +10,9 @@ from grassmann_angles import (
     DomainError,
     MultiIndex,
     MultiIndexError,
+    NumericalConsistencyError,
     Subspace,
+    Tolerance,
     blade_inner,
     blade_norm,
     contract,
@@ -20,6 +22,7 @@ from grassmann_angles import (
     sigma_sign,
     wedge,
 )
+from grassmann_angles.exterior import _norm_from_square
 from grassmann_angles.fields import Field
 from grassmann_angles.sampling import random_blade, random_matrix, rng_from_seed
 
@@ -201,6 +204,32 @@ class TestBladeNorm:
     def test_dependent_factors_give_zero(self):
         v = np.array([1.0, 1.0, 0.0])
         assert blade_norm(Blade([v, 2 * v])) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_zero_test_and_norm_survive_a_hadamard_product_that_overflows(self, field):
+        # the squared factor norms multiply to 1, but 1e300 * 1e300 overflows on the way
+        q = np.linalg.qr(random_matrix(rng_from_seed(8), field, 5, 4))[0]
+        scales = np.array([1e150, 1e150, 1e-150, 1e-150])
+        blade = Blade(q * scales, field=field)
+        assert not blade.is_zero()
+        assert blade_norm(blade) == pytest.approx(1.0, rel=1e-12)
+        with pytest.raises(NumericalConsistencyError):
+            _norm_from_square(blade, -1e-3, Tolerance())  # far below -residual_eps times the bound of 1
+        assert Blade(q[:, [0, 1, 2, 2]] * scales, field=field).is_zero()
+        assert Blade(np.eye(5)[:, [0, 1, 2, 2]] * scales, field=field).is_zero()
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_dependent_frames_are_zero(self, field):
+        # their Gram determinants round to up to ~1e-15 of the Hadamard bound,
+        # far above rank_eps^2, so a zero test on the determinant misses them
+        rng = rng_from_seed(12)
+        for _ in range(40):
+            f = random_matrix(rng, field, 5, 4)
+            assert not Blade(f, field=field).is_zero()
+            f[:, 3] = 3 * f[:, 1] - f[:, 2]
+            assert Blade(f, field=field).is_zero()
+        assert Blade([], field=field, coefficient=0.0, ambient_dim=3).is_zero()
+        assert not Blade([], field=field, coefficient=1e-300, ambient_dim=3).is_zero()
 
 
 class TestContract:

@@ -135,7 +135,7 @@ class TestOrthonormalize:
         q, rank = orthonormalize(np.zeros((4, 2)))
         assert rank == 0 and q.shape == (4, 0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-200j])
     def test_extreme_columns_are_rescaled_not_dropped(self, scale):
         basis = np.array([[1.0, 0.0, 1.0], [0.0, 2.0, 0.0]]).T
@@ -170,6 +170,50 @@ class TestOrthonormalize:
                 lead = m[:, : j + 1]
                 coeff = np.linalg.lstsq(lead, q[:, j], rcond=None)[0]
                 assert np.linalg.norm(lead @ coeff - q[:, j]) < 1e-10
+
+    def test_dependent_column_in_the_middle_is_dropped(self):
+        v, e3 = np.array([1.0, 2.0, -1.0]), np.array([0.0, 0.0, 1.0])
+        q, rank = orthonormalize(np.column_stack([v, 3 * v, e3]))
+        assert rank == 2 and q.shape == (3, 2)
+        np.testing.assert_allclose(q[:, 0], v / np.linalg.norm(v), atol=1e-15)
+        assert np.linalg.norm(e3 - q @ (q.T @ e3)) <= 1e-15
+
+    def test_dependent_column_before_an_independent_one_past_n(self):
+        q, rank = orthonormalize(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        assert rank == 2
+        np.testing.assert_array_equal(q, np.eye(2))
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_more_columns_than_the_dimension_give_rank_n(self, field, n):
+        q, rank = orthonormalize(random_matrix(rng_from_seed(n), field, n, n + 3))
+        assert rank == n and q.shape == (n, n)
+        assert np.max(np.abs(q.conj().T @ q - np.eye(n))) <= 1e-14
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.inf)])
+    def test_non_finite_entry_after_the_span_is_full_raises(self, bad):
+        m = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, bad]])
+        with pytest.raises(DomainError):
+            orthonormalize(m)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_random_bases_match_householder_qr(self, field):
+        # A = Q R with R upper triangular and real positive on the diagonal
+        # fixes Q, so the span, the nesting and the diagonal pin it down
+        rng = rng_from_seed(404)
+        for n in range(1, 17):
+            for k in sorted({1, int(rng.integers(1, n + 1)), n}):
+                a = random_matrix(rng, field, n, k)
+                q, rank = orthonormalize(a)
+                assert rank == k
+                assert np.max(np.abs(q.conj().T @ q - np.eye(k))) <= 1e-14
+                ref, _ = np.linalg.qr(a)
+                assert np.linalg.norm(ref - q @ (q.conj().T @ ref), 2) <= 1e-12
+                r = q.conj().T @ a
+                assert np.max(np.abs(np.tril(r, -1))) <= 1e-13 * np.linalg.norm(a, 2)
+                diag = np.diag(r)
+                assert np.all(diag.real > 0.0)
+                assert np.max(np.abs(diag.imag)) <= 1e-14 * np.linalg.norm(a, 2)
 
     def test_rank_eps_is_relative(self):
         base = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
