@@ -17,6 +17,7 @@ as given (the determinant formulas need them un-orthonormalized).
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
@@ -38,7 +39,7 @@ class DocumentOptions:
 class InputDocument:
     field: Field
     ambient: int
-    subspaces: dict[str, np.ndarray]  # name -> (ambient, k) matrix of raw basis columns
+    subspaces: Mapping[str, np.ndarray]  # name -> (ambient, k) matrix of raw basis columns
     options: DocumentOptions = dataclass_field(default_factory=DocumentOptions)
 
     def basis(self, name: str) -> np.ndarray:
@@ -50,6 +51,15 @@ class InputDocument:
 
     def subspace(self, name: str) -> Subspace:
         return Subspace.from_spanning(self.basis(name), field=self.field, tol=self.options.tolerance)
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; JSON's true and false are bools, not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def decode_entry(entry, field: Field):
@@ -81,7 +91,7 @@ def parse_document(obj) -> InputDocument:
     except ValueError:
         raise DocumentError(f"field must be 'real' or 'complex', got {obj.get('field')!r}") from None
     ambient = obj.get("ambient")
-    if not isinstance(ambient, int) or ambient < 1:
+    if not _is_int(ambient) or ambient < 1:
         raise DocumentError(f"ambient must be a positive integer, got {ambient!r}")
     raw_subspaces = obj.get("subspaces")
     if not isinstance(raw_subspaces, dict) or not raw_subspaces:
@@ -105,6 +115,13 @@ def parse_document(obj) -> InputDocument:
     unknown = set(raw_options) - known
     if unknown:
         raise DocumentError(f"unknown options: {sorted(unknown)}")
+    for name in ("rank_eps", "residual_eps"):
+        if name in raw_options and not _is_number(raw_options[name]):
+            raise DocumentError(f"option {name} must be a number, got {raw_options[name]!r}")
+    if not isinstance(raw_options.get("degrees", False), bool):
+        raise DocumentError(f"option degrees must be true or false, got {raw_options['degrees']!r}")
+    if not _is_int(raw_options.get("seed", 0)):
+        raise DocumentError(f"option seed must be an integer, got {raw_options['seed']!r}")
     try:
         tolerance = Tolerance(
             rank_eps=float(raw_options.get("rank_eps", DEFAULT_TOLERANCE.rank_eps)),
@@ -114,8 +131,8 @@ def parse_document(obj) -> InputDocument:
         raise DocumentError(str(exc)) from None
     options = DocumentOptions(
         tolerance=tolerance,
-        degrees=bool(raw_options.get("degrees", False)),
-        seed=int(raw_options.get("seed", 0)),
+        degrees=raw_options.get("degrees", False),
+        seed=raw_options.get("seed", 0),
     )
     return InputDocument(field=field, ambient=ambient, subspaces=subspaces, options=options)
 

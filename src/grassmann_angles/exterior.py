@@ -214,10 +214,18 @@ def _norm_from_square(a: Blade, square: float, tol: Tolerance) -> float:
 
 
 def _vanishes(a: Blade, square: float, tol: Tolerance) -> bool:
-    """Whether ``square = <a, a>``, already computed, is below rank_eps^2 times
-    its Hadamard bound: a cheap guard that misses dependent factors whose
-    Gram determinant rounds above that (see Blade.is_zero)."""
-    return not square > _hadamard_bound(a, tol.rank_eps**2)
+    """Whether a route dividing by ``|a|`` must treat the blade as zero, given
+    ``square = <a, a>`` already computed.
+
+    At or below rank_eps^2 times the Hadamard bound it is zero: the Gram
+    determinant has then lost too many digits to divide by.  Above rank_eps
+    times the bound every relative residual of the factors exceeds
+    sqrt(rank_eps), so it is nonzero.  In between the rank rule of
+    Blade.is_zero decides, since a dependent blade's Gram determinant rounds
+    to up to about eps times the bound, not to zero."""
+    if square > _hadamard_bound(a, tol.rank_eps):
+        return False
+    return not square > _hadamard_bound(a, tol.rank_eps**2) or a.is_zero(tol)
 
 
 @dataclass(frozen=True)

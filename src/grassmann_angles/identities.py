@@ -127,6 +127,18 @@ def _stacked_cos_squared(b: np.ndarray) -> np.ndarray:
     return np.clip(np.real(np.linalg.det(np.swapaxes(b, 1, 2).conj() @ b)), 0.0, 1.0)
 
 
+def _coordinate_cos_squared(units: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
+    """Squared Grassmann cosines of the span V of the orthonormal (n, p)
+    columns ``v`` against the C(n, q) coordinate q-subspaces W_I spanned by
+    columns I of the orthonormal (n, n) ``units``, in ``multi_indices`` order:
+    the angle of V with W_I when p <= q, of W_I with V when p > q."""
+    n, p = v.shape
+    blocks = gram(units, v)[_index_stack(n, q)]  # rows I hold W_I* V
+    if p > q:
+        blocks = np.swapaxes(blocks, 1, 2).conj()  # V* W_I
+    return _stacked_cos_squared(blocks)
+
+
 def check_line_partition(line: Subspace, partition: Partition, tol: Tolerance = DEFAULT_TOLERANCE) -> IdentityCheck:
     """Squared angle cosines of a line against an orthogonal partition of the
     whole space sum to 1 (the direction-cosine identity, any dimension,
@@ -153,8 +165,7 @@ def check_coordinate_pythagorean(v: Subspace, basis, tol: Tolerance = DEFAULT_TO
     p, n = v.dim, v.ambient_dim
     if p < 1:
         raise DomainError("the subspace must be nonzero")
-    projections = gram(mat / np.linalg.norm(mat, axis=0), v.onb)  # rows I hold W_I* V
-    total = np.sum(_stacked_cos_squared(projections[_index_stack(n, p)]))
+    total = np.sum(_coordinate_cos_squared(mat / np.linalg.norm(mat, axis=0), v.onb, p))
     witness = f"dim {p} subspace vs C({n},{p}) coordinate subspaces ({v.field.value})"
     return _check("pythagorean", abs(total - 1.0), witness, tol)
 
@@ -174,13 +185,8 @@ def check_binomial_identities(v: Subspace, basis, q: int, tol: Tolerance = DEFAU
         raise DomainError("basis and subspace ambient dimensions differ")
     if not 0 <= q <= n:
         raise DomainError(f"coordinate dimension must be in [0, {n}], got {q}")
-    blocks = gram(mat / np.linalg.norm(mat, axis=0), v.onb)[_index_stack(n, q)]  # W_I* V
-    if p <= q:
-        total = np.sum(_stacked_cos_squared(blocks))
-        target = float(math.comb(n - p, n - q))
-    else:
-        total = np.sum(_stacked_cos_squared(np.swapaxes(blocks, 1, 2).conj()))  # V* W_I
-        target = float(math.comb(p, q))
+    total = np.sum(_coordinate_cos_squared(mat / np.linalg.norm(mat, axis=0), v.onb, q))
+    target = float(math.comb(n - p, n - q) if p <= q else math.comb(p, q))
     witness = f"p={p}, q={q}, n={n} ({v.field.value}), target {target:g}"
     return _check("binomial", abs(total - target), witness, tol)
 

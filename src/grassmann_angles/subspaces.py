@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .exterior import Blade, multi_indices
+from .exterior import Blade
 from .fields import DEFAULT_TOLERANCE, Field, Tolerance, as_basis, as_field_array
 from .linalg import gram, orthonormalize
 
@@ -89,12 +89,6 @@ def _orthonormality_defect(mat: np.ndarray) -> float:
     if mat.shape[1] == 0:
         return 0.0
     return float(np.max(np.abs(gram(mat, mat) - np.eye(mat.shape[1]))))
-
-
-def _coordinate_subspaces(basis: np.ndarray, p: int, field: Field) -> list[Subspace]:
-    """Spans of the p-subsets of the columns of an orthogonal basis, in lexicographic order."""
-    blocks = [basis[:, index.zero_based()] for index in multi_indices(p, basis.shape[1])]
-    return [Subspace(b / np.linalg.norm(b, axis=0), field, _validate=False) for b in blocks]
 
 
 def _require_same_space(a: Subspace, b: Subspace):

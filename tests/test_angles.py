@@ -14,6 +14,7 @@ from grassmann_angles import (
     GrassmannError,
     NumericalConsistencyError,
     Subspace,
+    blade_inner,
     blade_norm,
     check_coordinate_pythagorean,
     complement,
@@ -320,6 +321,43 @@ class TestOrientedCos:
         v = np.array([1.0, 0.0])
         with pytest.raises(DomainError):
             oriented_grassmann_cos(Blade([v, v]), Blade(np.eye(2)))
+
+    def test_rounded_dependent_blades_rejected(self):
+        # the Gram determinant of f4 = 3 f2 - f3 rounds to up to ~eps times
+        # its Hadamard bound, not to zero; the rank rule still sees the zero
+        rng = rng_from_seed(1)
+        for _ in range(300):
+            factors = rng.standard_normal((5, 4))
+            factors[:, 3] = 3.0 * factors[:, 1] - factors[:, 2]
+            nu = Blade(factors)
+            omega = random_blade(rng, Field.REAL, 5, 4)
+            assert nu.is_zero()
+            with pytest.raises(DomainError):
+                oriented_grassmann_cos(nu, omega)
+            with pytest.raises(DomainError):
+                oriented_grassmann_cos(omega, nu)
+
+    def test_nearly_dependent_blades_still_rejected(self):
+        # rank-full by the rank rule, but the Gram determinant is below
+        # rank_eps^2 of its bound and would give a cosine off in the 4th digit
+        rng = rng_from_seed(3)
+        factors = rng.standard_normal((5, 4))
+        factors[:, 2] = factors[:, 0] + 1e-6 * rng.standard_normal(5)
+        factors[:, 3] = factors[:, 1] + 1e-6 * rng.standard_normal(5)
+        nu = Blade(factors)
+        assert not nu.is_zero()
+        with pytest.raises(DomainError):
+            oriented_grassmann_cos(nu, random_blade(rng, Field.REAL, 5, 4))
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_independent_pairs_keep_the_gram_quotient(self, field):
+        rng = rng_from_seed(4)
+        for _ in range(50):
+            n = int(rng.integers(1, 7))
+            p = int(rng.integers(1, n + 1))
+            nu, omega = random_blade(rng, field, n, p), random_blade(rng, field, n, p)
+            expected = blade_inner(nu, omega) / (blade_norm(nu) * blade_norm(omega))
+            assert oriented_grassmann_cos(nu, omega) == expected
 
 
 class TestMethodAgreement:

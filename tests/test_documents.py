@@ -1,9 +1,11 @@
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from grassmann_angles import DocumentError
+from grassmann_angles.cli import main
 from grassmann_angles.documents import load_document, parse_document
 from grassmann_angles.fields import Field
 
@@ -82,6 +84,65 @@ class TestParseDocument:
     def test_out_of_range_tolerance_rejected(self):
         with pytest.raises(DocumentError):
             parse_document(minimal_doc(options={"rank_eps": 2.0}))
+
+
+LINE_DOC = {"field": "real", "ambient": 1, "subspaces": {"V": [[1]], "W": [[2]]}}
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"ambient": True}, "ambient"),
+            ({"options": {"degrees": "false"}}, "degrees"),
+            ({"options": {"degrees": 1}}, "degrees"),
+            ({"options": {"seed": 1.7}}, "seed"),
+            ({"options": {"seed": True}}, "seed"),
+            ({"options": {"rank_eps": "1e-3"}}, "rank_eps"),
+            ({"options": {"residual_eps": "1e-3"}}, "residual_eps"),
+            ({"options": {"rank_eps": True}}, "rank_eps"),
+            ({"options": {"residual_eps": True}}, "residual_eps"),
+        ],
+    )
+    def test_wrong_types_rejected(self, overrides, match):
+        with pytest.raises(DocumentError, match=match):
+            parse_document(LINE_DOC | overrides)
+
+    def test_explicit_false_degrees_and_zero_seed_kept(self):
+        doc = parse_document(minimal_doc(options={"degrees": False, "seed": 0}))
+        assert doc.options.degrees is False and doc.options.seed == 0
+
+    def test_bundled_documents_parse(self):
+        data = resources.files("grassmann_angles").joinpath("data")
+        names = [entry.name for entry in data.iterdir() if entry.name.endswith(".json")]
+        assert len(names) == 4
+        for name in names:
+            parse_document(json.loads(data.joinpath(name).read_text()))
+
+    def test_readme_example_parses(self):
+        doc = parse_document(
+            {
+                "field": "complex",
+                "ambient": 3,
+                "subspaces": {
+                    "V": [[1, [-0.5, -0.866], 0], [0, [-0.5, 0.866], [0.5, 0.866]]],
+                    "W": [[1, 0, 0], [0, [-0.5, 0.866], 0]],
+                },
+                "options": {"degrees": True, "rank_eps": 1e-10, "residual_eps": 1e-8, "seed": 0},
+            }
+        )
+        assert doc.options.degrees is True and doc.options.seed == 0
+        assert doc.options.tolerance.rank_eps == 1e-10
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"ambient": True}, {"options": {"degrees": "false"}}, {"options": {"seed": 1.7}}, {"options": {"rank_eps": "1e-3"}}],
+    )
+    def test_cli_exits_2(self, tmp_path, capsys, overrides):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(LINE_DOC | overrides))
+        assert main(["angle", str(path), "V", "W"]) == 2
+        assert "error" in capsys.readouterr().err
 
 
 class TestLoadDocument:

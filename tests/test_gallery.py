@@ -1,0 +1,77 @@
+import math
+
+import numpy as np
+import pytest
+
+from grassmann_angles.gallery import CASE_IDS, load_case_document, run_gallery
+
+COS_THIRD = math.sqrt(3.0) / 3.0
+
+# (id, title, [(label, expected), ...]) of every bundled case: the CLI's
+# --only ids and the examples report are a stable contract
+TABLE = [
+    ("3.2", "complex planes sharing a line: determinant formula vs Hermitian angle", [
+        ("cos of the plane pair via the equal-dimension determinant formula", COS_THIRD),
+        ("cos via the Hermitian angle of the transversal lines", COS_THIRD),
+    ]),
+    ("3.5", "line against a plane in dimension 4, both orders", [
+        ("line-to-plane angle in degrees", 45.0),
+        ("plane-to-line angle in degrees (forced by dimensions)", 90.0),
+    ]),
+    ("3.8", "complementary angles of the line/plane pair, three routes", [
+        ("complementary angle via the Schur formula, line first", 45.0),
+        ("complementary angle via the Schur formula, plane first", 45.0),
+        ("complementary angle via det(1 - P P*)", 45.0),
+        ("cos of the smaller principal angle, plane vs line-complement", 1.0),
+        ("cos of the larger principal angle, plane vs line-complement", math.sqrt(0.5)),
+    ]),
+    ("3.9", "complementary angle of intersecting complex planes", [
+        ("squared cos of the complementary angle via the Schur formula", 0.0),
+        ("squared cos of the complementary angle via det(1 - P P*)", 0.0),
+    ]),
+    ("4.2", "direction cosines of a line against the axes", [
+        ("sum of squared direction cosines against the axes", 1.0),
+    ]),
+    ("4.6", "complex plane against the coordinate planes of a unitary basis", [
+        ("cos against coordinate plane 1 of the unitary basis", COS_THIRD),
+        ("cos against coordinate plane 2 of the unitary basis", COS_THIRD),
+        ("cos against coordinate plane 3 of the unitary basis", COS_THIRD),
+        ("sum of the squared cosines", 1.0),
+    ]),
+    ("4.8", "line against the coordinate planes", [
+        ("sum of squared cosines against the coordinate planes", 2.0),
+    ]),
+    ("4.9", "plane against the axes", [
+        ("sum of squared cosines of the axes against the plane", 2.0),
+    ]),
+]
+
+
+def test_case_table_is_stable():
+    results = run_gallery()
+    assert CASE_IDS == tuple(case_id for case_id, _, _ in TABLE)
+    got = [(r.case_id, r.title, [(c.label, c.expected) for c in r.checks]) for r in results]
+    assert got == TABLE
+
+
+def test_every_case_passes_with_floats():
+    for result in run_gallery():
+        assert result.passed(), result.to_dict()
+        assert all(type(c.computed) is float for c in result.checks)
+
+
+def test_case_documents_are_parsed_once():
+    first = load_case_document("line_r3.json")
+    assert load_case_document("line_r3.json") is first
+    assert load_case_document("plane_r3.json") is not first
+
+
+@pytest.mark.parametrize("name", ["complex_planes.json", "line_plane_r4.json", "line_r3.json", "plane_r3.json"])
+def test_case_document_arrays_are_read_only(name):
+    doc = load_case_document(name)
+    for basis in doc.subspaces.values():
+        with pytest.raises(ValueError):
+            basis[0, 0] = 7.0
+    with pytest.raises(TypeError):
+        doc.subspaces["V"] = np.eye(doc.ambient)
+    assert not any(np.any(basis == 7.0) for basis in doc.subspaces.values())

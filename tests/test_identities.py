@@ -25,7 +25,8 @@ from grassmann_angles import (
     run_suite,
 )
 from grassmann_angles.fields import Field
-from grassmann_angles.identities import _index_stack, _stacked_cos_squared
+from grassmann_angles.gallery import load_case_document, run_gallery
+from grassmann_angles.identities import _coordinate_cos_squared, _index_stack, _stacked_cos_squared
 from grassmann_angles.linalg import gram
 from grassmann_angles.sampling import (
     random_blade,
@@ -37,10 +38,15 @@ from grassmann_angles.sampling import (
     rng_from_seed,
     split_subspace,
 )
-from grassmann_angles.subspaces import _coordinate_subspaces
 
 FIELDS = (Field.REAL, Field.COMPLEX)
 XI = complex(-0.5, math.sqrt(3) / 2)
+
+
+def _coordinate_subspaces(basis: np.ndarray, p: int, field: Field) -> list[Subspace]:
+    """Spans of the p-subsets of the columns of an orthogonal basis, in lexicographic order."""
+    blocks = [basis[:, index.zero_based()] for index in multi_indices(p, basis.shape[1])]
+    return [Subspace(b / np.linalg.norm(b, axis=0), field, _validate=False) for b in blocks]
 
 
 def axes_partition(n, field=Field.REAL):
@@ -387,6 +393,9 @@ class TestStackedCoordinateSums:
                 assert np.allclose(_stacked_cos_squared(blocks), expected, rtol=0.0, atol=1e-13)
                 expected = [grassmann_angle(x, v).cos_squared for x in parts]
                 assert np.allclose(_stacked_cos_squared(np.swapaxes(blocks, 1, 2).conj()), expected, rtol=0.0, atol=1e-13)
+                pairs = [(v, x) if p <= q else (x, v) for x in parts]
+                expected = [grassmann_angle(a, b).cos_squared for a, b in pairs]
+                assert np.allclose(_coordinate_cos_squared(units, v.onb, q), expected, rtol=0.0, atol=1e-13)
 
     def test_kernel_conventions(self):
         assert _stacked_cos_squared(np.zeros((3, 2, 0))).tolist() == [1.0, 1.0, 1.0]  # p = 0
@@ -399,6 +408,46 @@ class TestStackedCoordinateSums:
                 stack = _index_stack(n, p)
                 assert stack.dtype == np.intp and stack.shape == (math.comb(n, p), p)
                 assert stack.tolist() == [index.zero_based() for index in multi_indices(p, n)]
+
+
+class TestGalleryCoordinateSums:
+    """The 4.x worked examples against one grassmann_angle call per
+    coordinate subspace, as the gallery evaluated them before stacking."""
+
+    @staticmethod
+    def computed(case_id):
+        (result,) = run_gallery(only=case_id)
+        return [c.computed for c in result.checks]
+
+    @staticmethod
+    def axes_and_planes():
+        eye = np.eye(3)
+        return _coordinate_subspaces(eye, 1, Field.REAL), _coordinate_subspaces(eye, 2, Field.REAL)
+
+    def test_case_4_2(self):
+        line = load_case_document("line_r3.json").subspace("L")
+        axes, _ = self.axes_and_planes()
+        expected = [sum(grassmann_angle(line, axis).cos_squared for axis in axes)]
+        assert np.allclose(self.computed("4.2"), expected, rtol=0.0, atol=1e-14)
+
+    def test_case_4_6(self):
+        doc = load_case_document("complex_planes.json")
+        v = doc.subspace("V")
+        cosines = [grassmann_angle(v, x).cosine for x in _coordinate_subspaces(doc.basis("basis"), 2, doc.field)]
+        expected = cosines + [sum(c * c for c in cosines)]
+        assert np.allclose(self.computed("4.6"), expected, rtol=0.0, atol=1e-14)
+
+    def test_case_4_8(self):
+        line = load_case_document("line_r3.json").subspace("L")
+        _, planes = self.axes_and_planes()
+        expected = [sum(grassmann_angle(line, plane).cos_squared for plane in planes)]
+        assert np.allclose(self.computed("4.8"), expected, rtol=0.0, atol=1e-14)
+
+    def test_case_4_9(self):
+        plane = load_case_document("plane_r3.json").subspace("V")
+        axes, _ = self.axes_and_planes()
+        expected = [sum(grassmann_angle(axis, plane).cos_squared for axis in axes)]
+        assert np.allclose(self.computed("4.9"), expected, rtol=0.0, atol=1e-14)
 
 
 class TestRandomInstance:
