@@ -6,7 +6,7 @@ Schema::
       "field": "real" | "complex",
       "ambient": n,
       "subspaces": {"V": [vector, ...], ...},
-      "options": {"rank_eps": ..., "residual_eps": ..., "degrees": bool, "seed": int}
+      "options": {"rank_eps": ..., "residual_eps": ..., "degrees": bool}
     }
 
 A vector is a list of n entries; an entry is a number or, over the complex
@@ -32,7 +32,6 @@ from .subspaces import Subspace
 class DocumentOptions:
     tolerance: Tolerance = DEFAULT_TOLERANCE
     degrees: bool = False
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ def parse_document(obj) -> InputDocument:
     raw_options = obj.get("options", {})
     if not isinstance(raw_options, dict):
         raise DocumentError("'options' must be an object")
-    known = {"rank_eps", "residual_eps", "degrees", "seed"}
+    known = {"rank_eps", "residual_eps", "degrees"}
     unknown = set(raw_options) - known
     if unknown:
         raise DocumentError(f"unknown options: {sorted(unknown)}")
@@ -120,8 +119,6 @@ def parse_document(obj) -> InputDocument:
             raise DocumentError(f"option {name} must be a number, got {raw_options[name]!r}")
     if not isinstance(raw_options.get("degrees", False), bool):
         raise DocumentError(f"option degrees must be true or false, got {raw_options['degrees']!r}")
-    if not _is_int(raw_options.get("seed", 0)):
-        raise DocumentError(f"option seed must be an integer, got {raw_options['seed']!r}")
     try:
         tolerance = Tolerance(
             rank_eps=float(raw_options.get("rank_eps", DEFAULT_TOLERANCE.rank_eps)),
@@ -129,11 +126,7 @@ def parse_document(obj) -> InputDocument:
         )
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
-    options = DocumentOptions(
-        tolerance=tolerance,
-        degrees=raw_options.get("degrees", False),
-        seed=raw_options.get("seed", 0),
-    )
+    options = DocumentOptions(tolerance=tolerance, degrees=raw_options.get("degrees", False))
     return InputDocument(field=field, ambient=ambient, subspaces=subspaces, options=options)
 
 

@@ -17,7 +17,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import DomainError, MultiIndexError, NumericalConsistencyError
-from .fields import DEFAULT_TOLERANCE, Field, Tolerance, as_basis
+from .fields import DEFAULT_TOLERANCE, Field, Tolerance, as_basis, unshared
 from .linalg import det, gram, orthonormalize
 
 # Combinatorial guard rails: C(16, 8) = 12870 keeps every enumeration cheap.
@@ -100,6 +100,7 @@ class Blade:
 
     def __init__(self, factors, field: Field | None = None, coefficient=1.0, ambient_dim: int | None = None):
         mat, field = as_basis(factors, field, ambient_dim)
+        mat = unshared(mat, factors)
         if mat.shape[0] > AMBIENT_LIMIT:
             raise DomainError(f"ambient dimension {mat.shape[0]} exceeds the cap of {AMBIENT_LIMIT}")
         if mat.shape[1] > GRADE_LIMIT:
@@ -302,6 +303,9 @@ class CoordinateBladeSet:
     basis: np.ndarray
     grade: int
     blades: Mapping[MultiIndex, Blade]
+
+    def __post_init__(self):
+        object.__setattr__(self, "basis", np.array(self.basis))  # a copy, never the caller's array
 
     def __iter__(self):
         return iter(self.blades.items())

@@ -5,10 +5,12 @@ LAPACK-backed fast paths (pivoted-LU determinant, SVD) sit behind small
 wrappers so that everything above this module goes through one place.  The
 Laplace-expansion determinant is deliberately *not* LAPACK-backed: it is the
 independent oracle the fast path is tested against, so it only uses naive
-cofactor recursion.  Orthonormal bases come from block classical
-Gram-Schmidt with two passes, two matrix-vector products per pass, rather
-than from Householder QR, whose fixed cost per call dominates on the one- and
-two-column bases that most callers pass.
+cofactor recursion.  Orthonormal bases are chosen by column count: fewer
+than ``QR_MIN_COLUMNS`` columns go through block classical Gram-Schmidt with
+two passes, two matrix-vector products per pass; wider bases through one
+Householder QR.  ``np.linalg.qr`` has a fixed cost of 15-20 us per call, more
+than the whole loop on one to three columns, while the loop's cost grows by
+about a dozen numpy calls per column.
 """
 
 from __future__ import annotations
@@ -26,6 +28,11 @@ _COFACTOR_LIMIT = 10
 # Column norms inside this range come from squares that neither overflow nor
 # underflow, for columns of fewer than 2^22 entries.
 _NORM_MIN, _NORM_MAX = 2.0**-500, 2.0**500
+
+# Bases of at least this many columns are orthonormalized by one Householder
+# QR, narrower ones by the Gram-Schmidt loop (the crossover measured per shape
+# in BENCH_6.json).
+QR_MIN_COLUMNS = 4
 
 
 def as_matrix(m) -> np.ndarray:
@@ -160,43 +167,81 @@ def exact_rescale(x: np.ndarray) -> np.ndarray:
     return x * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)  # in two factors, since 2^e alone may overflow
 
 
+def _column_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the columns of x, by hypot, so that no square over-
+    or underflows; NaN or inf where an entry is not finite."""
+    return np.hypot.reduce(np.abs(x) if x.dtype.kind == "c" else x, axis=0)
+
+
 def orthonormalize(columns, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, int]:
-    """Orthonormal basis of the column space, by block classical Gram-Schmidt
-    with two passes ("twice is enough": Giraud, Langou & Rozloznik 2005).
+    """Orthonormal basis of the column space.
 
     Returns ``(q, rank)`` where q has ``rank`` orthonormal columns and column
     i of q lies in the span of the first i independent input columns, with a
-    positive real inner product with its input column.  Each column is
-    projected against all kept columns at once, twice: ``v -= Q (Q* v)``,
-    which keeps ``q* q`` within ~1e-15 of the identity.  A column whose
-    residual drops below ``rank_eps`` times its original norm is dropped as
-    dependent.  A column whose norm would over- or underflow is rescaled
-    exactly first; a non-finite entry in any column raises DomainError.
+    positive real inner product with its input column.  A column whose
+    residual against the columns kept before it drops below ``rank_eps``
+    times its original norm is dropped as dependent.  A column whose norm
+    would over- or underflow is rescaled exactly first; a non-finite entry in
+    any column raises DomainError.
+
+    Bases of fewer than ``QR_MIN_COLUMNS`` columns go through block classical
+    Gram-Schmidt with two passes ("twice is enough": Giraud, Langou &
+    Rozloznik 2005), which keeps ``q* q`` within ~1e-15 of the identity.
+    Wider ones go through one Householder QR (one more per dependent column),
+    whose fixed cost the loop only undercuts on one to three columns.
     """
     arr = as_matrix(columns)
-    n, k = arr.shape
-    q = np.empty((n, min(n, k)), dtype=np.promote_types(arr.dtype, np.float64))
+    arr = arr.astype(np.promote_types(arr.dtype, np.float64), copy=False)
+    norms = _column_norms(arr)
+    listed = norms.tolist()
+    # not finite, zero, or the squares behind the norm would leave the float range
+    rescaled = {j: exact_rescale(arr[:, j]) for j, x in enumerate(listed) if not _NORM_MIN <= x <= _NORM_MAX}
+    if rescaled:
+        arr = arr.copy()
+        for j, v in rescaled.items():
+            arr[:, j] = v
+        norms = _column_norms(arr)
+        listed = norms.tolist()
+    if arr.shape[1] >= QR_MIN_COLUMNS:
+        return _householder(arr, norms, tol)
+    n = arr.shape[0]
+    q = np.empty((n, min(n, len(listed))), dtype=arr.dtype)
     rank = 0
-    # a first norm may overflow (or its cross terms turn NaN); that column is rescaled
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(k):
-            v = arr[:, j]
-            original = math.sqrt(np.vdot(v, v).real)
-            if not _NORM_MIN <= original <= _NORM_MAX:
-                # not finite, zero, or the squares behind the norm left the float range
-                v = exact_rescale(v)
-                original = math.sqrt(np.vdot(v, v).real)
-            if rank == n:
-                continue  # the span is full: later columns are only checked for finite entries
-            if rank:
-                kept = q[:, :rank]
-                for _ in range(2):
-                    v = v - kept.dot(v.conj().dot(kept).conj())  # Q (Q* v), as (v* Q)* saves a conjugate of Q
-            norm = math.sqrt(np.vdot(v, v).real)
-            if norm > tol.rank_eps * original and norm > 0.0:
-                q[:, rank] = v / norm
-                rank += 1
+    for j, original in enumerate(listed):
+        if rank == n:
+            break  # the span is full
+        # a rescaled column stays contiguous: BLAS rounds strided dot products in another order
+        v = rescaled[j] if j in rescaled else arr[:, j]
+        if rank:
+            kept = q[:, :rank]
+            for _ in range(2):
+                v = v - kept.dot(v.conj().dot(kept).conj())  # Q (Q* v), as (v* Q)* saves a conjugate of Q
+        norm = math.sqrt(np.vdot(v, v).real)
+        if norm > tol.rank_eps * original and norm > 0.0:
+            q[:, rank] = v / norm
+            rank += 1
     return q[:, :rank], rank
+
+
+def _householder(arr: np.ndarray, norms: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, int]:
+    """``orthonormalize`` of columns already rescaled, given their norms, by
+    Householder QR: |r_jj| is the residual of column j against the columns
+    before it, so the loop's rank rule reads off the diagonal of R."""
+    while True:
+        q, r = np.linalg.qr(arr)
+        d = r.diagonal()
+        size = np.abs(d)
+        independent = size > tol.rank_eps * norms[: d.size]
+        if independent.all():
+            break
+        # the diagonals after a dependent column were taken against its noise
+        # direction, so the columns are factored again without it
+        j = int(independent.argmin())
+        arr, norms = np.delete(arr, j, axis=1), np.delete(norms, j)
+    q = q * (d / size)  # R with a real positive diagonal, so the columns stay nested
+    # renormalized by sums of squares, which round closer than hypot's chain
+    squares = q.real * q.real + q.imag * q.imag if q.dtype.kind == "c" else q * q
+    return q / np.sqrt(squares.sum(axis=0)), d.size
 
 
 def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

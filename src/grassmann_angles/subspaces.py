@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
 from .exterior import Blade
-from .fields import DEFAULT_TOLERANCE, Field, Tolerance, as_basis, as_field_array
+from .fields import DEFAULT_TOLERANCE, Field, Tolerance, as_basis, as_field_array, unshared
 from .linalg import gram, orthonormalize
 
 # Looser than machine epsilon: subset checks go through projections whose
@@ -38,7 +38,14 @@ class Subspace:
     __slots__ = ("ambient_dim", "field", "onb")
 
     def __init__(self, onb: np.ndarray, field: Field, *, _validate: bool = True):
-        onb = as_field_array(onb, field)
+        """Subspace with the orthonormal columns ``onb``, stored as a copy if it
+        is the caller's array.  The package itself passes ``_validate=False``
+        with an array of the field's dtype that no caller holds; it is stored
+        as it is, or compacted if it is a view."""
+        if _validate:
+            onb = unshared(as_field_array(onb, field), onb)
+        elif not (onb.flags.c_contiguous or onb.flags.f_contiguous):
+            onb = onb.copy(order="K")  # a view would pin its whole base array, and BLAS rounds strided data differently
         if onb.ndim != 2:
             raise DimensionMismatchError("orthonormal basis must be a 2-D column matrix")
         if onb.shape[1] > onb.shape[0]:

@@ -405,6 +405,23 @@ class TestAngleProperties:
             tw = Subspace(t @ w.onb, field, _validate=False)
             assert abs(grassmann_angle(v, w).cosine - grassmann_angle(tv, tw).cosine) <= 1e-9
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), field=st.sampled_from(FIELDS), n=st.integers(4, 8), data=st.data())
+    def test_mixing_within_the_span_or_one_unitary_leaves_every_angle(self, seed, field, n, data):
+        # widths on both sides of the Householder threshold reach both kernels of orthonormalize
+        p, q = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
+        rng = rng_from_seed(seed)
+        bv, bw = random_matrix(rng, field, n, p), random_matrix(rng, field, n, q)
+        t = random_unitary(rng, field, n)
+        mixed = (bv @ random_mixing(rng, field, p), bw @ random_mixing(rng, field, q))
+        turned = (t @ bv, t @ bw)
+        base = (Subspace.from_spanning(bv, field=field), Subspace.from_spanning(bw, field=field))
+        for pair in (mixed, turned):
+            moved = tuple(Subspace.from_spanning(b, field=field) for b in pair)
+            for route in (grassmann_angle, grassmann_angle_principal, complementary_angle, complementary_angle_orthonormal):
+                # cos^2, which stays accurate where the cosine of an endpoint angle does not
+                assert abs(route(*moved).cos_squared - route(*base).cos_squared) <= 1e-12
+
     @pytest.mark.parametrize("field", FIELDS)
     def test_angle_of_complements_swapped(self, field):
         rng = rng_from_seed(13)

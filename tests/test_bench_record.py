@@ -1,0 +1,44 @@
+"""Schema of the committed ``BENCH_*.json`` records written by
+``bench/record.py``; the numbers themselves are not checked."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+KERNEL_KEYS = {"call", "field", "n", "k", "parent_us", "change_us"} | {
+    f"{side}_{residual}" for side in ("parent", "change") for residual in ("orthonormality", "span_error")
+}
+
+
+def test_a_record_is_committed():
+    assert RECORDS
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
+def test_record_schema(path):
+    record = json.loads(path.read_text())
+    assert {"machine", "kernels", "perfbench"} <= set(record)
+    rows = record["kernels"]["rows"]
+    assert rows
+    for row in rows:
+        assert KERNEL_KEYS <= set(row)
+        assert row["call"] in {"orthonormalize", "from_spanning"} and row["field"] in {"real", "complex"}
+        assert 1 <= row["k"] <= row["n"]
+        assert all(isinstance(row[key], float) and row[key] >= 0.0 for key in KERNEL_KEYS - {"call", "field", "n", "k"})
+        if row["call"] == "orthonormalize":
+            assert {"gram_schmidt_us", "householder_us"} <= set(row)
+    end_to_end = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    assert record["perfbench"]
+    for workload in record["perfbench"].values():
+        runs = workload["runs"]
+        assert len(runs["parent"]) == len(runs["change"]) == workload["pairs"]
+        for run in runs["parent"] + runs["change"]:
+            assert set(run["metrics"]) >= set(end_to_end)
+        for name in end_to_end:
+            summary = workload["summary"][name]
+            for side in ("parent", "change"):
+                assert summary[side]["q1"] <= summary[side]["median"] <= summary[side]["q3"]
+            assert summary["change_wins"] + summary["parent_wins"] <= workload["pairs"]

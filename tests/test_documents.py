@@ -71,15 +71,17 @@ class TestParseDocument:
 
     def test_options_parsed(self):
         doc = parse_document(
-            minimal_doc(options={"rank_eps": 1e-9, "residual_eps": 1e-7, "degrees": True, "seed": 5})
+            minimal_doc(options={"rank_eps": 1e-9, "residual_eps": 1e-7, "degrees": True})
         )
         assert doc.options.tolerance.rank_eps == 1e-9
         assert doc.options.tolerance.residual_eps == 1e-7
-        assert doc.options.degrees is True and doc.options.seed == 5
+        assert doc.options.degrees is True
 
-    def test_unknown_option_rejected(self):
-        with pytest.raises(DocumentError):
-            parse_document(minimal_doc(options={"mystery": 1}))
+    @pytest.mark.parametrize("options", [{"mystery": 1}, {"seed": 0}])
+    def test_unknown_option_rejected(self, options):
+        # seed was accepted once but never read; it is unknown now
+        with pytest.raises(DocumentError, match="unknown options"):
+            parse_document(minimal_doc(options=options))
 
     def test_out_of_range_tolerance_rejected(self):
         with pytest.raises(DocumentError):
@@ -96,8 +98,6 @@ class TestFieldTypes:
             ({"ambient": True}, "ambient"),
             ({"options": {"degrees": "false"}}, "degrees"),
             ({"options": {"degrees": 1}}, "degrees"),
-            ({"options": {"seed": 1.7}}, "seed"),
-            ({"options": {"seed": True}}, "seed"),
             ({"options": {"rank_eps": "1e-3"}}, "rank_eps"),
             ({"options": {"residual_eps": "1e-3"}}, "residual_eps"),
             ({"options": {"rank_eps": True}}, "rank_eps"),
@@ -108,9 +108,9 @@ class TestFieldTypes:
         with pytest.raises(DocumentError, match=match):
             parse_document(LINE_DOC | overrides)
 
-    def test_explicit_false_degrees_and_zero_seed_kept(self):
-        doc = parse_document(minimal_doc(options={"degrees": False, "seed": 0}))
-        assert doc.options.degrees is False and doc.options.seed == 0
+    def test_explicit_false_degrees_kept(self):
+        doc = parse_document(minimal_doc(options={"degrees": False}))
+        assert doc.options.degrees is False
 
     def test_bundled_documents_parse(self):
         data = resources.files("grassmann_angles").joinpath("data")
@@ -128,15 +128,15 @@ class TestFieldTypes:
                     "V": [[1, [-0.5, -0.866], 0], [0, [-0.5, 0.866], [0.5, 0.866]]],
                     "W": [[1, 0, 0], [0, [-0.5, 0.866], 0]],
                 },
-                "options": {"degrees": True, "rank_eps": 1e-10, "residual_eps": 1e-8, "seed": 0},
+                "options": {"degrees": True, "rank_eps": 1e-10, "residual_eps": 1e-8},
             }
         )
-        assert doc.options.degrees is True and doc.options.seed == 0
+        assert doc.options.degrees is True
         assert doc.options.tolerance.rank_eps == 1e-10
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"ambient": True}, {"options": {"degrees": "false"}}, {"options": {"seed": 1.7}}, {"options": {"rank_eps": "1e-3"}}],
+        [{"ambient": True}, {"options": {"degrees": "false"}}, {"options": {"seed": 0}}, {"options": {"rank_eps": "1e-3"}}],
     )
     def test_cli_exits_2(self, tmp_path, capsys, overrides):
         path = tmp_path / "doc.json"

@@ -308,6 +308,18 @@ class TestCoordinateBlades:
                 assert blade_inner(a, b) == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
 
 
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_writing_into_the_callers_array_leaves_the_blades(self, field):
+        basis = random_matrix(rng_from_seed(3), field, 4, 3)
+        saved = basis.copy()
+        blade, part = Blade(basis, field=field), Blade(basis[:, 1:], field=field)
+        coords = coordinate_blades(basis, 2, field=field)
+        basis[:] = 0.0
+        np.testing.assert_array_equal(blade.factors, saved)
+        np.testing.assert_array_equal(part.factors, saved[:, 1:])
+        np.testing.assert_array_equal(coords.basis, saved)
+
+
 class TestPartialOrthogonalityEquivalence:
     @pytest.mark.parametrize("field", FIELDS)
     def test_blade_orthogonality_matches_subspace_test(self, field):

@@ -17,7 +17,9 @@ from grassmann_angles import (
     schur_det,
     svd,
 )
+from grassmann_angles import linalg
 from grassmann_angles.fields import Field
+from grassmann_angles.linalg import QR_MIN_COLUMNS
 from grassmann_angles.sampling import random_matrix, random_unitary, rng_from_seed
 
 FIELDS = (Field.REAL, Field.COMPLEX)
@@ -121,6 +123,12 @@ class TestSchurDet:
 
 
 class TestOrthonormalize:
+    # every case runs once with its width below the QR threshold (the
+    # Gram-Schmidt loop) and once at or above it (Householder QR)
+    @pytest.fixture(autouse=True, params=["gram-schmidt", "householder"])
+    def kernel(self, request, monkeypatch):
+        monkeypatch.setattr(linalg, "QR_MIN_COLUMNS", 10**6 if request.param == "gram-schmidt" else 0)
+
     def test_single_vector(self):
         q, rank = orthonormalize(np.array([[1.0, 0.0, 1.0, 0.0]]).T)
         assert rank == 1
@@ -131,8 +139,9 @@ class TestOrthonormalize:
         q, rank = orthonormalize(np.hstack([v, v]))
         assert rank == 1 and q.shape == (3, 1)
 
-    def test_zero_matrix(self):
-        q, rank = orthonormalize(np.zeros((4, 2)))
+    @pytest.mark.parametrize("k", [0, 2, 6])
+    def test_zero_matrix(self, k):
+        q, rank = orthonormalize(np.zeros((4, k)))
         assert rank == 0 and q.shape == (4, 0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -224,6 +233,15 @@ class TestOrthonormalize:
         assert rank == 2
         _, rank_tight = orthonormalize(np.column_stack([base, wobble]), Tolerance(rank_eps=1e-16))
         assert rank_tight == 3
+
+
+@pytest.mark.parametrize("k", [QR_MIN_COLUMNS - 1, QR_MIN_COLUMNS])
+def test_the_column_count_selects_the_kernel(k, monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append(1) or qr(*a, **kw))
+    _, rank = orthonormalize(random_matrix(rng_from_seed(k), Field.REAL, 8, k))
+    assert rank == k and len(calls) == (k >= QR_MIN_COLUMNS)
 
 
 class TestSvd:

@@ -54,6 +54,15 @@ class TestSubspaceConstruction:
         with pytest.raises(DomainError):
             Subspace(np.array([[1.0, 1.0], [0.0, 1.0]]), Field.REAL)
 
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_writing_into_the_callers_array_leaves_the_subspace(self, field, k):
+        basis = np.eye(6, k, dtype=field.dtype)
+        subspaces = [Subspace(basis, field), Subspace(basis[:, :1], field), Subspace.from_spanning(basis, field=field)]
+        basis[:] = 3.0
+        for s in subspaces:
+            np.testing.assert_array_equal(s.onb, np.eye(6, s.dim))
+
     def test_contains_vector(self):
         w = Subspace.from_spanning([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         assert w.contains(np.array([2.0, -3.0, 2.0]))
