@@ -1,9 +1,9 @@
 """Record a performance step as ``BENCH_<k>.json``: per-shape kernel timings
 and perfbench end-to-end medians, for a parent checkout and this one.
 
-    python bench/record.py kernels --parent PARENT/src --out BENCH_6.json
+    python bench/record.py kernels --parent PARENT/src --out BENCH_7.json
     python bench/record.py pairs --parent PARENT --workload angle-pairs \\
-        --pairs 10 --first-seed 101 --out BENCH_6.json
+        --pairs 10 --first-seed 101 --out BENCH_7.json
 
 PARENT is a source checkout of the parent commit, for instance made with
 ``git archive <commit> | tar -x -C PARENT``.  Each command updates its own
@@ -18,7 +18,10 @@ the minimum over repeats that alternate between the two versions.  The
 every width, which is where the column count that selects between them
 comes from.  Each row records, per version, the worst ``|Q* Q - I|`` and the
 worst span error ``|P - Q Q* P|_2``, where P is the Q factor of
-``np.linalg.qr``, over 20 bases of its shape.
+``np.linalg.qr``, over 20 bases of its shape.  The ``oriented_grassmann_cos``
+rows time the call on two prebuilt Gaussian k-blades in R^n and record, per
+version, the worst ``|cos - oracle|`` over 20 such pairs, where the oracle is
+``oriented_cos`` of ``perfbench/oracle.py`` (QR-based, numpy only).
 
 ``pairs`` runs ``perfbench/run.py`` in both checkouts, alternating which
 runs first, one seed per pair, and records every run's end-to-end metrics,
@@ -58,6 +61,14 @@ def load_package(src: Path, alias: str):
     return module
 
 
+def load_oracle():
+    """The benchmark's numpy-only reference values, ``perfbench/oracle.py``."""
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", ROOT / "perfbench" / "oracle.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def widths(n: int) -> list[int]:
     return sorted({k for k in (1, 2, 3, 4, 5, n // 2, n) if 1 <= k <= n})
 
@@ -88,11 +99,28 @@ def best_times(calls: dict, number: int) -> dict:
     return {name: round(t, 2) for name, t in best.items()}
 
 
+def oriented_row(versions: dict, oracle, rng: np.random.Generator, field_name: str, n: int, k: int) -> dict:
+    """Per version, microseconds per ``oriented_grassmann_cos`` call and the
+    worst ``|cos - oracle|`` over CASES pairs of Gaussian k-blades in R^n."""
+    pairs = [tuple(gaussian(rng, field_name == "complex", n, k) for _ in range(2)) for _ in range(CASES)]
+    row = {"call": "oriented_grassmann_cos", "field": field_name, "n": n, "k": k}
+    calls = {}
+    for side, ga in versions.items():
+        field = ga.Field(field_name)
+        blades = [(ga.Blade(a, field=field), ga.Blade(b, field=field)) for a, b in pairs]
+        errors = [abs(ga.oriented_grassmann_cos(*bb) - oracle.oriented_cos(a, b)) for bb, (a, b) in zip(blades, pairs)]
+        row[f"{side}_oracle_error"] = float(max(errors))
+        calls[side] = lambda ga=ga, bb=blades[0]: ga.oriented_grassmann_cos(*bb)
+    row.update({f"{side}_us": t for side, t in best_times(calls, number=200).items()})
+    return row
+
+
 def kernel_rows(parent_src: Path) -> list[dict]:
     versions = {"parent": load_package(parent_src, "ga_parent"), "change": load_package(ROOT / "src", "ga_change")}
     linalg = sys.modules["ga_change.linalg"]
     threshold = linalg.QR_MIN_COLUMNS
-    rng = np.random.default_rng(6)
+    oracle = load_oracle()
+    rng, pair_rng = np.random.default_rng(6), np.random.default_rng(7)
     rows = []
     for field_name in ("real", "complex"):
         for n in AMBIENT_DIMS:
@@ -121,6 +149,8 @@ def kernel_rows(parent_src: Path) -> list[dict]:
                         row.update({f"{kernel}_us": t for kernel, t in forced.items()})
                     rows.append(row)
                     print(json.dumps(row), flush=True)
+                rows.append(oriented_row(versions, oracle, pair_rng, field_name, n, k))
+                print(json.dumps(rows[-1]), flush=True)
     return rows
 
 

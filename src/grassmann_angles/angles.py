@@ -12,6 +12,9 @@ others (so each is a cross-check oracle for the rest), and reports an
 ``AngleReport`` carrying the method used.  All cos^2 values are clamped
 into [0, 1] before sqrt/arccos; negative values beyond round-off raise
 NumericalConsistencyError so genuine bugs cannot hide behind a clamp.
+
+The oriented cosine of two blades is read off their orthonormal frames, so
+it needs no rescaling on extreme scales and no zero test of its own.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateBasisError, DimensionMismatchError, DomainError, NumericalConsistencyError
-from .exterior import Blade, _factor_squares, _norm_from_square, _vanishes, blade_inner, blade_norm
+from .exterior import Blade, _require_compatible, _unit_frame, blade_norm
 from .fields import (
     DEFAULT_TOLERANCE,
     GRAM_CONDITION_LIMIT,
@@ -41,10 +44,6 @@ from .subspaces import Subspace, _require_same_space, complement, principal_cosi
 # 2^(+-250) is rescaled exactly to s ~ 1: its Gram determinants scale like
 # s^(2p), and a product of two of them must stay inside 2^(+-1000).
 _SCALE_EXPONENT_LIMIT = 250
-
-# Squared norms below the smallest normal float have lost digits to
-# underflow; the oriented route rescales blade factors instead.
-_SQUARE_MIN = 2.0**-1022  # the smallest normal float
 
 __all__ = [
     "AngleMethod",
@@ -274,35 +273,16 @@ def oriented_grassmann_cos(nu: Blade, omega: Blade, tol: Tolerance = DEFAULT_TOL
     A field scalar whose modulus is the unoriented cosine; over the reals its
     sign tracks relative orientation, over the complex field it carries the
     phase of the blade inner product (only the cosine is defined there).
-    When a squared norm leaves the normal float range, each factor is first
-    rescaled exactly by a power of two.
+    Evaluated as ``conj(phase_nu) phase_omega det(Q_nu* Q_omega)`` from the
+    unit frames of ``exterior._unit_frame``: no Gram determinant is divided,
+    so it holds on any scale and for ill-conditioned rank-full blades, and a
+    zero blade (by the rule of ``Blade.is_zero``) raises DomainError.
     """
     if nu.grade != omega.grade:
         raise DomainError(f"oriented angle needs equal grades, got {nu.grade} and {omega.grade}")
-    blades = (nu, omega)
-    with np.errstate(over="ignore", invalid="ignore"):  # squares out of range are redone on rescaled factors
-        squares = [float(np.real(blade_inner(b, b))) for b in blades]
-        in_range = all(_in_normal_range(b, g) for b, g in zip(blades, squares))
-    if not in_range:
-        blades = tuple(_rescaled_factors(b) for b in blades)
-        squares = [float(np.real(blade_inner(b, b))) for b in blades]
-    nn, no = (_norm_from_square(b, g, tol) for b, g in zip(blades, squares))
-    if any(_vanishes(b, g, tol) for b, g in zip(blades, squares)):
+    _require_compatible(nu, omega)
+    frame_nu, frame_omega = _unit_frame(nu, tol), _unit_frame(omega, tol)
+    if frame_nu is None or frame_omega is None:
         raise DomainError("oriented angle is undefined for zero blades")
-    return blade_inner(*blades) / (nn * no)
-
-
-def _in_normal_range(blade: Blade, square: float) -> bool:
-    """Whether the squared factor norms, their product (the Hadamard bound)
-    and ``square = <blade, blade>`` are all normal floats; false for a zero blade."""
-    factor_squares = _factor_squares(blade)
-    return all(_SQUARE_MIN <= x < math.inf for x in (*factor_squares, math.prod(factor_squares), square))
-
-
-def _rescaled_factors(blade: Blade) -> Blade:
-    """The blade with each factor column times its own power of two: a
-    positive multiple of it, so every oriented cosine keeps its value."""
-    factors = blade.factors.copy()
-    for j in range(blade.grade):
-        factors[:, j] = exact_rescale(factors[:, j])
-    return Blade(factors, field=blade.field, coefficient=blade.coefficient, ambient_dim=blade.ambient_dim)
+    (phase_nu, q_nu), (phase_omega, q_omega) = frame_nu, frame_omega
+    return phase_nu.conjugate() * phase_omega * det(gram(q_nu, q_omega))

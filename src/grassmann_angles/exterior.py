@@ -92,8 +92,8 @@ class Blade:
 
     ``factors`` is an ``(ambient_dim, grade)`` array whose columns are the
     vector factors.  The blade is zero exactly when its factors are linearly
-    dependent (or the coefficient vanishes), which is detected through the
-    Gram determinant rather than stored.
+    dependent (or the coefficient vanishes), which is decided by the rank rule
+    of ``orthonormalize`` (see ``_unit_frame``) rather than stored.
     """
 
     __slots__ = ("factors", "field", "coefficient")
@@ -137,7 +137,7 @@ class Blade:
         of the span of the factors before it (the rank rule of orthonormalize,
         which rescales each factor first).  A Gram determinant would not do:
         for dependent factors it rounds to about eps times its Hadamard bound."""
-        return self.coefficient == 0 or orthonormalize(self.factors, tol)[1] < self.grade
+        return _unit_frame(self, tol) is None
 
     def __repr__(self):
         return f"Blade(grade={self.grade}, ambient={self.ambient_dim}, field={self.field.value})"
@@ -157,7 +157,7 @@ def _hadamard_bound(blade: Blade, t: float) -> float:
     m, e = math.frexp(t)
     cm, ce = math.frexp(abs(blade.coefficient))
     m, e = m * cm * cm, e + 2 * ce
-    for x in _factor_squares(blade):
+    for x in (np.abs(blade.factors) ** 2).sum(axis=0).tolist():  # the squared factor norms
         xm, xe = math.frexp(x)
         m, e = m * xm, e + xe
     try:
@@ -166,9 +166,20 @@ def _hadamard_bound(blade: Blade, t: float) -> float:
         return math.inf
 
 
-def _factor_squares(blade: Blade) -> list[float]:
-    """Squared norms of the factors."""
-    return (np.abs(blade.factors) ** 2).sum(axis=0).tolist()
+def _unit_frame(blade: Blade, tol: Tolerance) -> tuple[complex | float, np.ndarray] | None:
+    """``(c / |c|, Q)`` for the blade ``c * (f_1 ^ ... ^ f_p)``, with Q from
+    ``orthonormalize(F)``; None for a zero blade (c = 0, or rank < grade).
+    F = QR with R's diagonal real and positive, so det R > 0 and the unit
+    blade is ``(c / |c|) * (q_1 ^ ... ^ q_p)`` on any scale, with no Gram
+    determinant."""
+    if blade.coefficient == 0:
+        return None
+    if not math.isfinite(abs(blade.coefficient)):
+        raise DomainError("blade coefficient must be finite (no NaN or infinity)")
+    q, rank = orthonormalize(blade.factors, tol)
+    if rank < blade.grade:
+        return None
+    return blade.coefficient / abs(blade.coefficient), q
 
 
 def wedge(a: Blade, b: Blade) -> Blade:
@@ -212,21 +223,6 @@ def _norm_from_square(a: Blade, square: float, tol: Tolerance) -> float:
     if not -max(tol.residual_eps, _hadamard_bound(a, tol.residual_eps)) <= square < np.inf:
         raise NumericalConsistencyError(f"squared blade norm came out negative or not finite: {square}")
     return float(np.sqrt(max(square, 0.0)))
-
-
-def _vanishes(a: Blade, square: float, tol: Tolerance) -> bool:
-    """Whether a route dividing by ``|a|`` must treat the blade as zero, given
-    ``square = <a, a>`` already computed.
-
-    At or below rank_eps^2 times the Hadamard bound it is zero: the Gram
-    determinant has then lost too many digits to divide by.  Above rank_eps
-    times the bound every relative residual of the factors exceeds
-    sqrt(rank_eps), so it is nonzero.  In between the rank rule of
-    Blade.is_zero decides, since a dependent blade's Gram determinant rounds
-    to up to about eps times the bound, not to zero."""
-    if square > _hadamard_bound(a, tol.rank_eps):
-        return False
-    return not square > _hadamard_bound(a, tol.rank_eps**2) or a.is_zero(tol)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ The checkers that sum over coordinate subspaces (pythagorean, binomial,
 oriented-sum, weighted-average) do not call an angle route per term: they
 take the projection matrices of all C(n, p) terms out of one Gram matrix
 and evaluate them in one stacked determinant.  Every operand there is
-orthonormal or orthogonal, so the determinant loses nothing to conditioning.
+orthonormal: the orthogonal bases are normalized first (rescaled exactly
+when their norms would over- or underflow) and the blades are replaced by
+their unit frames, so the determinant loses nothing to conditioning or scale.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from .angles import (
     oriented_grassmann_cos,
 )
 from .errors import DomainError
-from .exterior import Blade, blade_norm
+from .exterior import Blade, _unit_frame
 from .fields import DEFAULT_TOLERANCE, Field, Tolerance, as_basis
-from .linalg import gram
+from .linalg import _columns_in_range, gram
 # random_instance is re-exported: the seeded generators are part of this
 # module's public surface alongside the checkers
 from .sampling import (
@@ -95,19 +97,23 @@ def _check(name: str, residual: float, witness: str, tol: Tolerance) -> Identity
 
 
 def _orthogonal_basis_matrix(basis, field: Field) -> np.ndarray:
-    """Validate a full orthogonal (not necessarily normalized) basis."""
+    """The unit columns of a full orthogonal (not necessarily normalized)
+    basis, after validating it.  A column whose norm would come from squares
+    that over- or underflow is first rescaled exactly by a power of two, as
+    in ``orthonormalize``; every column is then divided by its norm."""
     mat, _ = as_basis(basis, field)
     n = mat.shape[0]
     if mat.shape[1] != n:
         raise DomainError(f"need {n} basis vectors for dimension {n}, got {mat.shape[1]}")
-    norms = np.linalg.norm(mat, axis=0)
-    if not np.all((norms > 0.0) & (norms < math.inf)):
+    if not (np.isfinite(mat).all() and mat.any(axis=0).all()):
         raise DomainError("basis vectors must be nonzero with a finite norm")
-    cross = np.abs(gram(mat, mat)) / np.outer(norms, norms)
+    mat = _columns_in_range(mat)[0]
+    units = mat / np.linalg.norm(mat, axis=0)
+    cross = np.abs(gram(units, units))
     np.fill_diagonal(cross, 0.0)
     if not float(np.max(cross, initial=0.0)) <= ORTHOGONALITY_DEFECT:
         raise DomainError("basis vectors are not orthogonal")
-    return mat
+    return units
 
 
 def _index_stack(n: int, p: int) -> np.ndarray:
@@ -159,13 +165,13 @@ def check_coordinate_pythagorean(v: Subspace, basis, tol: Tolerance = DEFAULT_TO
 
     All C(n, p) terms are evaluated in one stacked determinant.
     """
-    mat = _orthogonal_basis_matrix(basis, v.field)
-    if mat.shape[0] != v.ambient_dim:
+    units = _orthogonal_basis_matrix(basis, v.field)
+    if units.shape[0] != v.ambient_dim:
         raise DomainError("basis and subspace ambient dimensions differ")
     p, n = v.dim, v.ambient_dim
     if p < 1:
         raise DomainError("the subspace must be nonzero")
-    total = np.sum(_coordinate_cos_squared(mat / np.linalg.norm(mat, axis=0), v.onb, p))
+    total = np.sum(_coordinate_cos_squared(units, v.onb, p))
     witness = f"dim {p} subspace vs C({n},{p}) coordinate subspaces ({v.field.value})"
     return _check("pythagorean", abs(total - 1.0), witness, tol)
 
@@ -179,13 +185,13 @@ def check_binomial_identities(v: Subspace, basis, q: int, tol: Tolerance = DEFAU
 
     All C(n, q) terms are evaluated in one stacked determinant.
     """
-    mat = _orthogonal_basis_matrix(basis, v.field)
+    units = _orthogonal_basis_matrix(basis, v.field)
     n, p = v.ambient_dim, v.dim
-    if mat.shape[0] != n:
+    if units.shape[0] != n:
         raise DomainError("basis and subspace ambient dimensions differ")
     if not 0 <= q <= n:
         raise DomainError(f"coordinate dimension must be in [0, {n}], got {q}")
-    total = np.sum(_coordinate_cos_squared(mat / np.linalg.norm(mat, axis=0), v.onb, q))
+    total = np.sum(_coordinate_cos_squared(units, v.onb, q))
     target = float(math.comb(n - p, n - q) if p <= q else math.comb(p, q))
     witness = f"p={p}, q={q}, n={n} ({v.field.value}), target {target:g}"
     return _check("binomial", abs(total - target), witness, tol)
@@ -201,28 +207,23 @@ def check_oriented_sum(nu: Blade, omega: Blade, basis, tol: Tolerance = DEFAULT_
     cos(angle of V with W) <= sum_I cos(.,X_I) cos(.,X_I) moduli.
     Over the reals the conjugation is vacuous.
 
-    The C(n, p) inner products with the coordinate blades, and their norms,
-    are minors of two Gram matrices, each stack taken in one determinant.
+    Each coordinate cosine is ``conj(phase) det(Q* U_I)`` for the unit
+    frame (phase, Q) of a blade and the columns U_I of the normalized basis:
+    the C(n, p) minors of one Gram matrix, taken in one stacked determinant.
     """
     if nu.grade != omega.grade or nu.grade < 1:
         raise DomainError("need two nonzero blades of the same positive grade")
     if nu.field is not omega.field or nu.ambient_dim != omega.ambient_dim:
         raise DomainError("blades live in different spaces")
-    mat = _orthogonal_basis_matrix(basis, nu.field)
-    if mat.shape[0] != nu.ambient_dim:
+    units = _orthogonal_basis_matrix(basis, nu.field)
+    if units.shape[0] != nu.ambient_dim:
         raise DomainError("basis and blades ambient dimensions differ")
-    lhs = oriented_grassmann_cos(nu, omega, tol)
+    lhs = oriented_grassmann_cos(nu, omega, tol)  # raises on a zero blade
     rows = _index_stack(nu.ambient_dim, nu.grade)
-    coordinate_norms = np.sqrt(np.real(np.linalg.det(gram(mat, mat)[rows[:, :, None], rows[:, None, :]])))
 
     def coordinate_cosines(blade: Blade) -> np.ndarray:
-        minors = np.moveaxis(gram(blade.factors, mat)[:, rows], 1, 0)  # <factors, X_I factors>
-        inner = blade.field.conj(blade.coefficient) * np.linalg.det(minors)
-        denom = blade_norm(blade, tol) * coordinate_norms
-        if blade.field is Field.REAL:
-            return inner / denom
-        # part by part: numpy's complex-by-real division is not correctly rounded
-        return inner.real / denom + 1j * (inner.imag / denom)
+        phase, q = _unit_frame(blade, tol)
+        return phase.conjugate() * np.linalg.det(np.moveaxis(gram(q, units)[:, rows], 1, 0))
 
     cv, cw = coordinate_cosines(nu), coordinate_cosines(omega)
     rhs = np.sum(cv * np.conjugate(cw))

@@ -173,6 +173,22 @@ def _column_norms(x: np.ndarray) -> np.ndarray:
     return np.hypot.reduce(np.abs(x) if x.dtype.kind == "c" else x, axis=0)
 
 
+def _columns_in_range(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
+    """``(arr, norms, rescaled)``: the float columns ``arr`` with every column
+    whose norm is outside [2^-500, 2^500] (zero, not finite, or with squares
+    that would over- or underflow) rescaled exactly by ``exact_rescale``,
+    their norms, and the rescaled columns by index.  ``arr`` is copied only
+    when a column is rescaled."""
+    norms = _column_norms(arr)
+    rescaled = {j: exact_rescale(arr[:, j]) for j, x in enumerate(norms.tolist()) if not _NORM_MIN <= x <= _NORM_MAX}
+    if rescaled:
+        arr = arr.copy()
+        for j, v in rescaled.items():
+            arr[:, j] = v
+        norms = _column_norms(arr)
+    return arr, norms, rescaled
+
+
 def orthonormalize(columns, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, int]:
     """Orthonormal basis of the column space.
 
@@ -192,18 +208,10 @@ def orthonormalize(columns, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndar
     """
     arr = as_matrix(columns)
     arr = arr.astype(np.promote_types(arr.dtype, np.float64), copy=False)
-    norms = _column_norms(arr)
-    listed = norms.tolist()
-    # not finite, zero, or the squares behind the norm would leave the float range
-    rescaled = {j: exact_rescale(arr[:, j]) for j, x in enumerate(listed) if not _NORM_MIN <= x <= _NORM_MAX}
-    if rescaled:
-        arr = arr.copy()
-        for j, v in rescaled.items():
-            arr[:, j] = v
-        norms = _column_norms(arr)
-        listed = norms.tolist()
+    arr, norms, rescaled = _columns_in_range(arr)
     if arr.shape[1] >= QR_MIN_COLUMNS:
         return _householder(arr, norms, tol)
+    listed = norms.tolist()
     n = arr.shape[0]
     q = np.empty((n, min(n, len(listed))), dtype=arr.dtype)
     rank = 0

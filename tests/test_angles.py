@@ -1,5 +1,6 @@
 import math
 
+import exact
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,6 @@ from grassmann_angles import (
     GrassmannError,
     NumericalConsistencyError,
     Subspace,
-    blade_inner,
     blade_norm,
     check_coordinate_pythagorean,
     complement,
@@ -322,6 +322,11 @@ class TestOrientedCos:
         with pytest.raises(DomainError):
             oriented_grassmann_cos(Blade([v, v]), Blade(np.eye(2)))
 
+    @pytest.mark.parametrize("coefficient", [math.inf, math.nan])
+    def test_non_finite_coefficient_rejected(self, coefficient):
+        with pytest.raises(DomainError):
+            oriented_grassmann_cos(Blade(np.eye(2), coefficient=coefficient), Blade(np.eye(2)))
+
     def test_rounded_dependent_blades_rejected(self):
         # the Gram determinant of f4 = 3 f2 - f3 rounds to up to ~eps times
         # its Hadamard bound, not to zero; the rank rule still sees the zero
@@ -337,27 +342,50 @@ class TestOrientedCos:
             with pytest.raises(DomainError):
                 oriented_grassmann_cos(omega, nu)
 
-    def test_nearly_dependent_blades_still_rejected(self):
-        # rank-full by the rank rule, but the Gram determinant is below
-        # rank_eps^2 of its bound and would give a cosine off in the 4th digit
+    def test_nearly_dependent_blades_match_the_exact_cosine(self):
+        # rank-full 4-blades in R^5 with two factors within 1e-6 of others
+        # (cond ~ 1e6): a Gram determinant is off by about eps * cond^2
+        # relative, the unit frames by about eps * cond, the spans' own limit
         rng = rng_from_seed(3)
-        factors = rng.standard_normal((5, 4))
-        factors[:, 2] = factors[:, 0] + 1e-6 * rng.standard_normal(5)
-        factors[:, 3] = factors[:, 1] + 1e-6 * rng.standard_normal(5)
-        nu = Blade(factors)
-        assert not nu.is_zero()
-        with pytest.raises(DomainError):
-            oriented_grassmann_cos(nu, random_blade(rng, Field.REAL, 5, 4))
+        for _ in range(201):
+            factors = rng.standard_normal((5, 4))
+            factors[:, 2] = factors[:, 0] + 1e-6 * rng.standard_normal(5)
+            factors[:, 3] = factors[:, 1] + 1e-6 * rng.standard_normal(5)
+            nu = Blade(factors)
+            omega = random_blade(rng, Field.REAL, 5, 4)
+            assert not nu.is_zero()
+            truth = exact.oriented_cos(nu.factors, omega.factors, nu.coefficient, omega.coefficient)
+            assert abs(oriented_grassmann_cos(nu, omega) - truth) <= 1e-8
+            assert abs(oriented_grassmann_cos(omega, nu) - truth) <= 1e-8
 
     @pytest.mark.parametrize("field", FIELDS)
-    def test_independent_pairs_keep_the_gram_quotient(self, field):
+    def test_independent_pairs_match_the_exact_cosine(self, field):
         rng = rng_from_seed(4)
         for _ in range(50):
             n = int(rng.integers(1, 7))
             p = int(rng.integers(1, n + 1))
             nu, omega = random_blade(rng, field, n, p), random_blade(rng, field, n, p)
-            expected = blade_inner(nu, omega) / (blade_norm(nu) * blade_norm(omega))
-            assert oriented_grassmann_cos(nu, omega) == expected
+            truth = exact.oriented_cos(nu.factors, omega.factors, nu.coefficient, omega.coefficient)
+            assert abs(oriented_grassmann_cos(nu, omega) - truth) <= 1e-14
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), field=st.sampled_from(FIELDS))
+    def test_positive_mixing_keeps_and_odd_permutation_flips_the_cosine(self, seed, field):
+        rng = rng_from_seed(seed)
+        n = int(rng.integers(2, 7))
+        p = int(rng.integers(2, n + 1))
+        nu, omega = random_blade(rng, field, n, p), random_blade(rng, field, n, p)
+        mixing = random_mixing(rng, field, p, cond_limit=10.0)
+        d = np.linalg.det(mixing)
+        mixing[:, 0] /= d / abs(d)  # now det(mixing) = |d| > 0
+        order = rng.permutation(p)
+        if np.linalg.det(np.eye(p)[:, order]) > 0:
+            order[[0, 1]] = order[[1, 0]]  # an odd permutation
+        cosine = oriented_grassmann_cos(nu, omega)
+        mixed = Blade(omega.factors @ mixing, field=field, coefficient=omega.coefficient)
+        permuted = Blade(omega.factors[:, order], field=field, coefficient=omega.coefficient)
+        assert abs(oriented_grassmann_cos(nu, mixed) - cosine) <= 1e-13
+        assert abs(oriented_grassmann_cos(nu, permuted) + cosine) <= 1e-13
 
 
 class TestMethodAgreement:

@@ -8,9 +8,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
-KERNEL_KEYS = {"call", "field", "n", "k", "parent_us", "change_us"} | {
+ROW_KEYS = {"call", "field", "n", "k", "parent_us", "change_us"}
+KERNEL_KEYS = ROW_KEYS | {
     f"{side}_{residual}" for side in ("parent", "change") for residual in ("orthonormality", "span_error")
 }
+# rows of the oriented route carry their distance to the perfbench oracle instead
+ORIENTED_KEYS = ROW_KEYS | {f"{side}_oracle_error" for side in ("parent", "change")}
 
 
 def test_a_record_is_committed():
@@ -24,10 +27,12 @@ def test_record_schema(path):
     rows = record["kernels"]["rows"]
     assert rows
     for row in rows:
-        assert KERNEL_KEYS <= set(row)
-        assert row["call"] in {"orthonormalize", "from_spanning"} and row["field"] in {"real", "complex"}
+        keys = ORIENTED_KEYS if row["call"] == "oriented_grassmann_cos" else KERNEL_KEYS
+        assert keys <= set(row)
+        assert row["call"] in {"orthonormalize", "from_spanning", "oriented_grassmann_cos"}
+        assert row["field"] in {"real", "complex"}
         assert 1 <= row["k"] <= row["n"]
-        assert all(isinstance(row[key], float) and row[key] >= 0.0 for key in KERNEL_KEYS - {"call", "field", "n", "k"})
+        assert all(isinstance(row[key], float) and row[key] >= 0.0 for key in keys - {"call", "field", "n", "k"})
         if row["call"] == "orthonormalize":
             assert {"gram_schmidt_us", "householder_us"} <= set(row)
     end_to_end = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]

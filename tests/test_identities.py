@@ -182,6 +182,27 @@ class TestOrientedSum:
             check_oriented_sum(Blade(np.eye(3)[:, :1]), Blade(np.eye(3)[:, :2]), np.eye(3))
 
 
+class TestExtremeScaleBases:
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("scale", [1e150, 1e-160, 1e200, 1e-200, 1e300, 1e-300])
+    def test_coordinate_sums_hold_on_any_scale(self, scale, field):
+        # squared entries of these bases over- or underflow, so they are
+        # normalized after an exact power-of-two rescale, never by their squares
+        rng = rng_from_seed(7)
+        for _ in range(20):
+            p, q = int(rng.integers(1, 6)), int(rng.integers(0, 6))
+            basis = random_orthogonal_basis(rng, field, 5) * scale
+            v = random_subspace(rng, field, 5, p)
+            nu, omega = random_blade(rng, field, 5, p), random_blade(rng, field, 5, p)
+            checks = (
+                check_coordinate_pythagorean(v, basis),
+                check_binomial_identities(v, basis, q),
+                check_oriented_sum(nu, omega, basis),
+            )
+            for check in checks:
+                assert check.passed and check.residual <= 1e-13, check
+
+
 class TestWeightedAverage:
     def test_planes_in_r3_closed_form(self):
         # V = xy-plane, W = V rotated around the x-axis; U a line in V at
