@@ -1,9 +1,9 @@
 """Record a performance step as ``BENCH_<k>.json``: per-shape kernel timings
 and perfbench end-to-end medians, for a parent checkout and this one.
 
-    python bench/record.py kernels --parent PARENT/src --out BENCH_7.json
+    python bench/record.py kernels --parent PARENT/src --out BENCH_9.json
     python bench/record.py pairs --parent PARENT --workload angle-pairs \\
-        --pairs 10 --first-seed 101 --out BENCH_7.json
+        --pairs 10 --first-seed 101 --out BENCH_9.json
 
 PARENT is a source checkout of the parent commit, for instance made with
 ``git archive <commit> | tar -x -C PARENT``.  Each command updates its own
@@ -19,9 +19,12 @@ every width, which is where the column count that selects between them
 comes from.  Each row records, per version, the worst ``|Q* Q - I|`` and the
 worst span error ``|P - Q Q* P|_2``, where P is the Q factor of
 ``np.linalg.qr``, over 20 bases of its shape.  The ``oriented_grassmann_cos``
-rows time the call on two prebuilt Gaussian k-blades in R^n and record, per
-version, the worst ``|cos - oracle|`` over 20 such pairs, where the oracle is
-``oriented_cos`` of ``perfbench/oracle.py`` (QR-based, numpy only).
+rows time the call on two prebuilt Gaussian k-blades in R^n, and the
+``grassmann_angle`` and ``complementary_angle`` rows on two prebuilt
+k-dimensional subspaces spanned by Gaussian bases (the complementary
+cosine is 0 by dimension when 2k > n).  Each records, per version, the worst
+``|cos - oracle|`` over 20 such pairs, where the oracle is the matching
+function of ``perfbench/oracle.py`` (QR- and SVD-based, numpy only).
 
 ``pairs`` runs ``perfbench/run.py`` in both checkouts, alternating which
 runs first, one seed per pair, and records every run's end-to-end metrics,
@@ -99,18 +102,32 @@ def best_times(calls: dict, number: int) -> dict:
     return {name: round(t, 2) for name, t in best.items()}
 
 
-def oriented_row(versions: dict, oracle, rng: np.random.Generator, field_name: str, n: int, k: int) -> dict:
-    """Per version, microseconds per ``oriented_grassmann_cos`` call and the
-    worst ``|cos - oracle|`` over CASES pairs of Gaussian k-blades in R^n."""
+def span(ga, a: np.ndarray, field):
+    return ga.Subspace.from_spanning(a, field)
+
+
+# route -> (function of perfbench/oracle.py, argument built from a basis)
+ROUTES = {
+    "oriented_grassmann_cos": ("oriented_cos", lambda ga, a, field: ga.Blade(a, field=field)),
+    "grassmann_angle": ("grassmann_cos", span),
+    "complementary_angle": ("complementary_cos", span),
+}
+
+
+def route_row(versions: dict, oracle, rng: np.random.Generator, call: str, field_name: str, n: int, k: int) -> dict:
+    """Per version, microseconds per ``call`` on prebuilt arguments and the
+    worst ``|cos - oracle|`` over CASES pairs of Gaussian n x k bases."""
+    reference, argument = ROUTES[call]
     pairs = [tuple(gaussian(rng, field_name == "complex", n, k) for _ in range(2)) for _ in range(CASES)]
-    row = {"call": "oriented_grassmann_cos", "field": field_name, "n": n, "k": k}
+    row = {"call": call, "field": field_name, "n": n, "k": k}
     calls = {}
     for side, ga in versions.items():
-        field = ga.Field(field_name)
-        blades = [(ga.Blade(a, field=field), ga.Blade(b, field=field)) for a, b in pairs]
-        errors = [abs(ga.oriented_grassmann_cos(*bb) - oracle.oriented_cos(a, b)) for bb, (a, b) in zip(blades, pairs)]
+        field, route = ga.Field(field_name), getattr(ga, call)
+        args = [(argument(ga, a, field), argument(ga, b, field)) for a, b in pairs]
+        cosines = [getattr(out, "cosine", out) for out in (route(*ab) for ab in args)]  # an AngleReport or a scalar
+        errors = [abs(c - getattr(oracle, reference)(a, b)) for c, (a, b) in zip(cosines, pairs)]
         row[f"{side}_oracle_error"] = float(max(errors))
-        calls[side] = lambda ga=ga, bb=blades[0]: ga.oriented_grassmann_cos(*bb)
+        calls[side] = lambda route=route, ab=args[0]: route(*ab)
     row.update({f"{side}_us": t for side, t in best_times(calls, number=200).items()})
     return row
 
@@ -120,7 +137,8 @@ def kernel_rows(parent_src: Path) -> list[dict]:
     linalg = sys.modules["ga_change.linalg"]
     threshold = linalg.QR_MIN_COLUMNS
     oracle = load_oracle()
-    rng, pair_rng = np.random.default_rng(6), np.random.default_rng(7)
+    rng = np.random.default_rng(6)
+    pair_rngs = {call: np.random.default_rng(seed) for seed, call in enumerate(ROUTES, start=7)}
     rows = []
     for field_name in ("real", "complex"):
         for n in AMBIENT_DIMS:
@@ -149,8 +167,9 @@ def kernel_rows(parent_src: Path) -> list[dict]:
                         row.update({f"{kernel}_us": t for kernel, t in forced.items()})
                     rows.append(row)
                     print(json.dumps(row), flush=True)
-                rows.append(oriented_row(versions, oracle, pair_rng, field_name, n, k))
-                print(json.dumps(rows[-1]), flush=True)
+                for call, pair_rng in pair_rngs.items():
+                    rows.append(route_row(versions, oracle, pair_rng, call, field_name, n, k))
+                    print(json.dumps(rows[-1]), flush=True)
     return rows
 
 

@@ -5,7 +5,9 @@ cosine is the factor by which volumes in V shrink when orthogonally
 projected onto W, i.e. ``cos = |P nu| / |nu|`` for a blade nu representing V.
 It equals the product of the principal cosines when dim V <= dim W and is
 pi/2 otherwise.  The complementary angle is the Grassmann angle against the
-orthogonal complement of W; unlike the plain angle it is symmetric.
+orthogonal complement of W; unlike the plain angle it is symmetric.  Both
+are read off the projection matrix ``b = W* V`` of the stored orthonormal
+bases: cos^2 = det(b* b), and the complementary cosine is prod sigma(V - W b).
 
 Every route here evaluates its own formula once, independently of the
 others (so each is a cross-check oracle for the rest), and reports an
@@ -27,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateBasisError, DimensionMismatchError, DomainError, NumericalConsistencyError
-from .exterior import Blade, _require_compatible, _unit_frame, blade_norm
+from .exterior import Blade, _require_compatible, _unit_frame
 from .fields import (
     DEFAULT_TOLERANCE,
     GRAM_CONDITION_LIMIT,
@@ -38,7 +40,7 @@ from .fields import (
     as_field_array,
 )
 from .linalg import det, exact_rescale, gram
-from .subspaces import Subspace, _require_same_space, complement, principal_cosines, project_blade
+from .subspaces import Subspace, _require_same_space, _stacked_cos_squared, principal_cosines
 
 # A raw basis of p vectors whose largest singular value s has s^p outside
 # 2^(+-250) is rescaled exactly to s ~ 1: its Gram determinants scale like
@@ -171,20 +173,22 @@ def vector_angle(v, w, field: Field | None = None) -> VectorAngles:
     return VectorAngles(euclidean, hermitian)
 
 
-def grassmann_angle(v: Subspace, w: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> AngleReport:
-    """Grassmann angle of v with w by the projected-blade definition.
+def grassmann_angle(v: Subspace, w: Subspace) -> AngleReport:
+    """Grassmann angle of v with w by the projection definition.
 
     Conventions for degenerate dimensions: the angle is 0 when v is the zero
     subspace, and pi/2 whenever dim v > dim w (in particular when w is zero
-    and v is not).  The cosine is the norm of the projected unit blade of v.
+    and v is not).  The squared cosine is the Gram determinant det(b* b) of
+    the projection matrix b = W* V, the squared norm of the projected unit
+    blade of v.
     """
     _require_same_space(v, w)
     if v.dim == 0:
         return AngleReport(0.0, 1.0, AngleMethod.PROJECTION)
     if v.dim > w.dim:
         return AngleReport(math.pi / 2, 0.0, AngleMethod.PROJECTION)
-    cosine = min(max(blade_norm(project_blade(v.spanning_blade(), w), tol), 0.0), 1.0)
-    return AngleReport(math.acos(cosine), cosine, AngleMethod.PROJECTION)
+    cos_sq = float(_stacked_cos_squared(gram(w.onb, v.onb)[None])[0])
+    return _report_from_cos_sq(cos_sq, AngleMethod.PROJECTION)
 
 
 def grassmann_angle_principal(v: Subspace, w: Subspace) -> AngleReport:
@@ -233,15 +237,21 @@ def grassmann_angle_any_dim(basis_v, basis_w, field: Field | None = None) -> Ang
     return _report_from_cos_sq(num / d, AngleMethod.ANY_DIM_FORMULA)
 
 
-def complementary_angle(v: Subspace, w: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> AngleReport:
+def complementary_angle(v: Subspace, w: Subspace) -> AngleReport:
     """Angle of v with the orthogonal complement of w (symmetric in v, w).
 
-    Computed by the projection definition against complement(w).  The
-    determinant routes complementary_angle_formula and
-    complementary_angle_orthonormal give the same angle independently.
+    The cosine is the product of the principal sines of v with w, the
+    singular values of V - W (W* V), which keeps full precision at pi/2
+    (Bjorck & Golub 1973); it is 0 when dim v > n - dim w.  The determinant
+    routes complementary_angle_formula and complementary_angle_orthonormal
+    give the same angle independently.
     """
-    base = grassmann_angle(v, complement(w), tol)  # raises unless v and w share a space
-    return AngleReport(base.value, base.cosine, AngleMethod.COMPLEMENTARY_PROJECTION)
+    _require_same_space(v, w)
+    if v.dim > v.ambient_dim - w.dim:
+        return AngleReport(math.pi / 2, 0.0, AngleMethod.COMPLEMENTARY_PROJECTION)
+    sines = np.linalg.svd(v.onb - w.onb @ gram(w.onb, v.onb), compute_uv=False)
+    cosine = min(float(np.prod(sines)), 1.0)
+    return AngleReport(math.acos(cosine), cosine, AngleMethod.COMPLEMENTARY_PROJECTION)
 
 
 def complementary_angle_formula(basis_v, basis_w, field: Field | None = None) -> AngleReport:
@@ -281,7 +291,11 @@ def oriented_grassmann_cos(nu: Blade, omega: Blade, tol: Tolerance = DEFAULT_TOL
     if nu.grade != omega.grade:
         raise DomainError(f"oriented angle needs equal grades, got {nu.grade} and {omega.grade}")
     _require_compatible(nu, omega)
-    frame_nu, frame_omega = _unit_frame(nu, tol), _unit_frame(omega, tol)
+    return _oriented_cos_of_frames(_unit_frame(nu, tol), _unit_frame(omega, tol))
+
+
+def _oriented_cos_of_frames(frame_nu, frame_omega) -> complex | float:
+    """The oriented cosine from two results of ``exterior._unit_frame``."""
     if frame_nu is None or frame_omega is None:
         raise DomainError("oriented angle is undefined for zero blades")
     (phase_nu, q_nu), (phase_omega, q_omega) = frame_nu, frame_omega

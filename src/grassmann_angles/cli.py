@@ -103,14 +103,14 @@ def _cmd_angle(args) -> int:
 
     if args.complementary:
         if args.method == "projection":
-            report = complementary_angle(doc.subspace(name_v), doc.subspace(name_w), tol)
+            report = complementary_angle(doc.subspace(name_v), doc.subspace(name_w))
         elif args.method in ("equal-dim", "any-dim"):
             report = complementary_angle_formula(basis_v, basis_w, field=doc.field)
         else:
             report = complementary_angle_orthonormal(doc.subspace(name_v), doc.subspace(name_w))
     else:
         if args.method == "projection":
-            report = grassmann_angle(doc.subspace(name_v), doc.subspace(name_w), tol)
+            report = grassmann_angle(doc.subspace(name_v), doc.subspace(name_w))
         elif args.method == "equal-dim":
             report = grassmann_angle_equal_dim(basis_v, basis_w, field=doc.field)
         elif args.method == "any-dim":

@@ -23,11 +23,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .angles import (
-    complementary_angle,
-    grassmann_angle,
-    oriented_grassmann_cos,
-)
+from .angles import _oriented_cos_of_frames, complementary_angle, grassmann_angle
 from .errors import DomainError
 from .exterior import Blade, _unit_frame
 from .fields import DEFAULT_TOLERANCE, Field, Tolerance, as_basis
@@ -50,6 +46,7 @@ from .subspaces import (
     Partition,
     Subspace,
     _require_subset,
+    _stacked_cos_squared,
     direct_sum,
     is_partially_orthogonal,
     is_principal_partition,
@@ -123,26 +120,16 @@ def _index_stack(n: int, p: int) -> np.ndarray:
     return flat.reshape(math.comb(n, p), p)
 
 
-def _stacked_cos_squared(b: np.ndarray) -> np.ndarray:
-    """Squared Grassmann cosines ``det(b* b)`` of stacked (k, q, p) projection
-    matrices ``b = W* V`` between orthonormal bases, clipped into [0, 1]:
-    zeros when p > q, ones when p = 0, as in ``grassmann_angle``."""
-    k, q, p = b.shape
-    if p > q:
-        return np.zeros(k)
-    return np.clip(np.real(np.linalg.det(np.swapaxes(b, 1, 2).conj() @ b)), 0.0, 1.0)
-
-
 def _coordinate_cos_squared(units: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
     """Squared Grassmann cosines of the span V of the orthonormal (n, p)
     columns ``v`` against the C(n, q) coordinate q-subspaces W_I spanned by
-    columns I of the orthonormal (n, n) ``units``, in ``multi_indices`` order:
-    the angle of V with W_I when p <= q, of W_I with V when p > q."""
+    columns I of the orthonormal (n, n) ``units``, in ``multi_indices`` order,
+    clipped into [0, 1]: of V with W_I when p <= q, of W_I with V if p > q."""
     n, p = v.shape
     blocks = gram(units, v)[_index_stack(n, q)]  # rows I hold W_I* V
     if p > q:
         blocks = np.swapaxes(blocks, 1, 2).conj()  # V* W_I
-    return _stacked_cos_squared(blocks)
+    return np.clip(_stacked_cos_squared(blocks), 0.0, 1.0)
 
 
 def check_line_partition(line: Subspace, partition: Partition, tol: Tolerance = DEFAULT_TOLERANCE) -> IdentityCheck:
@@ -154,7 +141,7 @@ def check_line_partition(line: Subspace, partition: Partition, tol: Tolerance = 
     parent = partition.parent()
     if parent.dim != line.ambient_dim or parent.ambient_dim != line.ambient_dim:
         raise DomainError("partition must decompose the full ambient space")
-    terms = [grassmann_angle(line, part, tol).cos_squared for part in partition.parts]
+    terms = [grassmann_angle(line, part).cos_squared for part in partition.parts]
     witness = f"line in dim {line.ambient_dim} ({line.field.value}), parts {[p.dim for p in partition.parts]}"
     return _check("line-partition", abs(sum(terms) - 1.0), witness, tol)
 
@@ -218,14 +205,10 @@ def check_oriented_sum(nu: Blade, omega: Blade, basis, tol: Tolerance = DEFAULT_
     units = _orthogonal_basis_matrix(basis, nu.field)
     if units.shape[0] != nu.ambient_dim:
         raise DomainError("basis and blades ambient dimensions differ")
-    lhs = oriented_grassmann_cos(nu, omega, tol)  # raises on a zero blade
+    frames = _unit_frame(nu, tol), _unit_frame(omega, tol)
+    lhs = _oriented_cos_of_frames(*frames)  # raises on a zero blade
     rows = _index_stack(nu.ambient_dim, nu.grade)
-
-    def coordinate_cosines(blade: Blade) -> np.ndarray:
-        phase, q = _unit_frame(blade, tol)
-        return phase.conjugate() * np.linalg.det(np.moveaxis(gram(q, units)[:, rows], 1, 0))
-
-    cv, cw = coordinate_cosines(nu), coordinate_cosines(omega)
+    cv, cw = (phase.conjugate() * np.linalg.det(np.moveaxis(gram(q, units)[:, rows], 1, 0)) for phase, q in frames)
     rhs = np.sum(cv * np.conjugate(cw))
     bound = np.sum(np.abs(cv) * np.abs(cw))
     residual = max(abs(lhs - rhs), max(abs(lhs) - bound, 0.0))
@@ -245,10 +228,10 @@ def check_weighted_average(u: Subspace, v: Subspace, w: Subspace, tol: Tolerance
         raise DomainError("all three subspaces must be nonzero")
     _require_subset(u, v)
     e_basis = principal_decomposition(v, w).e_basis
-    lhs = grassmann_angle(u, w, tol).cos_squared
+    lhs = grassmann_angle(u, w).cos_squared
     rows = _index_stack(v.dim, u.dim)
-    weights = _stacked_cos_squared(gram(e_basis, u.onb)[rows])  # V_I* U
-    terms = _stacked_cos_squared(np.moveaxis(gram(w.onb, e_basis)[:, rows], 1, 0))  # W* V_I
+    weights = np.clip(_stacked_cos_squared(gram(e_basis, u.onb)[rows]), 0.0, 1.0)  # V_I* U
+    terms = np.clip(_stacked_cos_squared(np.moveaxis(gram(w.onb, e_basis)[:, rows], 1, 0)), 0.0, 1.0)  # W* V_I
     residual = max(abs(lhs - np.sum(weights * terms)), abs(np.sum(weights) - 1.0))
     witness = f"r={u.dim} inside p={v.dim}, q={w.dim}, n={v.ambient_dim} ({v.field.value})"
     return _check("weighted-average", residual, witness, tol)
@@ -262,13 +245,13 @@ def check_direct_sum(v1: Subspace, v2: Subspace, w: Subspace, tol: Tolerance = D
     the last factor being the complementary-angle cosine of the projections.
     """
     combined = direct_sum(v1, v2)  # raises unless v1 is orthogonal to v2
-    lhs = grassmann_angle(combined, w, tol).cosine
+    lhs = grassmann_angle(combined, w).cosine
     p1 = project_subspace(v1, w, tol)
     p2 = project_subspace(v2, w, tol)
     rhs = (
-        grassmann_angle(v1, w, tol).cosine
-        * grassmann_angle(v2, w, tol).cosine
-        * complementary_angle(p1, p2, tol).cosine
+        grassmann_angle(v1, w).cosine
+        * grassmann_angle(v2, w).cosine
+        * complementary_angle(p1, p2).cosine
     )
     witness = f"dims {v1.dim}+{v2.dim} vs {w.dim} in {w.ambient_dim} ({w.field.value})"
     return _check("direct-sum", abs(lhs - rhs), witness, tol)
@@ -280,15 +263,13 @@ def check_partition_chain(partition: Partition, w: Subspace, tol: Tolerance = DE
     cosines of projected tails."""
     parts = partition.parts
     parent = partition.parent()  # raises unless the parts are orthogonal
-    lhs = grassmann_angle(parent, w, tol).cosine
+    lhs = grassmann_angle(parent, w).cosine
     rhs = 1.0
     for part in parts:
-        rhs *= grassmann_angle(part, w, tol).cosine
+        rhs *= grassmann_angle(part, w).cosine
     for i in range(len(parts) - 1):
         tail = direct_sum(*parts[i + 1 :])
-        rhs *= complementary_angle(
-            project_subspace(parts[i], w, tol), project_subspace(tail, w, tol), tol
-        ).cosine
+        rhs *= complementary_angle(project_subspace(parts[i], w, tol), project_subspace(tail, w, tol)).cosine
     witness = f"parts {[p.dim for p in parts]} vs dim {w.dim} in {w.ambient_dim} ({w.field.value})"
     return _check("partition-chain", abs(lhs - rhs), witness, tol)
 
@@ -312,8 +293,8 @@ def check_partition_converse(partition: Partition, w: Subspace, tol: Tolerance =
     principal = is_principal_partition(partition, w, tol)
     product = 1.0
     for part in partition.parts:
-        product *= grassmann_angle(part, w, tol).cosine
-    diff = abs(grassmann_angle(parent, w, tol).cosine - product)
+        product *= grassmann_angle(part, w).cosine
+    diff = abs(grassmann_angle(parent, w).cosine - product)
     product_holds = diff <= tol.residual_eps
     if principal:
         residual = diff

@@ -197,6 +197,16 @@ def principal_cosines(v: Subspace, w: Subspace) -> np.ndarray:
     return np.clip(np.linalg.svd(gram(w.onb, v.onb), compute_uv=False), 0.0, 1.0)
 
 
+def _stacked_cos_squared(b: np.ndarray) -> np.ndarray:
+    """Squared Grassmann cosines ``det(b* b)`` of stacked (k, q, p) projection
+    matrices ``b = W* V`` between orthonormal bases: zeros when p > q, ones
+    when p = 0.  Not clipped, so a caller can tell round-off from a fault."""
+    k, q, p = b.shape
+    if p > q:
+        return np.zeros(k)
+    return np.real(np.linalg.det(np.swapaxes(b, 1, 2).conj() @ b))
+
+
 @dataclass(frozen=True)
 class PrincipalDecomposition:
     """Paired principal bases and the principal angles between two subspaces.

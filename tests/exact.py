@@ -3,10 +3,12 @@
 Every float is a dyadic rational, so ``Fraction(x)`` is exact, and so is
 every Gram matrix and determinant built from it here: determinants come from
 fraction-free Gaussian elimination (Bareiss 1968) over ``Fraction``, or over
-Gaussian rationals (pairs of ``Fraction``) for the complex field.  The only
-inexact step is the final square root of a quotient, which is taken to about
-2^-100 relative before ``float`` rounds it, so the oracle is good to the last
-bit of a double.  It shares no code with the package (stdlib only).
+Gaussian rationals (pairs of ``Fraction``) for the complex field, and linear
+solves from Gauss-Jordan elimination over the same numbers.  The squared
+Grassmann and complementary cosines are exact rationals; the only inexact
+step is a final square root, which is taken to about 2^-100 relative before
+``float`` rounds it, so the oracle is good to the last bit of a double.  It
+shares no code with the package (stdlib only).
 """
 
 from __future__ import annotations
@@ -105,6 +107,24 @@ def det(rows: list[list]):
     return sign * m[n - 1][n - 1]
 
 
+def solve(a: list[list], b: list[list]) -> list[list]:
+    """``a^-1 b`` for an invertible square ``a`` by Gauss-Jordan elimination."""
+    n = len(a)
+    m = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            raise ZeroDivisionError("the matrix is singular")
+        m[k], m[pivot] = m[pivot], m[k]
+        head = m[k][k]
+        m[k] = [x / head for x in m[k]]
+        for i in range(n):
+            if i != k and m[i][k]:
+                factor = m[i][k]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[k])]
+    return [row[n:] for row in m]
+
+
 def real_part(x) -> Fraction:
     return x.re if isinstance(x, Gaussian) else x
 
@@ -130,3 +150,28 @@ def oriented_cos(factors_v, factors_w, coefficient_v=1.0, coefficient_w=1.0) -> 
     if isinstance(num, Gaussian):
         return complex(float(num.re / root), float(num.im / root))
     return float(num / root)
+
+
+def grassmann_cos_squared(basis_v, basis_w) -> Fraction:
+    """The squared Grassmann cosine of span V with span W, from (n, p) and
+    (n, q) bases of full rank: the any-dimension formula
+    ``det(B* A^-1 B) / det D`` with A = W* W, B = W* V and D = V* V.  It is 0
+    when p > q, where B* A^-1 B has rank at most q."""
+    v, w = matrix(basis_v), matrix(basis_w)
+    b = gram(w, v)
+    return real_part(det(gram(b, solve(gram(w, w), b)))) / real_part(det(gram(v, v)))
+
+
+def complementary_cos_squared(basis_v, basis_w) -> Fraction:
+    """The squared complementary cosine of span V and span W, from bases of
+    full rank: ``det G([W V]) / (det G(W) det G(V))`` with G the Gram matrix,
+    which equals the Schur form ``det(A - B D^-1 B*) / det A``.  It is 0
+    exactly when V and W intersect, in particular when p + q > n."""
+    v, w = matrix(basis_v), matrix(basis_w)
+    both = [rw + rv for rw, rv in zip(w, v)]
+    return real_part(det(gram(both, both))) / real_part(det(gram(w, w)) * det(gram(v, v)))
+
+
+def cos_of(cos_squared: Fraction) -> float:
+    """The cosine whose exact square is ``cos_squared``, correctly rounded but for about 2^-100."""
+    return float(sqrt(cos_squared)) if cos_squared > 0 else 0.0

@@ -29,11 +29,13 @@ from grassmann_angles import (
     grassmann_angle_principal,
     oriented_grassmann_cos,
     orthogonal_complement_within,
+    project_blade,
     vector_angle,
     wedge,
 )
 from grassmann_angles.angles import _report_from_cos_sq
 from grassmann_angles.fields import Field
+from grassmann_angles.gallery import load_case_document
 from grassmann_angles.sampling import (
     random_blade,
     random_matrix,
@@ -54,6 +56,15 @@ W2 = np.array([0, XI, 0])
 
 LINE_R4 = [np.array([1.0, 0.0, 1.0, 0.0])]
 PLANE_R4 = [np.array([0.0, 1.0, 1.0, 0.0]), np.array([1.0, 2.0, 2.0, -1.0])]
+
+
+def definition_pairs(field, seed):
+    """Seeded random pairs with dim V + dim W <= n, away from forced intersections."""
+    rng = rng_from_seed(seed)
+    for _ in range(25):
+        n = int(rng.integers(2, 9))
+        p = int(rng.integers(1, n))
+        yield random_subspace(rng, field, n, p), random_subspace(rng, field, n, int(rng.integers(1, n - p + 1)))
 
 
 class TestVectorAngle:
@@ -133,6 +144,17 @@ class TestGrassmannAngle:
             report = grassmann_angle(v, w)
             assert abs(report.cosine - grassmann_angle_principal(v, w).cosine) <= 1e-10
             assert report.method is AngleMethod.PROJECTION and report.residual == 0.0
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_matches_the_norm_of_the_projected_blade(self, field):
+        # the paper's definition cos = |P nu| / |nu| for the unit blade nu of V
+        for pair in definition_pairs(field, 21):
+            for v, w in (pair, pair[::-1]):
+                by_blade = blade_norm(project_blade(v.spanning_blade(), w))
+                if v.dim <= w.dim:
+                    assert abs(grassmann_angle(v, w).cosine - by_blade) <= 1e-12
+                else:  # the projected blade is zero: its norm is the square root of a rounded 0
+                    assert grassmann_angle(v, w).cosine == 0.0 and by_blade**2 <= 1e-12
 
 
 class TestEqualDimFormula:
@@ -219,6 +241,19 @@ class TestComplementaryAngle:
         report = complementary_angle(v, w)
         assert report.cos_squared <= 1e-12
         assert report.value == pytest.approx(math.pi / 2, abs=1e-5)
+
+    def test_bundled_line_inside_a_plane_has_cosine_zero(self):
+        # w_line lies in W, so the two intersect and the exact complementary cosine is 0
+        doc = load_case_document("complex_planes.json")
+        assert complementary_angle(doc.subspace("W"), doc.subspace("w_line")).cosine <= 1e-15
+        assert complementary_angle(doc.subspace("w_line"), doc.subspace("W")).cosine <= 1e-15
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_matches_the_grassmann_angle_against_the_complement(self, field):
+        # the paper's definition: the Grassmann angle of v with the complement of w
+        for v, w in definition_pairs(field, 22):
+            assert abs(complementary_angle(v, w).cosine - grassmann_angle(v, complement(w)).cosine) <= 1e-12
+            assert abs(complementary_angle(w, v).cosine - grassmann_angle(w, complement(v)).cosine) <= 1e-12
 
     def test_line_plane_pair_both_ways(self):
         v = Subspace.from_spanning(LINE_R4)

@@ -12,8 +12,9 @@ ROW_KEYS = {"call", "field", "n", "k", "parent_us", "change_us"}
 KERNEL_KEYS = ROW_KEYS | {
     f"{side}_{residual}" for side in ("parent", "change") for residual in ("orthonormality", "span_error")
 }
-# rows of the oriented route carry their distance to the perfbench oracle instead
-ORIENTED_KEYS = ROW_KEYS | {f"{side}_oracle_error" for side in ("parent", "change")}
+# rows of the angle routes carry their distance to the perfbench oracle instead
+ROUTE_CALLS = {"oriented_grassmann_cos", "grassmann_angle", "complementary_angle"}
+ROUTE_KEYS = ROW_KEYS | {f"{side}_oracle_error" for side in ("parent", "change")}
 
 
 def test_a_record_is_committed():
@@ -27,9 +28,9 @@ def test_record_schema(path):
     rows = record["kernels"]["rows"]
     assert rows
     for row in rows:
-        keys = ORIENTED_KEYS if row["call"] == "oriented_grassmann_cos" else KERNEL_KEYS
+        keys = ROUTE_KEYS if row["call"] in ROUTE_CALLS else KERNEL_KEYS
         assert keys <= set(row)
-        assert row["call"] in {"orthonormalize", "from_spanning", "oriented_grassmann_cos"}
+        assert row["call"] in {"orthonormalize", "from_spanning"} | ROUTE_CALLS
         assert row["field"] in {"real", "complex"}
         assert 1 <= row["k"] <= row["n"]
         assert all(isinstance(row[key], float) and row[key] >= 0.0 for key in keys - {"call", "field", "n", "k"})
