@@ -24,7 +24,13 @@ rows time the call on two prebuilt Gaussian k-blades in R^n, and the
 k-dimensional subspaces spanned by Gaussian bases (the complementary
 cosine is 0 by dimension when 2k > n).  Each records, per version, the worst
 ``|cos - oracle|`` over 20 such pairs, where the oracle is the matching
-function of ``perfbench/oracle.py`` (QR- and SVD-based, numpy only).
+function of ``perfbench/oracle.py`` (QR- and SVD-based, numpy only).  The
+``blade_norm``, ``blade_inner``, ``contract`` and ``Contraction.norm`` rows
+time the call on prebuilt Gaussian blades: omega of grade k, and nu of grade
+k for ``blade_inner`` and of grade min(2, k) for the contractions (whose
+norm is timed on a prebuilt contraction).  Each records, per version, the
+worst error over 20 such cases against the exact Gram determinants of
+``tests/exact.py``, relative to the norms of the blades involved.
 
 ``pairs`` runs ``perfbench/run.py`` in both checkouts, alternating which
 runs first, one seed per pair, and records every run's end-to-end metrics,
@@ -37,6 +43,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import os
 import platform
 import statistics
@@ -44,6 +51,7 @@ import subprocess
 import sys
 import timeit
 from datetime import datetime, timezone
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -64,9 +72,9 @@ def load_package(src: Path, alias: str):
     return module
 
 
-def load_oracle():
-    """The benchmark's numpy-only reference values, ``perfbench/oracle.py``."""
-    spec = importlib.util.spec_from_file_location("perfbench_oracle", ROOT / "perfbench" / "oracle.py")
+def load_file(path: Path, name: str):
+    """The Python file at ``path`` imported as the module ``name``."""
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -132,13 +140,80 @@ def route_row(versions: dict, oracle, rng: np.random.Generator, call: str, field
     return row
 
 
+def volume(f: np.ndarray) -> float:
+    """The blade norm of the columns of f, from the R factor of ``np.linalg.qr``."""
+    return float(np.prod(np.abs(np.linalg.qr(f)[1].diagonal())))
+
+
+def exact_contraction(exact, nu: np.ndarray, omega: np.ndarray) -> tuple[list, list]:
+    """The coefficients ``sigma(I) <nu, omega_I>`` of ``contract(nu, omega)``
+    over the increasing p-subsets I of the columns of omega, exactly, with the
+    norms ``|nu| |omega_I|`` they are measured against."""
+    p, q = nu.shape[1], omega.shape[1]
+    values, scales = [], []
+    for index in combinations(range(q), p):
+        sign = -1 if (sum(index) + p + p * (p + 1) // 2) % 2 else 1  # 1-based weight = sum(index) + p
+        values.append(complex(sign * exact.blade_inner(nu, omega[:, index])))
+        scales.append(volume(nu) * volume(omega[:, index]))
+    return values, scales
+
+
+def exact_values(exact, call: str, nu: np.ndarray, omega: np.ndarray) -> tuple[list, list]:
+    """The exact outputs of ``call`` on the blades with factors nu and omega,
+    and the norms each error is measured against."""
+    if call == "contract":
+        return exact_contraction(exact, nu, omega)
+    if call == "blade_inner":
+        value = complex(exact.blade_inner(nu, omega))
+    elif call == "blade_norm":
+        value = exact.blade_norm(omega)
+    else:  # |nu _| omega| = |nu| |omega| cos(span nu, span omega)
+        value = exact.blade_norm(nu) * exact.blade_norm(omega) * exact.cos_of(exact.grassmann_cos_squared(nu, omega))
+    return [value], [volume(nu) * volume(omega) if call != "blade_norm" else volume(omega)]
+
+
+# blade call -> (grade of nu given k, the call on prebuilt blades nu and omega of a package version)
+BLADE_CALLS = {
+    "blade_norm": (lambda k: k, lambda ga, nu, omega: lambda: ga.blade_norm(omega)),
+    "blade_inner": (lambda k: k, lambda ga, nu, omega: lambda: ga.blade_inner(nu, omega)),
+    "contract": (lambda k: min(2, k), lambda ga, nu, omega: lambda: ga.contract(nu, omega)),
+    "Contraction.norm": (lambda k: min(2, k), lambda ga, nu, omega: ga.contract(nu, omega).norm),
+}
+
+
+def blade_row(versions: dict, exact, rng: np.random.Generator, call: str, field_name: str, n: int, k: int) -> dict:
+    """Per version, microseconds per ``call`` on prebuilt Gaussian blades and
+    the worst error against ``tests/exact.py`` over CASES cases."""
+    grade, bind = BLADE_CALLS[call]
+    cases = [(gaussian(rng, field_name == "complex", n, grade(k)), gaussian(rng, field_name == "complex", n, k)) for _ in range(CASES)]
+    expected = [exact_values(exact, call, nu, omega) for nu, omega in cases]
+    row = {"call": call, "field": field_name, "n": n, "k": k, "nu_grade": grade(k)}
+    calls = {}
+    for side, ga in versions.items():
+        field = ga.Field(field_name)
+        bound = [bind(ga, ga.Blade(nu, field=field), ga.Blade(omega, field=field)) for nu, omega in cases]
+        errors = []
+        for run, (values, scales) in zip(bound, expected):
+            out = run()
+            got = [c for _, c in out] if call == "contract" else [out]
+            errors += [abs(g - v) / s for g, v, s in zip(got, values, scales)]
+        row[f"{side}_oracle_error"] = float(max(errors))
+        calls[side] = bound[0]
+    terms = math.comb(k, grade(k))  # one but for the contractions; their norm takes terms^2 inner products
+    number = max(1, 200 // terms ** (2 if call == "Contraction.norm" else 1))
+    row.update({f"{side}_us": t for side, t in best_times(calls, number=number).items()})
+    return row
+
+
 def kernel_rows(parent_src: Path) -> list[dict]:
     versions = {"parent": load_package(parent_src, "ga_parent"), "change": load_package(ROOT / "src", "ga_change")}
     linalg = sys.modules["ga_change.linalg"]
     threshold = linalg.QR_MIN_COLUMNS
-    oracle = load_oracle()
+    oracle = load_file(ROOT / "perfbench" / "oracle.py", "perfbench_oracle")
+    exact = load_file(ROOT / "tests" / "exact.py", "exact_oracle")
     rng = np.random.default_rng(6)
     pair_rngs = {call: np.random.default_rng(seed) for seed, call in enumerate(ROUTES, start=7)}
+    blade_rngs = {call: np.random.default_rng(seed) for seed, call in enumerate(BLADE_CALLS, start=7 + len(ROUTES))}
     rows = []
     for field_name in ("real", "complex"):
         for n in AMBIENT_DIMS:
@@ -169,6 +244,9 @@ def kernel_rows(parent_src: Path) -> list[dict]:
                     print(json.dumps(row), flush=True)
                 for call, pair_rng in pair_rngs.items():
                     rows.append(route_row(versions, oracle, pair_rng, call, field_name, n, k))
+                    print(json.dumps(rows[-1]), flush=True)
+                for call, blade_rng in blade_rngs.items():
+                    rows.append(blade_row(versions, exact, blade_rng, call, field_name, n, k))
                     print(json.dumps(rows[-1]), flush=True)
     return rows
 

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateBasisError, DimensionMismatchError, DomainError, NumericalConsistencyError
-from .exterior import Blade, _require_compatible, _unit_frame
+from .exterior import Blade, _oriented_cos_of_frames, _require_compatible, _unit_frame
 from .fields import (
     DEFAULT_TOLERANCE,
     GRAM_CONDITION_LIMIT,
@@ -293,10 +293,3 @@ def oriented_grassmann_cos(nu: Blade, omega: Blade, tol: Tolerance = DEFAULT_TOL
     _require_compatible(nu, omega)
     return _oriented_cos_of_frames(_unit_frame(nu, tol), _unit_frame(omega, tol))
 
-
-def _oriented_cos_of_frames(frame_nu, frame_omega) -> complex | float:
-    """The oriented cosine from two results of ``exterior._unit_frame``."""
-    if frame_nu is None or frame_omega is None:
-        raise DomainError("oriented angle is undefined for zero blades")
-    (phase_nu, q_nu), (phase_omega, q_omega) = frame_nu, frame_omega
-    return phase_nu.conjugate() * phase_omega * det(gram(q_nu, q_omega))

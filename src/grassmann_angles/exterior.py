@@ -2,9 +2,10 @@
 
 A blade is kept as its list of vector factors (columns of an ``(n, p)``
 array) plus a scalar weight; it is never expanded into ``C(n, p)``
-coordinates.  Inner products of blades are Gram determinants of the factor
-inner products, conjugate-linear in the first argument over the complex
-field.  Grade-0 blades are scalars with an empty factor list.
+coordinates.  Norms and inner products are read off the unit frame
+F = QR of the factors (``_unit_frame``), conjugate-linear in the first
+argument over the complex field.  Grade-0 blades are scalars with an empty
+factor list.
 """
 
 from __future__ import annotations
@@ -135,8 +136,7 @@ class Blade:
     def is_zero(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
         """Numerical zero test: a zero coefficient, or a factor within rank_eps
         of the span of the factors before it (the rank rule of orthonormalize,
-        which rescales each factor first).  A Gram determinant would not do:
-        for dependent factors it rounds to about eps times its Hadamard bound."""
+        which rescales each factor first); the one zero rule of this module."""
         return _unit_frame(self, tol) is None
 
     def __repr__(self):
@@ -150,28 +150,11 @@ def _require_compatible(a: Blade, b: Blade):
         raise DomainError(f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}")
 
 
-def _hadamard_bound(blade: Blade, t: float) -> float:
-    """``t`` times the Hadamard bound ``|c|^2 prod |f_i|^2`` of ``<blade, blade>``,
-    inf when that overflows.  The product runs over mantissas and exponents,
-    so no partial product overflows or underflows."""
-    m, e = math.frexp(t)
-    cm, ce = math.frexp(abs(blade.coefficient))
-    m, e = m * cm * cm, e + 2 * ce
-    for x in (np.abs(blade.factors) ** 2).sum(axis=0).tolist():  # the squared factor norms
-        xm, xe = math.frexp(x)
-        m, e = m * xm, e + xe
-    try:
-        return math.ldexp(m, e)
-    except OverflowError:
-        return math.inf
-
-
 def _unit_frame(blade: Blade, tol: Tolerance) -> tuple[complex | float, np.ndarray] | None:
     """``(c / |c|, Q)`` for the blade ``c * (f_1 ^ ... ^ f_p)``, with Q from
     ``orthonormalize(F)``; None for a zero blade (c = 0, or rank < grade).
-    F = QR with R's diagonal real and positive, so det R > 0 and the unit
-    blade is ``(c / |c|) * (q_1 ^ ... ^ q_p)`` on any scale, with no Gram
-    determinant."""
+    F = QR with R's diagonal real and positive, so the unit blade is
+    ``(c / |c|) * (q_1 ^ ... ^ q_p)`` on any scale."""
     if blade.coefficient == 0:
         return None
     if not math.isfinite(abs(blade.coefficient)):
@@ -193,36 +176,55 @@ def wedge(a: Blade, b: Blade) -> Blade:
     )
 
 
-def blade_inner(a: Blade, b: Blade) -> complex | float:
-    """Inner product of blades: the Gram determinant ``det(<a_i, b_j>)``.
+def _oriented_cos_of_frames(frame_a, frame_b) -> complex | float:
+    """The oriented cosine ``conj(phase_a) phase_b det(Q_a* Q_b)`` of two ``_unit_frame`` results."""
+    if frame_a is None or frame_b is None:
+        raise DomainError("oriented angle is undefined for zero blades")
+    (phase_a, q_a), (phase_b, q_b) = frame_a, frame_b
+    return phase_a.conjugate() * phase_b * det(gram(q_a, q_b))
 
-    Blades of distinct grades are orthogonal.  Conjugate-linear in the first
+
+def _polars(blades: list[Blade], tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(phase, norm, Q)`` stacked over blades of one grade from each
+    ``_unit_frame`` (c/|c|, Q), with norm |c| prod r_jj for r_jj = <q_j, f_j>
+    > 0; a zero blade has phase 0, norm 0.0 and Q = 0.  Each factor is scaled
+    by a power of two and the products run over mantissas and exponents, so
+    no step over- or underflows before a norm does."""
+    frames = [_unit_frame(blade, tol) or (0.0, np.zeros_like(blade.factors)) for blade in blades]
+    phase = np.array([frame[0] for frame in frames], dtype=blades[0].field.dtype)
+    q, f = np.stack([frame[1] for frame in frames]), np.stack([blade.factors for blade in blades])
+    # 2^s_j puts the largest part of factor j in [0.5, 1), or at 2^-51 and up for a subnormal one, as 2^s_j must be finite
+    s = np.minimum(-np.frexp(np.maximum(abs(f.real), abs(f.imag)).max(axis=1, initial=0.0))[1], 1023)
+    m, r_exp = np.frexp(np.einsum("bij,bij->bj", q.conj(), f * np.ldexp(1.0, s)[:, None]).real)
+    cm, ce = np.frexp([abs(blade.coefficient) for blade in blades])
+    m, e = np.frexp(cm * m.prod(axis=1))
+    e += ce + (r_exp - s).sum(axis=1)
+    if (e[m > 0] > 1024).any():
+        raise NumericalConsistencyError("blade norm is too large for a float")
+    return phase, np.ldexp(m, e), q
+
+
+def blade_inner(a: Blade, b: Blade) -> complex | float:
+    """Inner product of blades, the Gram determinant ``det(<a_i, b_j>)``, as
+    ``|a| |b|`` times the oriented cosine of their unit frames.
+
+    Blades of distinct grades are orthogonal, and so are zero blades (by the
+    default rule of ``Blade.is_zero``).  Conjugate-linear in the first
     argument over the complex field.
     """
     _require_compatible(a, b)
-    zero = 0j if a.field is Field.COMPLEX else 0.0
-    if a.grade != b.grade:
-        return zero
-    value = a.field.conj(a.coefficient) * b.coefficient * det(gram(a.factors, b.factors))
-    return complex(value) if a.field is Field.COMPLEX else float(np.real(value))
+    value = 0.0
+    if a.grade == b.grade:
+        phase, norm, q = _polars([a, b])
+        value = norm[0] * norm[1] * _oriented_cos_of_frames(*zip(phase, q))
+    return complex(value) if a.field is Field.COMPLEX else float(value)
 
 
 def blade_norm(a: Blade, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """Norm ``sqrt(<a, a>)``: the factor-parallelotope volume (squared volume
-    of the underlying real parallelotope, in the complex case).
-
-    A Gram determinant with a negative real part beyond round-off, or one
-    that is not finite, raises NumericalConsistencyError instead of being
-    clamped.
-    """
-    return _norm_from_square(a, float(np.real(blade_inner(a, a))), tol)
-
-
-def _norm_from_square(a: Blade, square: float, tol: Tolerance) -> float:
-    """``sqrt(square)`` for ``square = <a, a>`` already computed, checked as in blade_norm."""
-    if not -max(tol.residual_eps, _hadamard_bound(a, tol.residual_eps)) <= square < np.inf:
-        raise NumericalConsistencyError(f"squared blade norm came out negative or not finite: {square}")
-    return float(np.sqrt(max(square, 0.0)))
+    of the underlying real parallelotope, in the complex case); 0.0 exactly
+    when ``a.is_zero(tol)``, NumericalConsistencyError when it overflows."""
+    return float(_polars([a], tol)[1][0])
 
 
 @dataclass(frozen=True)
@@ -261,12 +263,14 @@ class Contraction:
         return sum((c * blade_inner(mu, self.complement_blade(i)) for i, c in self.terms), zero)
 
     def norm(self, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
-        """Norm through the Gram matrix of the complementary blades."""
+        """Norm through the Gram matrix of the complementary blades, in one stacked determinant."""
         if not self.terms:
             return 0.0
-        blades = [self.complement_blade(i) for i, _ in self.terms]
-        coeffs = np.array([c for _, c in self.terms], dtype=self.field.dtype)
-        g = np.array([[blade_inner(bi, bj) for bj in blades] for bi in blades], dtype=self.field.dtype)
+        if self.grade == 0:  # c times the empty blade, whose Gram matrix is [[1]]
+            return abs(self.terms[0][1])
+        phase, norm, q = _polars([self.complement_blade(i) for i, _ in self.terms])
+        w, coeffs = phase * norm, np.array([c for _, c in self.terms], dtype=self.field.dtype)
+        g = np.outer(w.conj(), w) * np.linalg.det(q.conj().swapaxes(1, 2)[:, None] @ q)  # <b_i, b_j>
         value = np.real(coeffs.conj() @ g @ coeffs)
         if value < -tol.residual_eps * max(1.0, float(np.max(np.abs(g))) * float(np.sum(np.abs(coeffs) ** 2))):
             raise NumericalConsistencyError(f"squared contraction norm came out negative: {value}")
@@ -284,12 +288,13 @@ def contract(nu: Blade, omega: Blade) -> Contraction:
     p, q = nu.grade, omega.grade
     if p > q:
         return Contraction(omega.factors, omega.field, p, ())
-    terms = []
-    for index in multi_indices(p, q):
-        omega_i = Blade(omega.factors[:, index.zero_based()], field=omega.field, ambient_dim=omega.ambient_dim)
-        coeff = sigma_sign(index) * blade_inner(nu, omega_i) * omega.coefficient
-        terms.append((index, coeff))
-    return Contraction(omega.factors, omega.field, p, tuple(terms))
+    indices = multi_indices(p, q)
+    parts = [Blade(omega.factors[:, i.zero_based()], field=omega.field, ambient_dim=omega.ambient_dim) for i in indices]
+    phase, norm, frames = _polars([nu] + parts)
+    w = phase * norm
+    inner = w[0].conjugate() * w[1:] * np.linalg.det(frames[0].conj().T @ frames[1:])  # <nu, omega_I>
+    terms = tuple((i, sigma_sign(i) * x * omega.coefficient) for i, x in zip(indices, inner.tolist()))
+    return Contraction(omega.factors, omega.field, p, terms)
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .angles import _oriented_cos_of_frames, complementary_angle, grassmann_angle
+from .angles import complementary_angle, grassmann_angle
 from .errors import DomainError
-from .exterior import Blade, _unit_frame
+from .exterior import Blade, _oriented_cos_of_frames, _unit_frame
 from .fields import DEFAULT_TOLERANCE, Field, Tolerance, as_basis
 from .linalg import _columns_in_range, gram
 # random_instance is re-exported: the seeded generators are part of this

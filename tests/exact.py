@@ -1,10 +1,12 @@
 """Exact oracle for the tests: Gram determinants over the rationals.
 
 Every float is a dyadic rational, so ``Fraction(x)`` is exact, and so is
-every Gram matrix and determinant built from it here: determinants come from
-fraction-free Gaussian elimination (Bareiss 1968) over ``Fraction``, or over
-Gaussian rationals (pairs of ``Fraction``) for the complex field, and linear
-solves from Gauss-Jordan elimination over the same numbers.  The squared
+every Gram matrix and determinant built from it here.  Gram matrices and
+determinants bring each column to integers (Gaussian integers over the
+complex field) over one common denominator, so inner products are integer
+sums and determinants come from fraction-free Gaussian elimination (Bareiss
+1968) with exact integer divisions; linear solves use Gauss-Jordan
+elimination over ``Fraction`` and Gaussian rationals.  The squared
 Grassmann and complementary cosines are exact rationals; the only inexact
 step is a final square root, which is taken to about 2^-100 relative before
 ``float`` rounds it, so the oracle is good to the last bit of a double.  It
@@ -14,7 +16,7 @@ shares no code with the package (stdlib only).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm, prod
 
 # Bits of the integer square root; its relative error is below 2^-(SQRT_BITS/2).
 SQRT_BITS = 200
@@ -60,6 +62,9 @@ class Gaussian:
     def __bool__(self):
         return bool(self.re or self.im)
 
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
     def conjugate(self) -> "Gaussian":
         return Gaussian(self.re, -self.im)
 
@@ -80,31 +85,60 @@ def conj(x):
     return x.conjugate()
 
 
+def integer_column(column) -> tuple[list[tuple[int, int]], int, bool]:
+    """``(parts, d, complex)``: the column as integer real and imaginary parts
+    over its least common denominator d, and whether any entry is Gaussian."""
+    pairs = [(z.re, z.im) if isinstance(z, Gaussian) else (Fraction(z), Fraction(0)) for z in column]
+    d = lcm(*(x.denominator for pair in pairs for x in pair))
+    return [(int(re * d), int(im * d)) for re, im in pairs], d, any(isinstance(z, Gaussian) for z in column)
+
+
 def gram(x: list[list], y: list[list]) -> list[list]:
-    """``x* y`` for exact matrices given by rows: inner products of the columns."""
-    cols_x, cols_y = list(zip(*x)), list(zip(*y))
-    return [[sum((conj(a) * b for a, b in zip(u, v)), Fraction(0)) for v in cols_y] for u in cols_x]
+    """``x* y`` for exact matrices given by rows: inner products of the columns,
+    each summed over integers and divided once by the two denominators."""
+    cols_x, cols_y = [integer_column(c) for c in zip(*x)], [integer_column(c) for c in zip(*y)]
+    rows = []
+    for u, du, complex_u in cols_x:
+        row = []
+        for v, dv, complex_v in cols_y:
+            re = sum(ar * br + ai * bi for (ar, ai), (br, bi) in zip(u, v))
+            im = sum(ar * bi - ai * br for (ar, ai), (br, bi) in zip(u, v))  # conj(a) b
+            entry = Fraction(re, du * dv)
+            row.append(Gaussian(entry, Fraction(im, du * dv)) if complex_u or complex_v else entry)
+        rows.append(row)
+    return rows
 
 
 def det(rows: list[list]):
-    """Determinant by Bareiss elimination with row swaps; every division is exact."""
-    m = [list(row) for row in rows]
-    n = len(m)
+    """Determinant by Bareiss elimination with row swaps.  Column j is first
+    brought to Gaussian integers over its denominator d_j, so every division
+    is an exact integer one, and det M = det(M diag(d)) / prod d_j."""
+    n = len(rows)
     if n == 0:
         return Fraction(1)
-    sign, previous = 1, Fraction(1)
+    columns = [integer_column(c) for c in zip(*rows)]
+    m = [list(row) for row in zip(*(parts for parts, _, _ in columns))]
+    sign, previous = 1, (1, 0)
     for k in range(n - 1):
-        if not m[k][k]:
-            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
+        if m[k][k] == (0, 0):
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != (0, 0)), None)
             if pivot is None:
                 return Fraction(0)
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
+        (pr, pi), size = previous, previous[0] ** 2 + previous[1] ** 2
+        (kr, ki) = m[k][k]
         for i in range(k + 1, n):
+            (ar, ai) = m[i][k]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / previous
+                (xr, xi), (br, bi) = m[i][j], m[k][j]
+                xr, xi = xr * kr - xi * ki - (ar * br - ai * bi), xr * ki + xi * kr - (ar * bi + ai * br)
+                m[i][j] = ((xr * pr + xi * pi) // size, (xi * pr - xr * pi) // size)  # x / previous, exactly
         previous = m[k][k]
-    return sign * m[n - 1][n - 1]
+    re, im = m[n - 1][n - 1]
+    d = prod(dj for _, dj, _ in columns)
+    value = Fraction(sign * re, d)
+    return Gaussian(value, Fraction(sign * im, d)) if any(c for _, _, c in columns) else value
 
 
 def solve(a: list[list], b: list[list]) -> list[list]:
@@ -134,6 +168,20 @@ def sqrt(x: Fraction) -> Fraction:
     num, den = x.numerator * x.denominator, x.denominator
     shift = max(0, (SQRT_BITS - num.bit_length()) // 2 + 1)
     return Fraction(isqrt(num << (2 * shift)), den << shift)
+
+
+def blade_inner(factors_a, factors_b, coefficient_a=1.0, coefficient_b=1.0):
+    """The blade inner product ``conj(c_a) c_b det(A* B)`` of the definition,
+    exactly, as a ``Fraction`` or ``Gaussian``."""
+    a, b = matrix(factors_a), matrix(factors_b)
+    return conj(to_exact(coefficient_a)) * to_exact(coefficient_b) * det(gram(a, b))
+
+
+def blade_norm(factors, coefficient=1.0) -> float:
+    """The blade norm ``sqrt(|c|^2 det(F* F))``, correctly rounded but for
+    about 2^-100 (0.0 for a zero blade, or one below the smallest float)."""
+    square = real_part(blade_inner(factors, factors, coefficient, coefficient))
+    return float(sqrt(square)) if square > 0 else 0.0
 
 
 def oriented_cos(factors_v, factors_w, coefficient_v=1.0, coefficient_w=1.0) -> complex | float:
