@@ -13,7 +13,8 @@ section of the output file and leaves the other as it is.
 and from this checkout's ``src/``.  For n in {3, 6, 10, 16}, k in
 {1, 2, 3, 4, 5, n/2, n} and both fields it times ``orthonormalize`` and
 ``Subspace.from_spanning`` on one Gaussian basis, in microseconds per call:
-the minimum over repeats that alternate between the two versions.  The
+the minimum over repeats that alternate between the two versions, next to
+the interquartile range of those repeats (``*_iqr_us``).  The
 ``orthonormalize`` rows also time this checkout's two kernels forced on
 every width, which is where the column count that selects between them
 comes from.  Each row records, per version, the worst ``|Q* Q - I|`` and the
@@ -30,7 +31,16 @@ time the call on prebuilt Gaussian blades: omega of grade k, and nu of grade
 k for ``blade_inner`` and of grade min(2, k) for the contractions (whose
 norm is timed on a prebuilt contraction).  Each records, per version, the
 worst error over 20 such cases against the exact Gram determinants of
-``tests/exact.py``, relative to the norms of the blades involved.
+``tests/exact.py``, relative to the norms of the blades involved.  The
+``grassmann_angle_equal_dim``, ``grassmann_angle_any_dim`` and
+``complementary_angle_formula`` rows time the call on two Gaussian n x k
+bases as given, and the ``vector_angle`` rows (k = 1 only) on two Gaussian
+vectors.  Each records, per version, the worst ``|cos - exact|`` over 20
+such pairs, where the exact cosine comes from the rational Gram
+determinants of ``tests/exact.py`` (for ``vector_angle``, the cosine of the
+Euclidean angle against ``Re <v, w> / (|v| |w|)``).  The bases of every
+route row are drawn again above condition number 1e6, which the raw-basis
+routes reject.
 
 ``pairs`` runs ``perfbench/run.py`` in both checkouts, alternating which
 runs first, one seed per pair, and records every run's end-to-end metrics,
@@ -89,6 +99,16 @@ def gaussian(rng: np.random.Generator, complex_field: bool, n: int, k: int) -> n
     return a + 1j * rng.standard_normal((n, k)) if complex_field else a
 
 
+def accepted_gaussian(rng: np.random.Generator, complex_field: bool, n: int, k: int) -> np.ndarray:
+    """A Gaussian n x k basis drawn again until its condition number is at
+    most 1e6, the largest the raw-basis routes accept."""
+    while True:
+        a = gaussian(rng, complex_field, n, k)
+        s = np.linalg.svd(a, compute_uv=False)
+        if s[0] <= 1e6 * s[-1]:
+            return a
+
+
 def residuals(onb_of, bases) -> tuple[float, float]:
     """Worst orthonormality defect and worst span error of ``onb_of(a)`` over ``bases``."""
     defect = span = 0.0
@@ -101,42 +121,79 @@ def residuals(onb_of, bases) -> tuple[float, float]:
 
 
 def best_times(calls: dict, number: int) -> dict:
-    """Minimum microseconds per call of each entry, over repeats that alternate between them."""
-    best = dict.fromkeys(calls, float("inf"))
+    """``<name>_us``, the minimum microseconds per call of each entry over
+    repeats that alternate between them, and ``<name>_iqr_us``, the
+    interquartile range of those repeats."""
+    runs = {name: [] for name in calls}
     for r in range(REPEATS):
         order = list(calls) if r % 2 == 0 else list(reversed(calls))
         for name in order:
-            best[name] = min(best[name], timeit.timeit(calls[name], number=number) / number * 1e6)
-    return {name: round(t, 2) for name, t in best.items()}
+            runs[name].append(timeit.timeit(calls[name], number=number) / number * 1e6)
+    times = {}
+    for name, values in runs.items():
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        times[f"{name}_us"], times[f"{name}_iqr_us"] = round(min(values), 2), round(q3 - q1, 2)
+    return times
 
 
 def span(ga, a: np.ndarray, field):
     return ga.Subspace.from_spanning(a, field)
 
 
-# route -> (function of perfbench/oracle.py, argument built from a basis)
+def blade(ga, a: np.ndarray, field):
+    return ga.Blade(a, field=field)
+
+
+def raw(ga, a: np.ndarray, field) -> np.ndarray:
+    return a
+
+
+def first_column(ga, a: np.ndarray, field) -> np.ndarray:
+    return a[:, 0]
+
+
+def exact_vector_cos(exact, v: np.ndarray, w: np.ndarray) -> float:
+    """``Re <v, w> / (|v| |w|)``, exactly but for the square root."""
+    (vv, vw), (_, ww) = exact.gram(*[exact.matrix(np.column_stack([v, w]))] * 2)
+    return float(exact.real_part(vw) / exact.sqrt(exact.real_part(vv) * exact.real_part(ww)))
+
+
+# route -> (its reference cosine of two bases, from perfbench/oracle.py or
+# tests/exact.py; the route's argument built from a basis)
 ROUTES = {
-    "oriented_grassmann_cos": ("oriented_cos", lambda ga, a, field: ga.Blade(a, field=field)),
-    "grassmann_angle": ("grassmann_cos", span),
-    "complementary_angle": ("complementary_cos", span),
+    "oriented_grassmann_cos": (lambda oracle, exact, a, b: oracle.oriented_cos(a, b), blade),
+    "grassmann_angle": (lambda oracle, exact, a, b: oracle.grassmann_cos(a, b), span),
+    "complementary_angle": (lambda oracle, exact, a, b: oracle.complementary_cos(a, b), span),
+    "grassmann_angle_equal_dim": (lambda oracle, exact, a, b: exact.cos_of(exact.grassmann_cos_squared(a, b)), raw),
+    "grassmann_angle_any_dim": (lambda oracle, exact, a, b: exact.cos_of(exact.grassmann_cos_squared(a, b)), raw),
+    "complementary_angle_formula": (lambda oracle, exact, a, b: exact.cos_of(exact.complementary_cos_squared(a, b)), raw),
+    "vector_angle": (lambda oracle, exact, a, b: exact_vector_cos(exact, a[:, 0], b[:, 0]), first_column),
 }
 
 
-def route_row(versions: dict, oracle, rng: np.random.Generator, call: str, field_name: str, n: int, k: int) -> dict:
+def cosine_of(out) -> complex | float:
+    """The cosine a route returns: an ``AngleReport``'s, the Euclidean one
+    of ``VectorAngles``, or the scalar itself."""
+    if hasattr(out, "euclidean"):
+        return math.cos(out.euclidean)
+    return getattr(out, "cosine", out)
+
+
+def route_row(versions: dict, oracle, exact, rng: np.random.Generator, call: str, field_name: str, n: int, k: int) -> dict:
     """Per version, microseconds per ``call`` on prebuilt arguments and the
-    worst ``|cos - oracle|`` over CASES pairs of Gaussian n x k bases."""
+    worst ``|cos - reference|`` over CASES pairs of Gaussian n x k bases."""
     reference, argument = ROUTES[call]
-    pairs = [tuple(gaussian(rng, field_name == "complex", n, k) for _ in range(2)) for _ in range(CASES)]
+    pairs = [tuple(accepted_gaussian(rng, field_name == "complex", n, k) for _ in range(2)) for _ in range(CASES)]
+    expected = [reference(oracle, exact, a, b) for a, b in pairs]
     row = {"call": call, "field": field_name, "n": n, "k": k}
     calls = {}
     for side, ga in versions.items():
         field, route = ga.Field(field_name), getattr(ga, call)
         args = [(argument(ga, a, field), argument(ga, b, field)) for a, b in pairs]
-        cosines = [getattr(out, "cosine", out) for out in (route(*ab) for ab in args)]  # an AngleReport or a scalar
-        errors = [abs(c - getattr(oracle, reference)(a, b)) for c, (a, b) in zip(cosines, pairs)]
+        errors = [abs(cosine_of(route(*ab)) - e) for ab, e in zip(args, expected)]
         row[f"{side}_oracle_error"] = float(max(errors))
         calls[side] = lambda route=route, ab=args[0]: route(*ab)
-    row.update({f"{side}_us": t for side, t in best_times(calls, number=200).items()})
+    row.update(best_times(calls, number=200))
     return row
 
 
@@ -201,7 +258,7 @@ def blade_row(versions: dict, exact, rng: np.random.Generator, call: str, field_
         calls[side] = bound[0]
     terms = math.comb(k, grade(k))  # one but for the contractions; their norm takes terms^2 inner products
     number = max(1, 200 // terms ** (2 if call == "Contraction.norm" else 1))
-    row.update({f"{side}_us": t for side, t in best_times(calls, number=number).items()})
+    row.update(best_times(calls, number=number))
     return row
 
 
@@ -212,8 +269,7 @@ def kernel_rows(parent_src: Path) -> list[dict]:
     oracle = load_file(ROOT / "perfbench" / "oracle.py", "perfbench_oracle")
     exact = load_file(ROOT / "tests" / "exact.py", "exact_oracle")
     rng = np.random.default_rng(6)
-    pair_rngs = {call: np.random.default_rng(seed) for seed, call in enumerate(ROUTES, start=7)}
-    blade_rngs = {call: np.random.default_rng(seed) for seed, call in enumerate(BLADE_CALLS, start=7 + len(ROUTES))}
+    seeded = {call: np.random.default_rng(seed) for seed, call in enumerate([*ROUTES, *BLADE_CALLS], start=7)}
     rows = []
     for field_name in ("real", "complex"):
         for n in AMBIENT_DIMS:
@@ -231,22 +287,21 @@ def kernel_rows(parent_src: Path) -> list[dict]:
                             onb_of = lambda x, ga=ga, field=field: ga.Subspace.from_spanning(x, field=field).onb  # noqa: E731
                         calls[side] = lambda onb_of=onb_of: onb_of(a)
                         row[f"{side}_orthonormality"], row[f"{side}_span_error"] = residuals(onb_of, bases)
-                    times = best_times(calls, number=200)
-                    row.update({f"{side}_us": t for side, t in times.items()})
+                    row.update(best_times(calls, number=200))
                     if call == "orthonormalize":
-                        forced = {}
                         for kernel, value in (("gram_schmidt", 10**6), ("householder", 0)):
                             linalg.QR_MIN_COLUMNS = value
-                            forced[kernel] = best_times({kernel: lambda: versions["change"].orthonormalize(a)}, 200)[kernel]
+                            row.update(best_times({kernel: lambda: versions["change"].orthonormalize(a)}, 200))
                         linalg.QR_MIN_COLUMNS = threshold
-                        row.update({f"{kernel}_us": t for kernel, t in forced.items()})
                     rows.append(row)
                     print(json.dumps(row), flush=True)
-                for call, pair_rng in pair_rngs.items():
-                    rows.append(route_row(versions, oracle, pair_rng, call, field_name, n, k))
-                    print(json.dumps(rows[-1]), flush=True)
-                for call, blade_rng in blade_rngs.items():
-                    rows.append(blade_row(versions, exact, blade_rng, call, field_name, n, k))
+                for call, call_rng in seeded.items():
+                    if call == "vector_angle" and k != 1:
+                        continue
+                    if call in ROUTES:
+                        rows.append(route_row(versions, oracle, exact, call_rng, call, field_name, n, k))
+                    else:
+                        rows.append(blade_row(versions, exact, call_rng, call, field_name, n, k))
                     print(json.dumps(rows[-1]), flush=True)
     return rows
 

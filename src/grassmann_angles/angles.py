@@ -39,13 +39,13 @@ from .fields import (
     as_basis,
     as_field_array,
 )
-from .linalg import det, exact_rescale, gram
+from .linalg import det, gram, scale_columns
 from .subspaces import Subspace, _require_same_space, _stacked_cos_squared, principal_cosines
 
-# A raw basis of p vectors whose largest singular value s has s^p outside
-# 2^(+-250) is rescaled exactly to s ~ 1: its Gram determinants scale like
-# s^(2p), and a product of two of them must stay inside 2^(+-1000).
-_SCALE_EXPONENT_LIMIT = 250
+# A raw basis with singular values s_i whose Gram determinant prod s_i^2 lies
+# outside 2^(+-500) is scaled exactly to a geometric-mean s_i of about 1, so
+# that a product of two Gram determinants stays in range.
+_GRAM_EXPONENT_LIMIT = 250
 
 __all__ = [
     "AngleMethod",
@@ -128,8 +128,10 @@ def _basis_matrix(vectors, field: Field | None) -> tuple[np.ndarray, Field]:
     # cond(Gram) = cond(basis)^2; reject above the Gram condition limit (and NaN)
     if not (s[-1] > 0.0 and (s[0] / s[-1]) ** 2 <= GRAM_CONDITION_LIMIT):
         raise DegenerateBasisError("basis vectors are linearly dependent, too ill-conditioned or not finite")
-    if abs(math.frexp(s[0])[1]) * mat.shape[1] > _SCALE_EXPONENT_LIMIT:
-        mat = exact_rescale(mat)
+    log2_root_det = sum(map(math.log2, s.tolist()))  # log2 of sqrt(det G)
+    if abs(log2_root_det) > _GRAM_EXPONENT_LIMIT:
+        e = -round(log2_root_det / mat.shape[1])
+        mat = mat * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)  # in two factors, since 2^e alone may overflow
     return mat, field
 
 
@@ -157,14 +159,11 @@ def vector_angle(v, w, field: Field | None = None) -> VectorAngles:
     av, aw = as_field_array(av, field), as_field_array(aw, field)
     if av.shape != aw.shape or av.ndim != 1:
         raise DimensionMismatchError(f"need two vectors of equal length, got {av.shape} and {aw.shape}")
-    with np.errstate(over="ignore"):  # a norm that overflows is rescaled below
-        nv, nw = float(np.linalg.norm(av)), float(np.linalg.norm(aw))
-    if not 0.0 < nv * nw < math.inf:
-        # a zero or non-finite vector, or norms that over- or underflow
-        av, aw = exact_rescale(av), exact_rescale(aw)
-        nv, nw = np.linalg.norm(av), np.linalg.norm(aw)
-        if nv == 0.0 or nw == 0.0:
-            raise DomainError("vector angles are undefined for the zero vector")
+    # each vector its own column, a view of it: BLAS rounds dot products of other strides in another order
+    av, aw = scale_columns(av[:, None])[:, 0], scale_columns(aw[:, None])[:, 0]
+    nv, nw = float(np.linalg.norm(av)), float(np.linalg.norm(aw))
+    if nv == 0.0 or nw == 0.0:
+        raise DomainError("vector angles are undefined for the zero vector")
     ip = np.vdot(av, aw)
     euclidean = math.acos(min(max(float(np.real(ip)) / (nv * nw), -1.0), 1.0))
     hermitian = None

@@ -32,7 +32,7 @@ from .documents import InputDocument, encode_scalar, encode_vector, load_documen
 from .errors import GrassmannError
 from .exterior import Blade
 from .fields import DEFAULT_TOLERANCE, Field, Tolerance
-from .gallery import EXAMPLES_TOLERANCE, run_gallery
+from .gallery import run_gallery
 from .identities import SUITE_NAMES, run_suite
 from .subspaces import principal_decomposition
 
@@ -190,7 +190,7 @@ def _cmd_examples(args) -> int:
                     f"    {mark} {check.label}: expected {check.expected!r}, "
                     f"computed {check.computed!r} (error {check.error:.3e})"
                 )
-    failed = [r for r in results if not r.passed(EXAMPLES_TOLERANCE)]
+    failed = [r for r in results if not r.passed()]
     return EXIT_VERIFICATION_FAILED if failed else EXIT_OK
 
 
@@ -249,10 +249,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except GrassmannError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except ValueError as exc:
+    except (GrassmannError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

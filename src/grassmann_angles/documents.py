@@ -49,7 +49,10 @@ class InputDocument:
             raise DocumentError(f"unknown subspace {name!r}; document defines: {known}") from None
 
     def subspace(self, name: str) -> Subspace:
-        return Subspace.from_spanning(self.basis(name), field=self.field, tol=self.options.tolerance)
+        span = Subspace.from_spanning(self.basis(name), field=self.field, tol=self.options.tolerance)
+        if span.dim == 0:
+            raise DocumentError(f"subspace {name!r} spans nothing: its vectors are all zero")
+        return span
 
 
 def _is_int(value) -> bool:
@@ -62,9 +65,9 @@ def _is_number(value) -> bool:
 
 
 def decode_entry(entry, field: Field):
-    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
+    if _is_number(entry):
         return float(entry)
-    if isinstance(entry, list) and len(entry) == 2 and all(isinstance(x, (int, float)) for x in entry):
+    if isinstance(entry, list) and len(entry) == 2 and all(_is_number(x) for x in entry):
         if field is Field.REAL:
             raise DocumentError("[re, im] entries are only allowed when field is 'complex'")
         return complex(entry[0], entry[1])

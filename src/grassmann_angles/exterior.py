@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, MultiIndexError, NumericalConsistencyError
 from .fields import DEFAULT_TOLERANCE, Field, Tolerance, as_basis, unshared
-from .linalg import det, gram, orthonormalize
+from .linalg import _column_exponents, det, gram, orthonormalize
 
 # Combinatorial guard rails: C(16, 8) = 12870 keeps every enumeration cheap.
 AMBIENT_LIMIT = 16
@@ -136,7 +136,7 @@ class Blade:
     def is_zero(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
         """Numerical zero test: a zero coefficient, or a factor within rank_eps
         of the span of the factors before it (the rank rule of orthonormalize,
-        which rescales each factor first); the one zero rule of this module."""
+        which scales each extreme factor first); the one zero rule of this module."""
         return _unit_frame(self, tol) is None
 
     def __repr__(self):
@@ -193,8 +193,7 @@ def _polars(blades: list[Blade], tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np
     frames = [_unit_frame(blade, tol) or (0.0, np.zeros_like(blade.factors)) for blade in blades]
     phase = np.array([frame[0] for frame in frames], dtype=blades[0].field.dtype)
     q, f = np.stack([frame[1] for frame in frames]), np.stack([blade.factors for blade in blades])
-    # 2^s_j puts the largest part of factor j in [0.5, 1), or at 2^-51 and up for a subnormal one, as 2^s_j must be finite
-    s = np.minimum(-np.frexp(np.maximum(abs(f.real), abs(f.imag)).max(axis=1, initial=0.0))[1], 1023)
+    s = _column_exponents(f)
     m, r_exp = np.frexp(np.einsum("bij,bij->bj", q.conj(), f * np.ldexp(1.0, s)[:, None]).real)
     cm, ce = np.frexp([abs(blade.coefficient) for blade in blades])
     m, e = np.frexp(cm * m.prod(axis=1))

@@ -50,8 +50,8 @@ class GalleryCheck:
     def error(self) -> float:
         return abs(self.computed - self.expected)
 
-    def passed(self, tol: float = EXAMPLES_TOLERANCE) -> bool:
-        return self.error <= tol
+    def passed(self) -> bool:
+        return self.error <= EXAMPLES_TOLERANCE
 
     def to_dict(self) -> dict:
         return {
@@ -69,8 +69,8 @@ class GalleryResult:
     title: str
     checks: tuple[GalleryCheck, ...]
 
-    def passed(self, tol: float = EXAMPLES_TOLERANCE) -> bool:
-        return all(c.passed(tol) for c in self.checks)
+    def passed(self) -> bool:
+        return all(c.passed() for c in self.checks)
 
     def to_dict(self) -> dict:
         return {

@@ -10,9 +10,10 @@ The checkers that sum over coordinate subspaces (pythagorean, binomial,
 oriented-sum, weighted-average) do not call an angle route per term: they
 take the projection matrices of all C(n, p) terms out of one Gram matrix
 and evaluate them in one stacked determinant.  Every operand there is
-orthonormal: the orthogonal bases are normalized first (rescaled exactly
-when their norms would over- or underflow) and the blades are replaced by
-their unit frames, so the determinant loses nothing to conditioning or scale.
+orthonormal: the orthogonal bases are normalized first (after
+``linalg.scale_columns``, so no norm over- or underflows) and the blades are
+replaced by their unit frames, so the determinant loses nothing to
+conditioning or scale.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .angles import complementary_angle, grassmann_angle
 from .errors import DomainError
 from .exterior import Blade, _oriented_cos_of_frames, _unit_frame
 from .fields import DEFAULT_TOLERANCE, Field, Tolerance, as_basis
-from .linalg import _columns_in_range, gram
+from .linalg import gram, scale_columns
 # random_instance is re-exported: the seeded generators are part of this
 # module's public surface alongside the checkers
 from .sampling import (
@@ -95,17 +96,17 @@ def _check(name: str, residual: float, witness: str, tol: Tolerance) -> Identity
 
 def _orthogonal_basis_matrix(basis, field: Field) -> np.ndarray:
     """The unit columns of a full orthogonal (not necessarily normalized)
-    basis, after validating it.  A column whose norm would come from squares
-    that over- or underflow is first rescaled exactly by a power of two, as
-    in ``orthonormalize``; every column is then divided by its norm."""
+    basis, after validating it.  The columns go through ``scale_columns``
+    first, as in ``orthonormalize``; each is then divided by its norm."""
     mat, _ = as_basis(basis, field)
     n = mat.shape[0]
     if mat.shape[1] != n:
         raise DomainError(f"need {n} basis vectors for dimension {n}, got {mat.shape[1]}")
-    if not (np.isfinite(mat).all() and mat.any(axis=0).all()):
-        raise DomainError("basis vectors must be nonzero with a finite norm")
-    mat = _columns_in_range(mat)[0]
-    units = mat / np.linalg.norm(mat, axis=0)
+    mat = scale_columns(mat)
+    norms = np.linalg.norm(mat, axis=0)
+    if not norms.all():
+        raise DomainError("basis vectors must be nonzero")
+    units = mat / norms
     cross = np.abs(gram(units, units))
     np.fill_diagonal(cross, 0.0)
     if not float(np.max(cross, initial=0.0)) <= ORTHOGONALITY_DEFECT:

@@ -11,6 +11,13 @@ two passes, two matrix-vector products per pass; wider bases through one
 Householder QR.  ``np.linalg.qr`` has a fixed cost of 15-20 us per call, more
 than the whole loop on one to three columns, while the loop's cost grows by
 about a dozen numpy calls per column.
+
+Extreme scales are handled by exact powers of two: ``scale_columns``
+multiplies each column whose largest entry lies outside 2^(+-500) in modulus
+by its own power of two, so that no norm over- or underflows, and leaves
+every other column as it is, so results on ordinary input keep every bit.
+The rule for the Gram determinants of raw bases sits with its one caller,
+``angles._basis_matrix``.
 """
 
 from __future__ import annotations
@@ -25,9 +32,9 @@ from .fields import DEFAULT_TOLERANCE, Tolerance
 # Naive cofactor recursion is O(n!); anything bigger than this is a mistake.
 _COFACTOR_LIMIT = 10
 
-# Column norms inside this range come from squares that neither overflow nor
-# underflow, for columns of fewer than 2^22 entries.
-_NORM_MIN, _NORM_MAX = 2.0**-500, 2.0**500
+# A column whose largest entry lies inside 2^(+-500) in modulus has a norm
+# from squares that neither overflow nor underflow, for fewer than 2^22 entries.
+_SCALE_EXPONENT_LIMIT = 500
 
 # Bases of at least this many columns are orthonormalized by one Householder
 # QR, narrower ones by the Gram-Schmidt loop (the crossover measured per shape
@@ -157,36 +164,28 @@ def schur_det(a, b, c, d, pivot: str = "A", tol: Tolerance = DEFAULT_TOLERANCE) 
     return det(block) * det(complement)
 
 
-def exact_rescale(x: np.ndarray) -> np.ndarray:
-    """``x`` times the power of two that puts its largest real or imaginary
-    part in [0.5, 1); exact, so scale-invariant results keep every bit.
-    Raises DomainError on an entry that is not finite."""
+def _column_exponents(x: np.ndarray) -> np.ndarray:
+    """Per column of x (axis -2, so stacks of matrices too), the exponent s
+    for which 2^s puts the largest real or imaginary part in [0.5, 1); capped
+    at 1023, so that 2^s is finite (a subnormal column ends at 2^-51 and up),
+    and 0 for a zero column.  Raises DomainError on an entry that is not finite."""
     if not np.isfinite(x).all():
         raise DomainError("entries must be finite (no NaN or infinity)")
-    e = -math.frexp(max(np.max(np.abs(x.real), initial=0.0), np.max(np.abs(x.imag), initial=0.0)))[1]
-    return x * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)  # in two factors, since 2^e alone may overflow
+    return np.minimum(-np.frexp(np.maximum(abs(x.real), abs(x.imag)).max(axis=-2, initial=0.0))[1], 1023)
 
 
-def _column_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the columns of x, by hypot, so that no square over-
-    or underflows; NaN or inf where an entry is not finite."""
-    return np.hypot.reduce(np.abs(x) if x.dtype.kind == "c" else x, axis=0)
-
-
-def _columns_in_range(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
-    """``(arr, norms, rescaled)``: the float columns ``arr`` with every column
-    whose norm is outside [2^-500, 2^500] (zero, not finite, or with squares
-    that would over- or underflow) rescaled exactly by ``exact_rescale``,
-    their norms, and the rescaled columns by index.  ``arr`` is copied only
-    when a column is rescaled."""
-    norms = _column_norms(arr)
-    rescaled = {j: exact_rescale(arr[:, j]) for j, x in enumerate(norms.tolist()) if not _NORM_MIN <= x <= _NORM_MAX}
-    if rescaled:
-        arr = arr.copy()
-        for j, v in rescaled.items():
-            arr[:, j] = v
-        norms = _column_norms(arr)
-    return arr, norms, rescaled
+def scale_columns(x: np.ndarray) -> np.ndarray:
+    """The columns of x, each one whose largest entry lies outside
+    2^(+-500) in modulus (zero or not finite included) multiplied by its
+    power of two from ``_column_exponents``; exact, so scale-invariant results
+    keep every bit.  x itself when no column lies outside.  Raises
+    DomainError on an entry that is not finite."""
+    low, high = 2.0**-_SCALE_EXPONENT_LIMIT, 2.0**_SCALE_EXPONENT_LIMIT
+    # a complex modulus that overflows is inf, without a warning
+    outside = [not low <= m <= high for m in abs(x).max(axis=0, initial=0.0).tolist()]
+    if not any(outside):
+        return x
+    return x * np.where(outside, np.ldexp(1.0, _column_exponents(x)), 1.0)
 
 
 def orthonormalize(columns, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, int]:
@@ -196,9 +195,9 @@ def orthonormalize(columns, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndar
     i of q lies in the span of the first i independent input columns, with a
     positive real inner product with its input column.  A column whose
     residual against the columns kept before it drops below ``rank_eps``
-    times its original norm is dropped as dependent.  A column whose norm
-    would over- or underflow is rescaled exactly first; a non-finite entry in
-    any column raises DomainError.
+    times its original norm is dropped as dependent.  Columns go through
+    ``scale_columns`` first, so no norm over- or underflows; a non-finite
+    entry in any column raises DomainError.
 
     Bases of fewer than ``QR_MIN_COLUMNS`` columns go through block classical
     Gram-Schmidt with two passes ("twice is enough": Giraud, Langou &
@@ -207,34 +206,33 @@ def orthonormalize(columns, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndar
     whose fixed cost the loop only undercuts on one to three columns.
     """
     arr = as_matrix(columns)
-    arr = arr.astype(np.promote_types(arr.dtype, np.float64), copy=False)
-    arr, norms, rescaled = _columns_in_range(arr)
+    arr = scale_columns(arr.astype(np.promote_types(arr.dtype, np.float64), copy=False))
     if arr.shape[1] >= QR_MIN_COLUMNS:
-        return _householder(arr, norms, tol)
-    listed = norms.tolist()
-    n = arr.shape[0]
-    q = np.empty((n, min(n, len(listed))), dtype=arr.dtype)
+        return _householder(arr, tol)
+    n, k = arr.shape
+    q = np.empty((n, min(n, k)), dtype=arr.dtype)
     rank = 0
-    for j, original in enumerate(listed):
+    for j in range(k):
         if rank == n:
             break  # the span is full
-        # a rescaled column stays contiguous: BLAS rounds strided dot products in another order
-        v = rescaled[j] if j in rescaled else arr[:, j]
+        v = arr[:, j]
+        norm = original = math.sqrt(np.vdot(v, v).real)
         if rank:
             kept = q[:, :rank]
             for _ in range(2):
                 v = v - kept.dot(v.conj().dot(kept).conj())  # Q (Q* v), as (v* Q)* saves a conjugate of Q
-        norm = math.sqrt(np.vdot(v, v).real)
+            norm = math.sqrt(np.vdot(v, v).real)
         if norm > tol.rank_eps * original and norm > 0.0:
             q[:, rank] = v / norm
             rank += 1
     return q[:, :rank], rank
 
 
-def _householder(arr: np.ndarray, norms: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, int]:
-    """``orthonormalize`` of columns already rescaled, given their norms, by
-    Householder QR: |r_jj| is the residual of column j against the columns
-    before it, so the loop's rank rule reads off the diagonal of R."""
+def _householder(arr: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, int]:
+    """``orthonormalize`` of columns already scaled by Householder QR:
+    |r_jj| is the residual of column j against the columns before it, so
+    the loop's rank rule reads off the diagonal of R."""
+    norms = np.hypot.reduce(abs(arr) if arr.dtype.kind == "c" else arr, axis=0)
     while True:
         q, r = np.linalg.qr(arr)
         d = r.diagonal()

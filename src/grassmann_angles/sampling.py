@@ -74,16 +74,12 @@ def split_subspace(rng: np.random.Generator, parent: Subspace, dims) -> Partitio
     return Partition(tuple(parts))
 
 
-def random_orthogonal_basis(rng: np.random.Generator, field: Field, n: int, scaled: bool = True) -> np.ndarray:
-    """Columns form an orthogonal (deliberately not normalized when scaled)
-    basis of the full space."""
-    basis = random_unitary(rng, field, n)
-    if scaled:
-        basis = basis * rng.uniform(0.5, 2.0, size=n)
-    return basis
+def random_orthogonal_basis(rng: np.random.Generator, field: Field, n: int) -> np.ndarray:
+    """Columns form an orthogonal, deliberately not normalized, basis of the full space."""
+    return random_unitary(rng, field, n) * rng.uniform(0.5, 2.0, size=n)
 
 
-def random_blade(rng: np.random.Generator, field: Field, n: int, grade: int, scaled: bool = True) -> Blade:
+def random_blade(rng: np.random.Generator, field: Field, n: int, grade: int) -> Blade:
     """Random nonzero blade with well-separated factors."""
     if not 1 <= grade <= n:
         raise DomainError(f"cannot build a grade-{grade} blade in dimension {n}")
@@ -94,8 +90,7 @@ def random_blade(rng: np.random.Generator, field: Field, n: int, grade: int, sca
             break
     else:
         raise DomainError(f"no well-separated grade-{grade} factors in {MAX_DRAWS} draws")
-    if scaled:
-        factors = factors * rng.uniform(0.5, 2.0, size=grade)
+    factors = factors * rng.uniform(0.5, 2.0, size=grade)
     coefficient = 1.0
     if field is Field.COMPLEX:
         coefficient = np.exp(2j * np.pi * rng.uniform())

@@ -99,6 +99,11 @@ class TestVectorAngle:
         assert vector_angle(np.array([1e200, 0.0]), np.array([-1e200, 0.0])).euclidean == pytest.approx(math.pi)
         out = vector_angle(np.array([1e-200, 0.0j]), np.array([1e-200, 1e-200j]))
         assert out.hermitian == pytest.approx(math.pi / 4)
+        v, w = np.array([3.0, -1.0j, 2.0]), np.array([1.0, 1.0j, -0.5])
+        for ev, ew in ((600, 0), (-600, 600), (1000, -1000), (-1000, 1000)):
+            out = vector_angle(v * 2.0**ev, w * 2.0**ew)
+            assert abs(out.euclidean - vector_angle(v, w).euclidean) <= 1e-15
+            assert abs(out.hermitian - vector_angle(v, w).hermitian) <= 1e-15
 
 
 class TestGrassmannAngle:
@@ -635,6 +640,44 @@ class TestNonFiniteAndExtremeInput:
             with pytest.raises(DegenerateBasisError):
                 call()
         assert Blade([], ambient_dim=3).grade == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gram_determinants_of_wide_ill_scaled_bases_stay_in_range(self):
+        # cond 5e5 each, inside the accepted 1e6, yet det G = prod s_i^2 is
+        # about 2^-568: the singular values, not the largest one, set the scale
+        v = np.diag([1.0] + [2e-6] * 15)
+        w = random_unitary(rng_from_seed(16), Field.REAL, 16) @ v
+        span_v, span_w = Subspace.from_spanning(v), Subspace.from_spanning(w)
+        for route, oracle in (
+            (grassmann_angle_equal_dim, grassmann_angle),
+            (grassmann_angle_any_dim, grassmann_angle),
+            (complementary_angle_formula, complementary_angle),
+        ):
+            for a, b, span_a, span_b in ((v, w, span_v, span_w), (w, v, span_w, span_v)):
+                assert abs(route(a, b).cosine - oracle(span_a, span_b).cosine) <= 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("exponent", [600, -600, 1000, -1000])
+    def test_bases_scaled_past_the_squares_keep_every_angle(self, field, exponent):
+        rng = rng_from_seed((17, abs(exponent), exponent < 0, FIELDS.index(field)))
+        for n, p, q in ((3, 1, 2), (5, 2, 2), (6, 3, 3), (6, 2, 4)):
+            bv, bw = random_matrix(rng, field, n, p), random_matrix(rng, field, n, q)
+            scaled = bv * 2.0**exponent
+            routes = [
+                lambda a, b: grassmann_angle(*map(Subspace.from_spanning, (a, b))),
+                lambda a, b: grassmann_angle_principal(*map(Subspace.from_spanning, (a, b))),
+                lambda a, b: complementary_angle(*map(Subspace.from_spanning, (a, b))),
+                lambda a, b: complementary_angle_orthonormal(*map(Subspace.from_spanning, (a, b))),
+                grassmann_angle_any_dim,
+                complementary_angle_formula,
+            ]
+            if p == q:
+                routes += [grassmann_angle_equal_dim, lambda a, b: oriented_grassmann_cos(Blade(a), Blade(b))]
+            for route in routes:
+                for order in (slice(None), slice(None, None, -1)):
+                    got, expected = route(*(scaled, bw)[order]), route(*(bv, bw)[order])
+                    assert abs(getattr(got, "cosine", got) - getattr(expected, "cosine", expected)) <= 1e-15
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -13,9 +13,11 @@ KERNEL_KEYS = ROW_KEYS | {
     f"{side}_{residual}" for side in ("parent", "change") for residual in ("orthonormality", "span_error")
 }
 # rows of the angle routes carry their distance to the perfbench oracle instead,
-# and rows of the blade calls their distance to the exact oracle of tests/exact.py
+# and rows of the blade calls and raw-basis routes their distance to the exact
+# oracle of tests/exact.py
 ROUTE_CALLS = {"oriented_grassmann_cos", "grassmann_angle", "complementary_angle"}
 ROUTE_CALLS |= {"blade_norm", "blade_inner", "contract", "Contraction.norm"}
+ROUTE_CALLS |= {"grassmann_angle_equal_dim", "grassmann_angle_any_dim", "complementary_angle_formula", "vector_angle"}
 ROUTE_KEYS = ROW_KEYS | {f"{side}_oracle_error" for side in ("parent", "change")}
 
 

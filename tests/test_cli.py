@@ -154,6 +154,28 @@ class TestAngleCommand:
         assert json.loads(out)["cos"] == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_wide_bases_with_a_gram_determinant_below_the_floats_run(self, capsys, tmp_path):
+        # cond 5e5 each; det G is about 2^-568, so det A det D underflows unless the bases are scaled
+        v = np.diag([1.0] + [2e-6] * 15)
+        w = np.linalg.qr(np.random.default_rng(16).standard_normal((16, 16)))[0] @ v
+        doc = {"field": "real", "ambient": 16, "subspaces": {"V": v.T.tolist(), "W": w.T.tolist()}}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "angle", str(path), "V", "W", "--method", "equal-dim", "--json")
+        assert code == 0 and err == ""
+        assert json.loads(out)["cos"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("flags", [[], ["--complementary"], ["--method", "principal"], ["--oriented"]])
+    @pytest.mark.parametrize("order", [("Z", "W"), ("W", "Z")])
+    def test_a_subspace_of_zero_vectors_is_input_error(self, capsys, tmp_path, flags, order):
+        doc = {"field": "real", "ambient": 3, "subspaces": {"Z": [[0, 0, 0]], "W": [[1, 0, 0]]}}
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "angle", str(path), *order, *flags, "--json")
+        assert code == 2 and out == "" and "error" in err
+        assert run_cli(capsys, "principal", str(path), *order, "--json")[0] == 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_oriented_route_rescales_extreme_entries(self, capsys, tmp_path, scale):
         doc = {"field": "real", "ambient": 3, "subspaces": {"V": [[scale, 0, scale]], "W": [[1, 0, 0]]}}

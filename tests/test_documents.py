@@ -65,6 +65,19 @@ class TestParseDocument:
         with pytest.raises(DocumentError):
             parse_document({"field": "real", "ambient": 2, "subspaces": {}})
 
+    @pytest.mark.parametrize("entry", [[True, False], [1.0, True], [False, 0]])
+    def test_boolean_parts_of_a_complex_entry_rejected(self, entry):
+        bad = {"field": "complex", "ambient": 2, "subspaces": {"V": [[entry, 1]]}}
+        with pytest.raises(DocumentError, match="bad vector entry"):
+            parse_document(bad)
+
+    @pytest.mark.parametrize("vectors", [[[0, 0, 0]], [[0, 0, 0], [0.0, 0, 0]]])
+    def test_a_subspace_that_spans_nothing_is_named(self, vectors):
+        doc = parse_document(minimal_doc(subspaces={"Z": vectors, "W": [[0, 0, 1]]}))
+        assert doc.basis("Z").shape == (3, len(vectors))
+        with pytest.raises(DocumentError, match="'Z'"):
+            doc.subspace("Z")
+
     def test_bad_entry_type(self):
         with pytest.raises(DocumentError):
             parse_document(minimal_doc(subspaces={"V": [["x", 0, 0]]}))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,12 @@ class TestBladeNorm:
         assert blade_norm(blade) == pytest.approx(1.0, rel=1e-12)
         assert Blade(q[:, [0, 1, 2, 2]] * scales, field=field).is_zero()
         assert Blade(np.eye(5)[:, [0, 1, 2, 2]] * scales, field=field).is_zero()
+
+    def test_a_column_norm_that_overflows_warns_nothing(self):
+        # the norm of this factor exceeds the largest float; it is scaled first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not Blade(np.array([[1.5e308], [1e-300], [1.6e308]])).is_zero()
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_dependent_frames_are_zero(self, field):

@@ -145,7 +145,7 @@ class TestOrthonormalize:
         assert rank == 0 and q.shape == (4, 0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-200j])
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-200j, 2.0**600, 2.0**-600, 2.0**1000, 2.0**-1000j])
     def test_extreme_columns_are_rescaled_not_dropped(self, scale):
         basis = np.array([[1.0, 0.0, 1.0], [0.0, 2.0, 0.0]]).T
         q, rank = orthonormalize(basis * scale)
