@@ -46,6 +46,23 @@ routes reject.
 runs first, one seed per pair, and records every run's end-to-end metrics,
 each side's median and quartiles, and how many pairs the change won per
 metric (ties count for neither side).
+
+``startup`` times REPEATS fresh processes per version and command,
+alternating which version runs first: ``import grassmann_angles`` and the
+commands ``angle``, ``principal``, ``examples`` and ``verify --trials 5`` on
+the bundled documents.  Each process is followed by a reference process
+that runs ``import numpy.linalg``, and its wall time is given at the
+reference speed of ``perfbench``, as ``setup_s`` is: times
+``START_REFERENCE_S`` over the reference process's time.
+Each row records per version the median (``*_s``) and interquartile range
+(``*_iqr_s``) of those scaled times, the raw medians, and how many of the
+alternating pairs the change won.  It runs twice: with the environment as it
+is (``bytecode: "as-is"``, which records ``PYTHONDONTWRITEBYTECODE``), and
+with ``PYTHONPYCACHEPREFIX`` set to a temporary directory that one warm-up
+run of each process fills first (``bytecode: "cached"``), so no checkout
+gets a ``__pycache__``.
+
+    python bench/record.py startup --parent PARENT --out BENCH_13.json
 """
 
 from __future__ import annotations
@@ -59,10 +76,12 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import timeit
 from datetime import datetime, timezone
 from itertools import combinations
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -350,6 +369,63 @@ def pairs_section(parent: Path, workload: str, pairs: int, first_seed: int, seco
     return {"seconds": seconds, "pairs": pairs, "seeds": [first_seed, first_seed + pairs - 1], "summary": summary, "runs": runs}
 
 
+# name -> the arguments of a fresh Python process, run from the checkout's root
+STARTUP_COMMANDS = {
+    "import": ["-c", "import grassmann_angles"],
+    "angle": ["-m", "grassmann_angles", "angle", "src/grassmann_angles/data/line_plane_r4.json", "V", "W", "--json"],
+    "principal": [
+        "-m", "grassmann_angles", "principal", "src/grassmann_angles/data/complex_planes.json", "V", "W", "--json"
+    ],
+    "examples": ["-m", "grassmann_angles", "examples", "--json"],
+    "verify": ["-m", "grassmann_angles", "verify", "--trials", "5"],
+}
+
+
+def wall_time(argv: list[str], cwd: Path, env: dict) -> float:
+    start = perf_counter()
+    subprocess.run(argv, cwd=cwd, env=env, check=True, capture_output=True, timeout=300)
+    return perf_counter() - start
+
+
+def startup_rows(parent: Path, bytecode: str) -> list[dict]:
+    calibration = load_file(ROOT / "perfbench" / "calibration.py", "perfbench_calibration")
+    reference = [sys.executable, "-c", calibration.START_REFERENCE_CODE]
+    checkouts = {"parent": parent, "change": ROOT}
+    env = dict(os.environ)
+    with tempfile.TemporaryDirectory() as cache:
+        if bytecode == "cached":
+            env.pop("PYTHONDONTWRITEBYTECODE", None)
+            env["PYTHONPYCACHEPREFIX"] = cache
+        envs = {side: {**env, "PYTHONPATH": str(checkout / "src")} for side, checkout in checkouts.items()}
+        if bytecode == "cached":  # one warm-up run of each process fills the cache
+            for side, checkout in checkouts.items():
+                for args in STARTUP_COMMANDS.values():
+                    wall_time([sys.executable, *args], checkout, envs[side])
+            wall_time(reference, ROOT, env)
+        rows = []
+        for command, args in STARTUP_COMMANDS.items():
+            raw = {side: [] for side in checkouts}
+            scaled = {side: [] for side in checkouts}
+            for r in range(REPEATS):
+                for side in list(checkouts) if r % 2 == 0 else list(reversed(checkouts)):
+                    probe = wall_time([sys.executable, *args], checkouts[side], envs[side])
+                    ref = wall_time(reference, ROOT, env)
+                    raw[side].append(probe)
+                    scaled[side].append(probe * calibration.START_REFERENCE_S / ref)
+            row = {"bytecode": bytecode, "command": command, "argv": args, "runs": REPEATS}
+            for side in checkouts:
+                q = quartiles(scaled[side])
+                row[f"{side}_s"], row[f"{side}_iqr_s"] = q["median"], q["q3"] - q["q1"]
+                row[f"{side}_raw_s"] = statistics.median(raw[side])
+            row["change_wins"] = sum(c < p for p, c in zip(scaled["parent"], scaled["change"]))
+            row["parent_wins"] = sum(p < c for p, c in zip(scaled["parent"], scaled["change"]))
+            if bytecode == "as-is":
+                row["PYTHONDONTWRITEBYTECODE"] = env.get("PYTHONDONTWRITEBYTECODE")
+            rows.append(row)
+            print(json.dumps(row), flush=True)
+    return rows
+
+
 def machine() -> dict:
     return {
         "platform": platform.platform(),
@@ -373,6 +449,9 @@ def main(argv=None) -> int:
     pairs.add_argument("--first-seed", type=int, default=101)
     pairs.add_argument("--seconds", type=int, default=25)
     pairs.add_argument("--out", type=Path, required=True)
+    startup = sub.add_parser("startup", help="alternating fresh-process start-up times of the parent and this checkout")
+    startup.add_argument("--parent", type=Path, required=True, help="root of the parent checkout")
+    startup.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
@@ -380,6 +459,9 @@ def main(argv=None) -> int:
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     if args.command == "kernels":
         record["kernels"] = {"recorded": stamp, "unit": "us per call", "rows": kernel_rows(args.parent.resolve())}
+    elif args.command == "startup":
+        rows = [row for bytecode in ("as-is", "cached") for row in startup_rows(args.parent.resolve(), bytecode)]
+        record["startup"] = {"recorded": stamp, "unit": "s per process", "rows": rows}
     else:
         section = pairs_section(args.parent.resolve(), args.workload, args.pairs, args.first_seed, args.seconds)
         record.setdefault("perfbench", {})[args.workload] = {"recorded": stamp, **section}

@@ -16,7 +16,8 @@ into [0, 1] before sqrt/arccos; negative values beyond round-off raise
 NumericalConsistencyError so genuine bugs cannot hide behind a clamp.
 
 The oriented cosine of two blades is read off their orthonormal frames, so
-it needs no rescaling on extreme scales and no zero test of its own.
+it needs no rescaling on extreme scales and no zero test of its own.  It is
+the one route that imports ``exterior``, when it is called.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateBasisError, DimensionMismatchError, DomainError, NumericalConsistencyError
-from .exterior import Blade, _oriented_cos_of_frames, _require_compatible, _unit_frame
 from .fields import (
     DEFAULT_TOLERANCE,
     GRAM_CONDITION_LIMIT,
@@ -41,6 +41,9 @@ from .fields import (
 )
 from .linalg import det, gram, scale_columns
 from .subspaces import Subspace, _require_same_space, _stacked_cos_squared, principal_cosines
+
+if TYPE_CHECKING:
+    from .exterior import Blade
 
 # A raw basis with singular values s_i whose Gram determinant prod s_i^2 lies
 # outside 2^(+-500) is scaled exactly to a geometric-mean s_i of about 1, so
@@ -102,10 +105,18 @@ class VectorAngles(NamedTuple):
     hermitian: float | None
 
 
-def _real_scalar(z, context: str) -> float:
-    if abs(np.imag(z)) > NEGATIVE_COS_SQ_SLACK * max(1.0, abs(z)):
-        raise NumericalConsistencyError(f"{context} should be real, got imaginary part {np.imag(z):.2e}")
-    return float(np.real(z))
+def _real_scalar(z: complex | float, dominant: np.ndarray, context: str) -> float:
+    """The real part of ``z = linalg.det(M)`` for a Hermitian matrix M with
+    0 <= M <= ``dominant`` (in the PSD order).  Hadamard's inequality bounds
+    |det M| by the product of the diagonal of ``dominant``, and rounding in z
+    is a small multiple of eps times that bound; an imaginary part beyond
+    NEGATIVE_COS_SQ_SLACK times the bound raises, on any scale of the bases."""
+    imag = abs(z.imag)
+    # |z| lies within the bound, so the bound is formed only past the slack of |z|
+    if imag > NEGATIVE_COS_SQ_SLACK * abs(z):
+        if imag > NEGATIVE_COS_SQ_SLACK * math.prod(dominant.diagonal().real.tolist()):
+            raise NumericalConsistencyError(f"{context} should be real, got imaginary part {z.imag:.2e}")
+    return z.real
 
 
 def _report_from_cos_sq(cos_sq: float, method: AngleMethod) -> AngleReport:
@@ -212,8 +223,9 @@ def grassmann_angle_equal_dim(basis_v, basis_w, field: Field | None = None) -> A
         raise DimensionMismatchError(
             f"equal-dimension formula needs equal basis sizes, got {mv.shape[1]} and {mw.shape[1]}"
         )
-    a = _real_scalar(det(gram(mw, mw)), "det of a Gram matrix")
-    d = _real_scalar(det(gram(mv, mv)), "det of a Gram matrix")
+    gw, gv = gram(mw, mw), gram(mv, mv)
+    a = _real_scalar(det(gw), gw, "det of a Gram matrix")
+    d = _real_scalar(det(gv), gv, "det of a Gram matrix")
     b = det(gram(mw, mv))
     return _report_from_cos_sq(abs(b) ** 2 / (a * d), AngleMethod.EQUAL_DIM_FORMULA)
 
@@ -231,8 +243,10 @@ def grassmann_angle_any_dim(basis_v, basis_w, field: Field | None = None) -> Ang
         return AngleReport(math.pi / 2, 0.0, AngleMethod.ANY_DIM_FORMULA)
     a = gram(mw, mw)
     b = gram(mw, mv)
-    d = _real_scalar(det(gram(mv, mv)), "det of a Gram matrix")
-    num = _real_scalar(det(b.conj().T @ np.linalg.solve(a, b)), "det of a projected Gram matrix")
+    gv = gram(mv, mv)
+    d = _real_scalar(det(gv), gv, "det of a Gram matrix")
+    # the Gram matrix of V's projection onto W lies below that of V
+    num = _real_scalar(det(b.conj().T @ np.linalg.solve(a, b)), gv, "det of a projected Gram matrix")
     return _report_from_cos_sq(num / d, AngleMethod.ANY_DIM_FORMULA)
 
 
@@ -261,8 +275,9 @@ def complementary_angle_formula(basis_v, basis_w, field: Field | None = None) ->
     b = gram(mw, mv)
     d = gram(mv, mv)
     schur = a - b @ np.linalg.solve(d, b.conj().T)
-    num = _real_scalar(det(schur), "det of a Schur complement")
-    den = _real_scalar(det(a), "det of a Gram matrix")
+    # the Schur complement, the Gram matrix of W's part orthogonal to V, lies below A
+    num = _real_scalar(det(schur), a, "det of a Schur complement")
+    den = _real_scalar(det(a), a, "det of a Gram matrix")
     return _report_from_cos_sq(num / den, AngleMethod.COMPLEMENTARY_FORMULA)
 
 
@@ -272,7 +287,7 @@ def complementary_angle_orthonormal(v: Subspace, w: Subspace) -> AngleReport:
     _require_same_space(v, w)
     p = gram(w.onb, v.onb)
     eye = np.eye(w.dim, dtype=w.field.dtype)
-    cos_sq = _real_scalar(det(eye - p @ p.conj().T), "det(1 - P P*)")
+    cos_sq = _real_scalar(det(eye - p @ p.conj().T), eye, "det(1 - P P*)")
     return _report_from_cos_sq(cos_sq, AngleMethod.COMPLEMENTARY_FORMULA)
 
 
@@ -287,8 +302,10 @@ def oriented_grassmann_cos(nu: Blade, omega: Blade, tol: Tolerance = DEFAULT_TOL
     so it holds on any scale and for ill-conditioned rank-full blades, and a
     zero blade (by the rule of ``Blade.is_zero``) raises DomainError.
     """
+    from . import exterior
+
     if nu.grade != omega.grade:
         raise DomainError(f"oriented angle needs equal grades, got {nu.grade} and {omega.grade}")
-    _require_compatible(nu, omega)
-    return _oriented_cos_of_frames(_unit_frame(nu, tol), _unit_frame(omega, tol))
+    exterior._require_compatible(nu, omega)
+    return exterior._oriented_cos_of_frames(exterior._unit_frame(nu, tol), exterior._unit_frame(omega, tol))
 

@@ -4,6 +4,13 @@ Subcommands: ``angle`` and ``principal`` read a JSON document of named
 subspace bases; ``verify`` runs the randomized identity suites; ``examples``
 replays the bundled worked examples.  Exit codes are a stable contract:
 0 success, 1 verification failure, 2 input error.
+
+``angle`` and ``principal`` run on the modules ``import grassmann_angles``
+loads.  What only one command uses is imported when that command runs:
+``gallery`` by ``examples``, ``identities`` (and through it ``sampling`` and
+``exterior``) by ``verify``, and ``exterior`` by ``angle --oriented``.  The
+``--suite`` choices come from ``fields.SUITE_NAMES`` for that reason, and
+``run_suite`` stays a name of this module through its ``__getattr__``.
 """
 
 from __future__ import annotations
@@ -30,10 +37,7 @@ from .angles import (
 )
 from .documents import InputDocument, encode_scalar, encode_vector, load_document
 from .errors import GrassmannError
-from .exterior import Blade
-from .fields import DEFAULT_TOLERANCE, Field, Tolerance
-from .gallery import run_gallery
-from .identities import SUITE_NAMES, run_suite
+from .fields import DEFAULT_TOLERANCE, SUITE_NAMES, Field, Tolerance
 from .subspaces import principal_decomposition
 
 EXIT_OK = 0
@@ -81,6 +85,8 @@ def _cmd_angle(args) -> int:
     if args.oriented:
         if args.complementary:
             raise GrassmannError("--oriented and --complementary cannot be combined")
+        from .exterior import Blade
+
         nu = Blade(basis_v, field=doc.field)
         omega = Blade(basis_w, field=doc.field)
         cos = oriented_grassmann_cos(nu, omega, tol)
@@ -152,6 +158,8 @@ def _cmd_principal(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .identities import run_suite
+
     if args.n > 8:
         raise GrassmannError(f"ambient dimension is capped at 8 for verification runs, got {args.n}")
     if args.trials > 10000:
@@ -177,6 +185,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_examples(args) -> int:
+    from .gallery import run_gallery
+
     results = run_gallery(only=args.only)
     if args.json:
         print(json.dumps([r.to_dict() for r in results], indent=2))
@@ -243,6 +253,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _parser() -> argparse.ArgumentParser:
     # built on the first call, not at import: parsing leaves the parser unchanged
     return build_parser()
+
+
+def __getattr__(name: str):
+    # run_suite stays a name of this module, resolved (not stored) on access
+    if name == "run_suite":
+        from .identities import run_suite
+
+        return run_suite
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def main(argv=None) -> int:

@@ -59,6 +59,20 @@ GRAM_CONDITION_LIMIT = 1e12
 # round-off; values in [-NEGATIVE_COS_SQ_SLACK, 0) are clamped silently.
 NEGATIVE_COS_SQ_SLACK = 1e-9
 
+# Names of the identity suites of ``identities.run_suite``, in the order it
+# runs them and derives their seeds from.  Kept here, in a module every other
+# one imports, so the CLI can offer them without loading ``identities``.
+SUITE_NAMES = (
+    "line-partition",
+    "pythagorean",
+    "binomial",
+    "oriented-sum",
+    "weighted-average",
+    "direct-sum",
+    "partition-chain",
+    "converse",
+)
+
 
 def as_field_array(data, field: Field) -> np.ndarray:
     """Coerce array-like data to the dtype of ``field``, copying only when the

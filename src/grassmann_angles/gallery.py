@@ -32,8 +32,7 @@ from .angles import (
 )
 from .documents import InputDocument, parse_document
 from .errors import DocumentError
-from .identities import _coordinate_cos_squared
-from .subspaces import complement, principal_decomposition
+from .subspaces import _coordinate_cos_squared, complement, principal_decomposition
 
 EXAMPLES_TOLERANCE = 1e-8
 

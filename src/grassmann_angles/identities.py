@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
 
 import numpy as np
 
 from .angles import complementary_angle, grassmann_angle
 from .errors import DomainError
 from .exterior import Blade, _oriented_cos_of_frames, _unit_frame
-from .fields import DEFAULT_TOLERANCE, Field, Tolerance, as_basis
+from .fields import DEFAULT_TOLERANCE, SUITE_NAMES, Field, Tolerance, as_basis
 from .linalg import gram, scale_columns
 # random_instance is re-exported: the seeded generators are part of this
 # module's public surface alongside the checkers
@@ -46,6 +45,8 @@ from .subspaces import (
     ORTHOGONALITY_DEFECT,
     Partition,
     Subspace,
+    _coordinate_cos_squared,
+    _index_stack,
     _require_subset,
     _stacked_cos_squared,
     direct_sum,
@@ -112,25 +113,6 @@ def _orthogonal_basis_matrix(basis, field: Field) -> np.ndarray:
     if not float(np.max(cross, initial=0.0)) <= ORTHOGONALITY_DEFECT:
         raise DomainError("basis vectors are not orthogonal")
     return units
-
-
-def _index_stack(n: int, p: int) -> np.ndarray:
-    """The (C(n, p), p) array of the p-subsets of range(n), in the
-    lexicographic order of ``multi_indices(p, n)``; one empty row for p = 0."""
-    flat = np.fromiter(chain.from_iterable(combinations(range(n), p)), dtype=np.intp)
-    return flat.reshape(math.comb(n, p), p)
-
-
-def _coordinate_cos_squared(units: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
-    """Squared Grassmann cosines of the span V of the orthonormal (n, p)
-    columns ``v`` against the C(n, q) coordinate q-subspaces W_I spanned by
-    columns I of the orthonormal (n, n) ``units``, in ``multi_indices`` order,
-    clipped into [0, 1]: of V with W_I when p <= q, of W_I with V if p > q."""
-    n, p = v.shape
-    blocks = gram(units, v)[_index_stack(n, q)]  # rows I hold W_I* V
-    if p > q:
-        blocks = np.swapaxes(blocks, 1, 2).conj()  # V* W_I
-    return np.clip(_stacked_cos_squared(blocks), 0.0, 1.0)
 
 
 def check_line_partition(line: Subspace, partition: Partition, tol: Tolerance = DEFAULT_TOLERANCE) -> IdentityCheck:
@@ -315,17 +297,6 @@ def check_partition_converse(partition: Partition, w: Subspace, tol: Tolerance =
 
 # ---------------------------------------------------------------------------
 # seeded suite driver
-
-SUITE_NAMES = (
-    "line-partition",
-    "pythagorean",
-    "binomial",
-    "oriented-sum",
-    "weighted-average",
-    "direct-sum",
-    "partition-chain",
-    "converse",
-)
 
 
 def _random_composition(rng, total: int, allow_zero: bool = True) -> list[int]:

@@ -8,18 +8,30 @@ subspaces: ``<e_i, f_j> = delta_ij cos(theta_i)`` with the principal angles
 principal vectors are not unique (any SVD choice works, and ties make them
 wildly non-unique), every predicate here is phrased through projection
 orthogonality, which does not depend on that freedom.
+
+This module is on the import path of every angle route, so it loads no blade
+code: ``exterior`` is imported inside the two functions that build a blade,
+``Subspace.spanning_blade`` and ``project_blade``.  The stacked squared
+Grassmann cosines of projection matrices (``_stacked_cos_squared``) and of
+coordinate subspaces (``_coordinate_cos_squared``) live here, shared by the
+routes, the identity checkers and the gallery.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain, combinations
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .exterior import Blade
 from .fields import DEFAULT_TOLERANCE, Field, Tolerance, as_basis, as_field_array, unshared
 from .linalg import gram, orthonormalize
+
+if TYPE_CHECKING:
+    from .exterior import Blade
 
 # Looser than machine epsilon: subset checks go through projections whose
 # error compounds, and arccos near 0 loses half the digits anyway.
@@ -81,6 +93,8 @@ class Subspace:
 
     def spanning_blade(self) -> Blade:
         """Unit blade representing the subspace (the scalar 1 for dim 0)."""
+        from .exterior import Blade
+
         return Blade(self.onb, field=self.field, ambient_dim=self.ambient_dim)
 
     def contains(self, vector, tol: float = _SUBSET_RESIDUAL) -> bool:
@@ -124,6 +138,8 @@ def project_blade(nu: Blade, w: Subspace) -> Blade:
         raise DimensionMismatchError("blade and subspace live in different spaces")
     if nu.grade == 0:
         return nu
+    from .exterior import Blade
+
     projected = w.onb @ (w.onb.conj().T @ nu.factors)
     return Blade(projected, field=nu.field, coefficient=nu.coefficient, ambient_dim=nu.ambient_dim)
 
@@ -205,6 +221,25 @@ def _stacked_cos_squared(b: np.ndarray) -> np.ndarray:
     if p > q:
         return np.zeros(k)
     return np.real(np.linalg.det(np.swapaxes(b, 1, 2).conj() @ b))
+
+
+def _index_stack(n: int, p: int) -> np.ndarray:
+    """The (C(n, p), p) array of the p-subsets of range(n), in the
+    lexicographic order of ``multi_indices(p, n)``; one empty row for p = 0."""
+    flat = np.fromiter(chain.from_iterable(combinations(range(n), p)), dtype=np.intp)
+    return flat.reshape(math.comb(n, p), p)
+
+
+def _coordinate_cos_squared(units: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
+    """Squared Grassmann cosines of the span V of the orthonormal (n, p)
+    columns ``v`` against the C(n, q) coordinate q-subspaces W_I spanned by
+    columns I of the orthonormal (n, n) ``units``, in ``multi_indices`` order,
+    clipped into [0, 1]: of V with W_I when p <= q, of W_I with V if p > q."""
+    n, p = v.shape
+    blocks = gram(units, v)[_index_stack(n, q)]  # rows I hold W_I* V
+    if p > q:
+        blocks = np.swapaxes(blocks, 1, 2).conj()  # V* W_I
+    return np.clip(_stacked_cos_squared(blocks), 0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from grassmann_angles import (
     vector_angle,
     wedge,
 )
-from grassmann_angles.angles import _report_from_cos_sq
+from grassmann_angles.angles import _real_scalar, _report_from_cos_sq
 from grassmann_angles.fields import Field
 from grassmann_angles.gallery import load_case_document
 from grassmann_angles.sampling import (
@@ -606,6 +606,27 @@ class TestConsistencyGuards:
     def test_above_one_clamps(self):
         report = _report_from_cos_sq(1.0 + 1e-12, AngleMethod.PROJECTION)
         assert report.cosine == 1.0 and report.value == 0.0
+
+    @pytest.mark.parametrize("scale", [16.0, 256.0, 2.0**-30, 2.0**30, 2.0**-200, 2.0**200])
+    def test_intersecting_complex_pairs_stay_real_on_any_scale(self, scale):
+        # a 2- and a 3-dimensional subspace of C^4 share a line, so the Schur
+        # complement is singular and its determinant is rounding noise whose
+        # imaginary part is as large as its real one: only its size relative
+        # to the bases tells noise from a fault
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            v = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+            w = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+            for a, b in ((v, w * scale), (w * scale, v), (v * scale, w)):
+                assert complementary_angle_formula(a, b).cos_squared <= 1e-12
+
+    def test_an_imaginary_part_far_above_the_bound_raises(self):
+        gram = np.diag([4.0, 0.25, 2.0]).astype(complex)  # Hadamard bound 2
+        assert _real_scalar(2.0 + 1e-10j, gram, "det") == 2.0
+        with pytest.raises(NumericalConsistencyError, match="imaginary part"):
+            _real_scalar(2.0 + 1e-6j, gram, "det")
+        with pytest.raises(NumericalConsistencyError):
+            _real_scalar(1e-20 + 1e-12j, gram * 2.0**-40, "det")  # the bound scales with the matrix
 
 
 class TestNonFiniteAndExtremeInput:

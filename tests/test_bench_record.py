@@ -1,5 +1,6 @@
 """Schema of the committed ``BENCH_*.json`` records written by
-``bench/record.py``; the numbers themselves are not checked."""
+``bench/record.py``, including the optional ``startup`` section; the numbers
+themselves are not checked."""
 
 import json
 from pathlib import Path
@@ -52,3 +53,9 @@ def test_record_schema(path):
             for side in ("parent", "change"):
                 assert summary[side]["q1"] <= summary[side]["median"] <= summary[side]["q3"]
             assert summary["change_wins"] + summary["parent_wins"] <= workload["pairs"]
+    for row in record.get("startup", {"rows": []})["rows"]:
+        assert row["bytecode"] in {"as-is", "cached"}
+        assert row["command"] in {"import", "angle", "principal", "examples", "verify"}
+        for key in (f"{side}_{value}" for side in ("parent", "change") for value in ("s", "iqr_s", "raw_s")):
+            assert isinstance(row[key], float) and row[key] >= 0.0
+        assert row["change_wins"] + row["parent_wins"] <= row["runs"]
