@@ -154,7 +154,7 @@ def _paired_bases(basis_v, basis_w, field: Field | None):
         return _paired_bases(basis_v, basis_w, Field.COMPLEX)
     if mv.shape[0] != mw.shape[0]:
         raise DimensionMismatchError(f"ambient dimensions differ: {mv.shape[0]} vs {mw.shape[0]}")
-    return mv, mw, fv
+    return mv, mw
 
 
 def vector_angle(v, w, field: Field | None = None) -> VectorAngles:
@@ -218,7 +218,7 @@ def grassmann_angle_equal_dim(basis_v, basis_w, field: Field | None = None) -> A
     With the Gram matrices A (of the w's), D (of the v's) and the cross
     matrix B = (<w_i, v_j>):   cos^2 = |det B|^2 / (det A det D).
     """
-    mv, mw, _ = _paired_bases(basis_v, basis_w, field)
+    mv, mw = _paired_bases(basis_v, basis_w, field)
     if mv.shape[1] != mw.shape[1]:
         raise DimensionMismatchError(
             f"equal-dimension formula needs equal basis sizes, got {mv.shape[1]} and {mw.shape[1]}"
@@ -238,7 +238,7 @@ def grassmann_angle_any_dim(basis_v, basis_w, field: Field | None = None) -> Ang
     matrix B* A^-1 B is rank-deficient, so the angle is exactly pi/2 and no
     arithmetic is attempted.
     """
-    mv, mw, _ = _paired_bases(basis_v, basis_w, field)
+    mv, mw = _paired_bases(basis_v, basis_w, field)
     if mv.shape[1] > mw.shape[1]:
         return AngleReport(math.pi / 2, 0.0, AngleMethod.ANY_DIM_FORMULA)
     a = gram(mw, mw)
@@ -270,7 +270,7 @@ def complementary_angle(v: Subspace, w: Subspace) -> AngleReport:
 def complementary_angle_formula(basis_v, basis_w, field: Field | None = None) -> AngleReport:
     """Complementary angle from arbitrary bases via a Schur complement:
     cos^2 = det(A - B D^-1 B*) / det A."""
-    mv, mw, _ = _paired_bases(basis_v, basis_w, field)
+    mv, mw = _paired_bases(basis_v, basis_w, field)
     a = gram(mw, mw)
     b = gram(mw, mv)
     d = gram(mv, mv)

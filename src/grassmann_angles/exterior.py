@@ -19,11 +19,16 @@ import numpy as np
 
 from .errors import DomainError, MultiIndexError, NumericalConsistencyError
 from .fields import DEFAULT_TOLERANCE, Field, Tolerance, as_basis, unshared
-from .linalg import _column_exponents, det, gram, orthonormalize
+from .linalg import _column_exponents, _validate_multi_index, det, gram, orthonormalize
 
 # Combinatorial guard rails: C(16, 8) = 12870 keeps every enumeration cheap.
 AMBIENT_LIMIT = 16
 GRADE_LIMIT = 16
+
+
+def _require_ambient_cap(n: int):
+    if n > AMBIENT_LIMIT:
+        raise DomainError(f"ambient dimension {n} exceeds the cap of {AMBIENT_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -38,13 +43,9 @@ class MultiIndex:
     ambient: int
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
         if self.ambient < 0:
             raise MultiIndexError(f"ambient must be nonnegative, got {self.ambient}")
-        if any(i < 1 or i > self.ambient for i in self.indices):
-            raise MultiIndexError(f"indices {self.indices} out of range [1, {self.ambient}]")
-        if any(a >= b for a, b in zip(self.indices, self.indices[1:])):
-            raise MultiIndexError(f"indices {self.indices} are not strictly increasing")
+        object.__setattr__(self, "indices", _validate_multi_index(self.indices, self.ambient))
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -102,8 +103,7 @@ class Blade:
     def __init__(self, factors, field: Field | None = None, coefficient=1.0, ambient_dim: int | None = None):
         mat, field = as_basis(factors, field, ambient_dim)
         mat = unshared(mat, factors)
-        if mat.shape[0] > AMBIENT_LIMIT:
-            raise DomainError(f"ambient dimension {mat.shape[0]} exceeds the cap of {AMBIENT_LIMIT}")
+        _require_ambient_cap(mat.shape[0])
         if mat.shape[1] > GRADE_LIMIT:
             raise DomainError(f"grade {mat.shape[1]} exceeds the cap of {GRADE_LIMIT}")
         if field is Field.COMPLEX:

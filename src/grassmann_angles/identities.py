@@ -19,13 +19,13 @@ conditioning or scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .angles import complementary_angle, grassmann_angle
 from .errors import DomainError
-from .exterior import Blade, _oriented_cos_of_frames, _unit_frame
+from .exterior import AMBIENT_LIMIT, Blade, _oriented_cos_of_frames, _require_ambient_cap, _unit_frame
 from .fields import DEFAULT_TOLERANCE, SUITE_NAMES, Field, Tolerance, as_basis
 from .linalg import gram, scale_columns
 # random_instance is re-exported: the seeded generators are part of this
@@ -129,19 +129,28 @@ def check_line_partition(line: Subspace, partition: Partition, tol: Tolerance = 
     return _check("line-partition", abs(sum(terms) - 1.0), witness, tol)
 
 
+def _coordinate_sum(v: Subspace, basis, q: int) -> float:
+    """Sum of the squared cosines of V against the C(n, q) coordinate
+    q-subspaces W_I of an orthogonal basis (of W_I with V when p > q), all
+    in one stacked determinant, after validating the basis and q."""
+    units = _orthogonal_basis_matrix(basis, v.field)
+    n = v.ambient_dim
+    if units.shape[0] != n:
+        raise DomainError("basis and subspace ambient dimensions differ")
+    _require_ambient_cap(n)
+    if not 0 <= q <= n:
+        raise DomainError(f"coordinate dimension must be in [0, {n}], got {q}")
+    return np.sum(_coordinate_cos_squared(units, v.onb, q))
+
+
 def check_coordinate_pythagorean(v: Subspace, basis, tol: Tolerance = DEFAULT_TOLERANCE) -> IdentityCheck:
     """Squared cosines of a p-dimensional subspace against all coordinate
-    p-subspaces of an orthogonal basis sum to 1.
-
-    All C(n, p) terms are evaluated in one stacked determinant.
+    p-subspaces of an orthogonal basis sum to 1: the binomial sum at q = p.
     """
-    units = _orthogonal_basis_matrix(basis, v.field)
-    if units.shape[0] != v.ambient_dim:
-        raise DomainError("basis and subspace ambient dimensions differ")
+    total = _coordinate_sum(v, basis, v.dim)
     p, n = v.dim, v.ambient_dim
     if p < 1:
         raise DomainError("the subspace must be nonzero")
-    total = np.sum(_coordinate_cos_squared(units, v.onb, p))
     witness = f"dim {p} subspace vs C({n},{p}) coordinate subspaces ({v.field.value})"
     return _check("pythagorean", abs(total - 1.0), witness, tol)
 
@@ -155,13 +164,8 @@ def check_binomial_identities(v: Subspace, basis, q: int, tol: Tolerance = DEFAU
 
     All C(n, q) terms are evaluated in one stacked determinant.
     """
-    units = _orthogonal_basis_matrix(basis, v.field)
+    total = _coordinate_sum(v, basis, q)
     n, p = v.ambient_dim, v.dim
-    if units.shape[0] != n:
-        raise DomainError("basis and subspace ambient dimensions differ")
-    if not 0 <= q <= n:
-        raise DomainError(f"coordinate dimension must be in [0, {n}], got {q}")
-    total = np.sum(_coordinate_cos_squared(units, v.onb, q))
     target = float(math.comb(n - p, n - q) if p <= q else math.comb(p, q))
     witness = f"p={p}, q={q}, n={n} ({v.field.value}), target {target:g}"
     return _check("binomial", abs(total - target), witness, tol)
@@ -209,6 +213,7 @@ def check_weighted_average(u: Subspace, v: Subspace, w: Subspace, tol: Tolerance
     """
     if u.dim < 1 or v.dim < 1 or w.dim < 1:
         raise DomainError("all three subspaces must be nonzero")
+    _require_ambient_cap(v.ambient_dim)
     _require_subset(u, v)
     e_basis = principal_decomposition(v, w).e_basis
     lhs = grassmann_angle(u, w).cos_squared
@@ -225,17 +230,11 @@ def check_direct_sum(v1: Subspace, v2: Subspace, w: Subspace, tol: Tolerance = D
 
       cos(V1+V2, W) = cos(V1, W) cos(V2, W) cos_perp(P(V1), P(V2)),
 
-    the last factor being the complementary-angle cosine of the projections.
+    the last factor being the complementary-angle cosine of the projections:
+    the partition chain of two parts.
     """
-    combined = direct_sum(v1, v2)  # raises unless v1 is orthogonal to v2
-    lhs = grassmann_angle(combined, w).cosine
-    p1 = project_subspace(v1, w, tol)
-    p2 = project_subspace(v2, w, tol)
-    rhs = (
-        grassmann_angle(v1, w).cosine
-        * grassmann_angle(v2, w).cosine
-        * complementary_angle(p1, p2).cosine
-    )
+    lhs = grassmann_angle(direct_sum(v1, v2), w).cosine  # raises unless v1 is orthogonal to v2
+    rhs = _chain_product((v1, v2), w, tol)
     witness = f"dims {v1.dim}+{v2.dim} vs {w.dim} in {w.ambient_dim} ({w.field.value})"
     return _check("direct-sum", abs(lhs - rhs), witness, tol)
 
@@ -245,16 +244,23 @@ def check_partition_chain(partition: Partition, w: Subspace, tol: Tolerance = DE
     equals the product of the part cosines times the chain of complementary
     cosines of projected tails."""
     parts = partition.parts
-    parent = partition.parent()  # raises unless the parts are orthogonal
-    lhs = grassmann_angle(parent, w).cosine
+    lhs = grassmann_angle(partition.parent(), w).cosine  # raises unless the parts are orthogonal
+    rhs = _chain_product(parts, w, tol)
+    witness = f"parts {[p.dim for p in parts]} vs dim {w.dim} in {w.ambient_dim} ({w.field.value})"
+    return _check("partition-chain", abs(lhs - rhs), witness, tol)
+
+
+def _chain_product(parts, w: Subspace, tol: Tolerance) -> float:
+    """Right side of the chain rule for orthogonal parts V_1, ..., V_k:
+    prod_i cos(V_i, W) times prod_{i<k} cos_perp(P(V_i), P(V_i+1 + ... + V_k)),
+    P the projection onto W; the last tail is V_k itself."""
     rhs = 1.0
     for part in parts:
         rhs *= grassmann_angle(part, w).cosine
     for i in range(len(parts) - 1):
-        tail = direct_sum(*parts[i + 1 :])
+        tail = parts[-1] if i == len(parts) - 2 else direct_sum(*parts[i + 1 :])
         rhs *= complementary_angle(project_subspace(parts[i], w, tol), project_subspace(tail, w, tol)).cosine
-    witness = f"parts {[p.dim for p in parts]} vs dim {w.dim} in {w.ambient_dim} ({w.field.value})"
-    return _check("partition-chain", abs(lhs - rhs), witness, tol)
+    return rhs
 
 
 def check_partition_converse(partition: Partition, w: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> IdentityCheck:
@@ -274,9 +280,7 @@ def check_partition_converse(partition: Partition, w: Subspace, tol: Tolerance =
             "converse", math.inf, False, "precondition violated: V is partially orthogonal to W"
         )
     principal = is_principal_partition(partition, w, tol)
-    product = 1.0
-    for part in partition.parts:
-        product *= grassmann_angle(part, w).cosine
+    product = math.prod(grassmann_angle(part, w).cosine for part in partition.parts)
     diff = abs(grassmann_angle(parent, w).cosine - product)
     product_holds = diff <= tol.residual_eps
     if principal:
@@ -375,22 +379,25 @@ def _trial_partition_chain(rng, field, n_max, tol):
     return check_partition_chain(partition, w, tol)
 
 
-def _principal_pair(rng, field, n, p, min_cosine=0.3, min_gap=0.15):
+_MIN_COSINE, _MIN_GAP = 0.3, 0.15  # _principal_pair's margins: smallest principal cosine, spread
+
+
+def _principal_pair(rng, field, n, p):
     """V, W with dim V = p <= dim W < n, V nowhere near partially orthogonal
     to W, and (for p >= 2) two well-separated principal cosines.
 
     The margins keep both sides of the converse equivalence decidable at the
     1e-8 threshold: the 45-degree mixing of the extreme principal vectors
-    then perturbs the product rule by at least ~min_cosine^4 * min_gap^2 / 2.
+    then perturbs the product rule by at least ~_MIN_COSINE^4 * _MIN_GAP^2 / 2.
     """
     for _ in range(MAX_DRAWS):
         q = int(rng.integers(p, n)) if p < n else p  # keep q < n so angles are not all equal
         v = random_subspace(rng, field, n, p)
         w = random_subspace(rng, field, n, q)
         cosines = principal_cosines(v, w)
-        if cosines[-1] < min_cosine:
+        if cosines[-1] < _MIN_COSINE:
             continue
-        if p >= 2 and (cosines[0] - cosines[-1]) < min_gap:
+        if p >= 2 and (cosines[0] - cosines[-1]) < _MIN_GAP:
             continue
         return v, w
     raise DomainError(f"no subspace pair in dimension {n} met the margins in {MAX_DRAWS} draws")
@@ -411,7 +418,7 @@ def _grouped_principal_partition(rng, e_basis: np.ndarray, field) -> Partition:
 def _trial_converse(rng, field, n_max, tol):
     if n_max < 2:
         raise DomainError("the converse suite needs ambient dimension >= 2")
-    n = int(rng.integers(max(3, 2), n_max + 1)) if n_max >= 3 else 2
+    n = int(rng.integers(3, n_max + 1)) if n_max >= 3 else 2
     cases = []
     if n >= 3:
         p = int(rng.integers(2, n))  # p <= n-1 leaves room for q < n
@@ -433,9 +440,7 @@ def _trial_converse(rng, field, n_max, tol):
         e_basis = principal_decomposition(v, w).e_basis
         cases.append(check_partition_converse(_grouped_principal_partition(rng, e_basis, field), w, tol))
 
-    residual = max(c.residual for c in cases)
-    witness = " | ".join(c.witness for c in cases)
-    return IdentityCheck("converse", residual, residual <= tol.residual_eps, witness)
+    return _check("converse", max(c.residual for c in cases), " | ".join(c.witness for c in cases), tol)
 
 
 _TRIALS = {
@@ -463,7 +468,12 @@ def run_suite(
     ``suites`` is a name, an iterable of names, or "all"; ``field`` of None
     runs both fields.  Each (suite, field, trial) cell gets its own derived
     seed, so reports are reproducible and insensitive to the order cells run.
+    Raises DomainError unless ``trials >= 1`` and ``1 <= n_max <= 16``.
     """
+    if trials < 1:
+        raise DomainError(f"trials must be at least 1, got {trials}")
+    if not 1 <= n_max <= AMBIENT_LIMIT:
+        raise DomainError(f"n_max must be in [1, {AMBIENT_LIMIT}], got {n_max}")
     if isinstance(suites, str):
         names = list(SUITE_NAMES) if suites == "all" else [suites]
     else:
@@ -478,10 +488,5 @@ def run_suite(
         for f in fields:
             for t in range(trials):
                 rng = rng_from_seed((seed, SUITE_NAMES.index(name), 0 if f is Field.REAL else 1, t))
-                outcome = trial_fn(rng, f, n_max, tol)
-                results.append(
-                    IdentityCheck(
-                        f"{name}[{f.value}]#{t}", outcome.residual, outcome.passed, outcome.witness
-                    )
-                )
+                results.append(replace(trial_fn(rng, f, n_max, tol), name=f"{name}[{f.value}]#{t}"))
     return results

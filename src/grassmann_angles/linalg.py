@@ -1,11 +1,12 @@
 """Field-generic dense linear algebra kernels.
 
-Matrices are plain 2-D numpy arrays (float64 or complex128, row-major); the
-LAPACK-backed fast paths (pivoted-LU determinant, SVD) sit behind small
-wrappers so that everything above this module goes through one place.  The
-Laplace-expansion determinant is deliberately *not* LAPACK-backed: it is the
-independent oracle the fast path is tested against, so it only uses naive
-cofactor recursion.  Orthonormal bases are chosen by column count: fewer
+Matrices are plain 2-D numpy arrays (float64 or complex128, row-major).
+``det`` and ``svd`` wrap one LAPACK call each on a single matrix; the modules
+above also call ``np.linalg`` directly, for stacked determinants, singular
+values alone, full SVDs, solves, norms and QR.  The Laplace-expansion
+determinant is deliberately *not* LAPACK-backed: it is the independent
+oracle the fast path is tested against, so it only uses naive cofactor
+recursion.  Orthonormal bases are chosen by column count: fewer
 than ``QR_MIN_COLUMNS`` columns go through block classical Gram-Schmidt with
 two passes, two matrix-vector products per pass; wider bases through one
 Householder QR.  ``np.linalg.qr`` has a fixed cost of 15-20 us per call, more

@@ -301,24 +301,13 @@ def is_principal_subspace(
 ) -> bool:
     """Whether u (inside v) is spanned by principal vectors of v w.r.t. w.
 
-    Uses the projection criterion: u is principal iff Proj_w(u) is orthogonal
-    to Proj_w of the complement of u inside v.  The zero subspace and
-    subspaces orthogonal to w count as principal.
+    This is the two-part principal partition of v into u and its complement
+    inside v: Proj_w(u) is orthogonal to Proj_w of that complement.  The zero
+    subspace and subspaces orthogonal to w count as principal.
     """
     _require_same_space(u, w)
     _require_same_space(v, w)
-    _require_subset(u, v)
-    if u.dim == 0 or u.dim == v.dim:
-        return True
-    pu = project_subspace(u, w, tol)
-    pu_rest = project_subspace(orthogonal_complement_within(u, v), w, tol)
-    return _max_cross_cosine(pu, pu_rest) < tol.residual_eps
-
-
-def _max_cross_cosine(a: Subspace, b: Subspace) -> float:
-    if a.dim == 0 or b.dim == 0:
-        return 0.0
-    return float(principal_cosines(b, a)[0])
+    return is_principal_partition(Partition((u, orthogonal_complement_within(u, v))), w, tol)
 
 
 @dataclass(frozen=True)
@@ -349,8 +338,6 @@ def is_principal_partition(partition: Partition, w: Subspace, tol: Tolerance = D
     i.e. the projected parts are pairwise orthogonal."""
     partition.validate()
     projected = [project_subspace(p, w, tol) for p in partition.parts]
-    for i in range(len(projected)):
-        for j in range(i + 1, len(projected)):
-            if _max_cross_cosine(projected[i], projected[j]) >= tol.residual_eps:
-                return False
-    return True
+    return not any(
+        a.dim and b.dim and principal_cosines(b, a)[0] >= tol.residual_eps for a, b in combinations(projected, 2)
+    )

@@ -262,6 +262,18 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--trials", "20000")
         assert code == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_empty_runs_exit_2(self, capsys, trials):
+        code, out, err = run_cli(capsys, "verify", "--trials", trials, "--json")
+        assert code == 2 and out == ""
+        assert err == f"error: trials must be at least 1, got {trials}\n"
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_nonpositive_dimension_exits_2(self, capsys, n):
+        code, out, err = run_cli(capsys, "verify", "--n", n, "--trials", "2")
+        assert code == 2 and out == ""
+        assert err == f"error: n_max must be in [1, 16], got {n}\n"
+
 
 class TestExamplesCommand:
     def test_full_run_has_eight_cases(self, capsys):

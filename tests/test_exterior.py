@@ -17,6 +17,7 @@ from grassmann_angles import (
     contract,
     coordinate_blades,
     is_partially_orthogonal,
+    laplace_expand_det,
     multi_indices,
     sigma_sign,
     wedge,
@@ -64,6 +65,14 @@ class TestMultiIndices:
             MultiIndex((0, 1), 4)
         with pytest.raises(MultiIndexError):
             MultiIndex((1, 5), 4)
+
+    @pytest.mark.parametrize("indices", [(2, 2), (3, 1), (0, 1), (1, 5)])
+    def test_same_message_as_the_laplace_oracle(self, indices):
+        with pytest.raises(MultiIndexError) as oracle:
+            laplace_expand_det(np.eye(4), indices)
+        with pytest.raises(MultiIndexError) as index:
+            MultiIndex(indices, 4)
+        assert str(index.value) == str(oracle.value)
 
     @settings(max_examples=60, deadline=None)
     @given(q=st.integers(0, 8), p=st.integers(0, 8))

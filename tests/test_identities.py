@@ -141,12 +141,51 @@ class TestBinomialIdentities:
         pythag = check_coordinate_pythagorean(v, basis)
         assert binom.passed and pythag.passed
         assert "target 1" in binom.witness
+        for field in FIELDS:  # one sum: the residuals agree bit for bit
+            for _ in range(20):
+                n = int(rng.integers(1, 7))
+                p = int(rng.integers(1, n + 1))
+                v = random_subspace(rng, field, n, p)
+                basis = random_orthogonal_basis(rng, field, n)
+                assert check_coordinate_pythagorean(v, basis).residual == check_binomial_identities(v, basis, p).residual
 
     @pytest.mark.parametrize("q", [0, 4])
     def test_degenerate_coordinate_dimensions(self, q):
         rng = rng_from_seed(5)
         v = random_subspace(rng, Field.REAL, 4, 2)
         assert check_binomial_identities(v, np.eye(4), q).passed
+
+
+class TestAmbientCap:
+    """Coordinate enumerations stop at the ambient cap of 16, as blades do."""
+
+    @staticmethod
+    def _subspace(n, p, field=Field.REAL):
+        return random_subspace(rng_from_seed(n), field, n, p)
+
+    def test_coordinate_sums_reject_dimension_17(self):
+        v = self._subspace(17, 1)
+        with pytest.raises(DomainError, match="ambient dimension 17 exceeds the cap of 16"):
+            check_coordinate_pythagorean(v, np.eye(17))
+        with pytest.raises(DomainError, match="ambient dimension 17 exceeds the cap of 16"):
+            check_binomial_identities(v, np.eye(17), 1)
+
+    def test_coordinate_sums_accept_dimension_16(self):
+        v = self._subspace(16, 8)
+        out = check_coordinate_pythagorean(v, np.eye(16))
+        assert out.passed and "C(16,8)" in out.witness
+        assert check_binomial_identities(v, np.eye(16), 8).residual == out.residual
+
+    def test_weighted_average_rejects_dimension_17(self):
+        v = self._subspace(17, 2)
+        u = Subspace(v.onb[:, :1], Field.REAL)
+        with pytest.raises(DomainError, match="ambient dimension 17 exceeds the cap of 16"):
+            check_weighted_average(u, v, self._subspace(17, 1))
+
+    def test_weighted_average_accepts_dimension_16(self):
+        v = self._subspace(16, 4)
+        u = Subspace(v.onb[:, :2], Field.REAL)
+        assert check_weighted_average(u, v, self._subspace(16, 3)).passed
 
 
 class TestOrientedSum:
@@ -279,6 +318,18 @@ class TestDirectSum:
         w = Subspace.from_spanning([[0.0, 0.0, 1.0]])
         with pytest.raises(DomainError):
             check_direct_sum(a, b, w)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_direct_sum_is_the_two_part_chain(self, field):
+        rng = rng_from_seed(42)
+        for _ in range(20):
+            n = int(rng.integers(2, 7))
+            d1 = int(rng.integers(1, n))
+            d2 = int(rng.integers(1, n - d1 + 1))
+            v1, v2 = split_subspace(rng, random_subspace(rng, field, n, d1 + d2), [d1, d2]).parts
+            w = random_subspace(rng, field, n, int(rng.integers(1, n + 1)))
+            pair = check_direct_sum(v1, v2, w).residual
+            assert pair == check_partition_chain(Partition((v1, v2)), w).residual
 
 
 class TestPartitionChain:
@@ -501,6 +552,20 @@ class TestRunSuite:
     def test_unknown_suite_rejected(self):
         with pytest.raises(DomainError):
             run_suite("no-such-suite", trials=1)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_empty_runs_rejected(self, trials):
+        with pytest.raises(DomainError, match=f"trials must be at least 1, got {trials}"):
+            run_suite("pythagorean", trials=trials)
+
+    @pytest.mark.parametrize("n_max", [0, -2, 17])
+    def test_ambient_dimension_out_of_range_rejected(self, n_max):
+        with pytest.raises(DomainError, match=rf"n_max must be in \[1, 16\], got {n_max}"):
+            run_suite("binomial", n_max=n_max, trials=2)
+
+    def test_ambient_dimension_16_accepted(self):
+        checks = run_suite("binomial", field=Field.REAL, n_max=16, trials=2)
+        assert len(checks) == 2 and all(c.passed for c in checks)
 
     def test_smoke_all_suites_both_fields(self):
         checks = run_suite("all", field=None, n_max=5, trials=8, seed=2)

@@ -325,6 +325,23 @@ class TestPrincipalSubspace:
                 rest = orthogonal_complement_within(u, v)
                 assert is_principal_subspace(u, v, w) == is_principal_subspace(rest, v, w)
 
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_is_the_two_part_principal_partition(self, field):
+        rng = rng_from_seed(21)
+        seen = set()
+        for _ in range(20):
+            n = int(rng.integers(3, 7))
+            p = int(rng.integers(2, n + 1))
+            v = random_subspace(rng, field, n, p)
+            w = random_subspace(rng, field, n, int(rng.integers(1, n + 1)))
+            e = principal_decomposition(v, w).e_basis
+            r = int(rng.integers(1, p))
+            for u in (Subspace(e[:, :r], field, _validate=False), random_subspace_within(rng, v, r)):
+                expected = is_principal_partition(Partition((u, orthogonal_complement_within(u, v))), w)
+                assert is_principal_subspace(u, v, w) == expected
+                seen.add(expected)
+        assert seen == {True, False}
+
 
 class TestPartitions:
     def test_non_orthogonal_partition_rejected(self):
