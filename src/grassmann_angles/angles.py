@@ -186,26 +186,21 @@ def vector_angle(v, w, field: Field | None = None) -> VectorAngles:
 def grassmann_angle(v: Subspace, w: Subspace) -> AngleReport:
     """Grassmann angle of v with w by the projection definition.
 
-    Conventions for degenerate dimensions: the angle is 0 when v is the zero
-    subspace, and pi/2 whenever dim v > dim w (in particular when w is zero
-    and v is not).  The squared cosine is the Gram determinant det(b* b) of
-    the projection matrix b = W* V, the squared norm of the projected unit
-    blade of v.
+    The squared cosine is the Gram determinant det(b* b) of the projection
+    matrix b = W* V, the squared norm of the projected unit blade of v.  It
+    gives the degenerate dimensions their conventions: the angle is 0 when v
+    is the zero subspace (the empty determinant is 1), and pi/2 whenever
+    dim v > dim w, in particular when w is zero and v is not.
     """
     _require_same_space(v, w)
-    if v.dim == 0:
-        return AngleReport(0.0, 1.0, AngleMethod.PROJECTION)
-    if v.dim > w.dim:
-        return AngleReport(math.pi / 2, 0.0, AngleMethod.PROJECTION)
     cos_sq = float(_stacked_cos_squared(gram(w.onb, v.onb)[None])[0])
     return _report_from_cos_sq(cos_sq, AngleMethod.PROJECTION)
 
 
 def grassmann_angle_principal(v: Subspace, w: Subspace) -> AngleReport:
-    """Grassmann angle as the product of principal cosines."""
+    """Grassmann angle as the product of principal cosines (the empty
+    product 1 when v is zero), pi/2 when dim v > dim w."""
     _require_same_space(v, w)
-    if v.dim == 0:
-        return AngleReport(0.0, 1.0, AngleMethod.PRINCIPAL_PRODUCT)
     if v.dim > w.dim:
         return AngleReport(math.pi / 2, 0.0, AngleMethod.PRINCIPAL_PRODUCT)
     cosine = float(np.prod(principal_cosines(v, w)))

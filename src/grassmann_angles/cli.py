@@ -35,7 +35,7 @@ from .angles import (
     grassmann_angle_principal,
     oriented_grassmann_cos,
 )
-from .documents import InputDocument, encode_scalar, encode_vector, load_document
+from .documents import encode_scalar, encode_vector, load_document
 from .errors import GrassmannError
 from .fields import DEFAULT_TOLERANCE, SUITE_NAMES, Field, Tolerance
 from .subspaces import principal_decomposition
@@ -45,13 +45,6 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 _METHODS = ("projection", "equal-dim", "any-dim", "principal")
-
-
-def _tolerance_from(args, doc: InputDocument | None = None) -> Tolerance:
-    base = doc.options.tolerance if doc is not None else DEFAULT_TOLERANCE
-    if getattr(args, "tolerance", None) is not None:
-        base = Tolerance(rank_eps=base.rank_eps, residual_eps=args.tolerance)
-    return base
 
 
 def _emit(args, payload: dict, text_lines: list[str]):
@@ -77,7 +70,6 @@ def _angle_payload(report: AngleReport, degrees: bool) -> dict:
 
 def _cmd_angle(args) -> int:
     doc = load_document(args.document)
-    tol = _tolerance_from(args, doc)
     degrees = args.degrees or doc.options.degrees
     name_v, name_w = args.v, args.w
     basis_v, basis_w = doc.basis(name_v), doc.basis(name_w)
@@ -89,7 +81,7 @@ def _cmd_angle(args) -> int:
 
         nu = Blade(basis_v, field=doc.field)
         omega = Blade(basis_w, field=doc.field)
-        cos = oriented_grassmann_cos(nu, omega, tol)
+        cos = oriented_grassmann_cos(nu, omega, doc.options.tolerance)
         payload = {
             "cos": encode_scalar(cos, doc.field),
             "cos_squared": abs(cos) ** 2,
@@ -164,7 +156,7 @@ def _cmd_verify(args) -> int:
         raise GrassmannError(f"ambient dimension is capped at 8 for verification runs, got {args.n}")
     if args.trials > 10000:
         raise GrassmannError(f"trials are capped at 10000, got {args.trials}")
-    tol = _tolerance_from(args)
+    tol = DEFAULT_TOLERANCE if args.tolerance is None else Tolerance(residual_eps=args.tolerance)
     field = None if args.field == "both" else Field(args.field)
     checks = run_suite(args.suite, field=field, n_max=args.n, trials=args.trials, seed=args.seed, tol=tol)
     failures = [c for c in checks if not c.passed]
@@ -220,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     angle.add_argument("--complementary", action="store_true", help="angle with the orthogonal complement of W")
     angle.add_argument("--oriented", action="store_true", help="signed/phased cosine of the raw basis blades")
     angle.add_argument("--degrees", action="store_true")
-    angle.add_argument("--tolerance", type=float, help="override the residual tolerance")
     angle.add_argument("--json", action="store_true")
     angle.set_defaults(fn=_cmd_angle)
 

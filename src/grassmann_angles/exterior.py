@@ -267,7 +267,7 @@ class Contraction:
             return 0.0
         if self.grade == 0:  # c times the empty blade, whose Gram matrix is [[1]]
             return abs(self.terms[0][1])
-        phase, norm, q = _polars([self.complement_blade(i) for i, _ in self.terms])
+        phase, norm, q = _polars([self.complement_blade(i) for i, _ in self.terms], tol)
         w, coeffs = phase * norm, np.array([c for _, c in self.terms], dtype=self.field.dtype)
         g = np.outer(w.conj(), w) * np.linalg.det(q.conj().swapaxes(1, 2)[:, None] @ q)  # <b_i, b_j>
         value = np.real(coeffs.conj() @ g @ coeffs)

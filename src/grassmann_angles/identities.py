@@ -19,13 +19,20 @@ conditioning or scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .angles import complementary_angle, grassmann_angle
 from .errors import DomainError
-from .exterior import AMBIENT_LIMIT, Blade, _oriented_cos_of_frames, _require_ambient_cap, _unit_frame
+from .exterior import (
+    AMBIENT_LIMIT,
+    Blade,
+    _oriented_cos_of_frames,
+    _require_ambient_cap,
+    _require_compatible,
+    _unit_frame,
+)
 from .fields import DEFAULT_TOLERANCE, SUITE_NAMES, Field, Tolerance, as_basis
 from .linalg import gram, scale_columns
 # random_instance is re-exported: the seeded generators are part of this
@@ -47,6 +54,7 @@ from .subspaces import (
     Subspace,
     _coordinate_cos_squared,
     _index_stack,
+    _orthonormality_defect,
     _require_subset,
     _stacked_cos_squared,
     direct_sum,
@@ -83,34 +91,27 @@ class IdentityCheck:
     witness: str
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "residual": self.residual,
-            "passed": self.passed,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 def _check(name: str, residual: float, witness: str, tol: Tolerance) -> IdentityCheck:
     return IdentityCheck(name, float(residual), bool(residual <= tol.residual_eps), witness)
 
 
-def _orthogonal_basis_matrix(basis, field: Field) -> np.ndarray:
+def _orthogonal_basis_matrix(basis, field: Field, n: int) -> np.ndarray:
     """The unit columns of a full orthogonal (not necessarily normalized)
-    basis, after validating it.  The columns go through ``scale_columns``
-    first, as in ``orthonormalize``; each is then divided by its norm."""
+    basis of the n-dimensional space, after validating it.  The columns go
+    through ``scale_columns`` first, as in ``orthonormalize``; each is then
+    divided by its norm."""
     mat, _ = as_basis(basis, field)
-    n = mat.shape[0]
-    if mat.shape[1] != n:
-        raise DomainError(f"need {n} basis vectors for dimension {n}, got {mat.shape[1]}")
+    if mat.shape != (n, n):
+        raise DomainError(f"need {n} basis vectors of dimension {n}, got shape {mat.shape}")
     mat = scale_columns(mat)
     norms = np.linalg.norm(mat, axis=0)
     if not norms.all():
         raise DomainError("basis vectors must be nonzero")
     units = mat / norms
-    cross = np.abs(gram(units, units))
-    np.fill_diagonal(cross, 0.0)
-    if not float(np.max(cross, initial=0.0)) <= ORTHOGONALITY_DEFECT:
+    if not _orthonormality_defect(units) <= ORTHOGONALITY_DEFECT:
         raise DomainError("basis vectors are not orthogonal")
     return units
 
@@ -133,10 +134,8 @@ def _coordinate_sum(v: Subspace, basis, q: int) -> float:
     """Sum of the squared cosines of V against the C(n, q) coordinate
     q-subspaces W_I of an orthogonal basis (of W_I with V when p > q), all
     in one stacked determinant, after validating the basis and q."""
-    units = _orthogonal_basis_matrix(basis, v.field)
     n = v.ambient_dim
-    if units.shape[0] != n:
-        raise DomainError("basis and subspace ambient dimensions differ")
+    units = _orthogonal_basis_matrix(basis, v.field, n)
     _require_ambient_cap(n)
     if not 0 <= q <= n:
         raise DomainError(f"coordinate dimension must be in [0, {n}], got {q}")
@@ -187,11 +186,8 @@ def check_oriented_sum(nu: Blade, omega: Blade, basis, tol: Tolerance = DEFAULT_
     """
     if nu.grade != omega.grade or nu.grade < 1:
         raise DomainError("need two nonzero blades of the same positive grade")
-    if nu.field is not omega.field or nu.ambient_dim != omega.ambient_dim:
-        raise DomainError("blades live in different spaces")
-    units = _orthogonal_basis_matrix(basis, nu.field)
-    if units.shape[0] != nu.ambient_dim:
-        raise DomainError("basis and blades ambient dimensions differ")
+    _require_compatible(nu, omega)
+    units = _orthogonal_basis_matrix(basis, nu.field, nu.ambient_dim)
     frames = _unit_frame(nu, tol), _unit_frame(omega, tol)
     lhs = _oriented_cos_of_frames(*frames)  # raises on a zero blade
     rows = _index_stack(nu.ambient_dim, nu.grade)
@@ -357,8 +353,6 @@ def _trial_weighted_average(rng, field, n_max, tol):
 
 
 def _trial_direct_sum(rng, field, n_max, tol):
-    if n_max < 2:
-        raise DomainError("the direct-sum suite needs ambient dimension >= 2")
     n = int(rng.integers(2, n_max + 1))
     d1 = int(rng.integers(1, n))
     d2 = int(rng.integers(1, n - d1 + 1))
@@ -369,8 +363,6 @@ def _trial_direct_sum(rng, field, n_max, tol):
 
 
 def _trial_partition_chain(rng, field, n_max, tol):
-    if n_max < 2:
-        raise DomainError("the partition-chain suite needs ambient dimension >= 2")
     n = int(rng.integers(2, n_max + 1))
     p = int(rng.integers(2, n + 1))
     parent = random_subspace(rng, field, n, p)
@@ -416,8 +408,6 @@ def _grouped_principal_partition(rng, e_basis: np.ndarray, field) -> Partition:
 
 
 def _trial_converse(rng, field, n_max, tol):
-    if n_max < 2:
-        raise DomainError("the converse suite needs ambient dimension >= 2")
     n = int(rng.integers(3, n_max + 1)) if n_max >= 3 else 2
     cases = []
     if n >= 3:
@@ -454,6 +444,9 @@ _TRIALS = {
     "converse": _trial_converse,
 }
 
+# suites whose trials draw at least two dimensions
+_NEEDS_TWO = {"direct-sum", "partition-chain", "converse"}
+
 
 def run_suite(
     suites="all",
@@ -468,7 +461,8 @@ def run_suite(
     ``suites`` is a name, an iterable of names, or "all"; ``field`` of None
     runs both fields.  Each (suite, field, trial) cell gets its own derived
     seed, so reports are reproducible and insensitive to the order cells run.
-    Raises DomainError unless ``trials >= 1`` and ``1 <= n_max <= 16``.
+    Raises DomainError unless ``trials >= 1`` and ``1 <= n_max <= 16``, and
+    before any trial runs if a selected suite needs ``n_max >= 2``.
     """
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
@@ -481,6 +475,9 @@ def run_suite(
     for name in names:
         if name not in _TRIALS:
             raise DomainError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
+    for name in names:
+        if n_max < 2 and name in _NEEDS_TWO:
+            raise DomainError(f"the {name} suite needs ambient dimension >= 2")
     fields = [Field.REAL, Field.COMPLEX] if field is None else [field]
     results = []
     for name in names:

@@ -62,13 +62,11 @@ def det(m) -> complex | float:
     """Determinant via pivoted LU (the fast path).
 
     Raises DimensionMismatchError for non-square input.  The 0x0 determinant
-    is 1 (empty product).
+    is 1 (empty product), as numpy gives it.
     """
     arr = as_matrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(f"determinant needs a square matrix, got {arr.shape}")
-    if arr.shape[0] == 0:
-        return 1.0 + 0j if np.iscomplexobj(arr) else 1.0
     value = np.linalg.det(arr)
     return complex(value) if np.iscomplexobj(arr) else float(value)
 
@@ -254,15 +252,9 @@ def _householder(arr: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, int]:
 def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD ``m = u @ diag(s) @ v*`` with s sorted descending.
 
-    Works over both fields; u and v have orthonormal columns.
+    Works over both fields; u and v have orthonormal columns.  An m x n
+    matrix with m or n zero gives numpy's empty factors u (m, 0), s (0,) and
+    v (n, 0).
     """
-    arr = as_matrix(m)
-    if 0 in arr.shape:
-        k = min(arr.shape)
-        return (
-            np.zeros((arr.shape[0], k), dtype=arr.dtype),
-            np.zeros(k),
-            np.zeros((arr.shape[1], k), dtype=arr.dtype),
-        )
-    u, s, vh = np.linalg.svd(arr, full_matrices=False)
+    u, s, vh = np.linalg.svd(as_matrix(m), full_matrices=False)
     return u, s, vh.conj().T

@@ -112,7 +112,7 @@ def _orthonormality_defect(mat: np.ndarray) -> float:
     return float(np.max(np.abs(gram(mat, mat) - np.eye(mat.shape[1]))))
 
 
-def _require_same_space(a: Subspace, b: Subspace):
+def _require_same_space(a: Subspace | Blade, b: Subspace):
     if a.field is not b.field:
         raise DimensionMismatchError(f"mixed scalar fields: {a.field.value} vs {b.field.value}")
     if a.ambient_dim != b.ambient_dim:
@@ -134,8 +134,7 @@ def project_blade(nu: Blade, w: Subspace) -> Blade:
     partially orthogonal to w; otherwise it represents the projected
     subspace.
     """
-    if nu.field is not w.field or nu.ambient_dim != w.ambient_dim:
-        raise DimensionMismatchError("blade and subspace live in different spaces")
+    _require_same_space(nu, w)
     if nu.grade == 0:
         return nu
     from .exterior import Blade
@@ -152,20 +151,14 @@ def project_subspace(v: Subspace, w: Subspace, tol: Tolerance = DEFAULT_TOLERANC
     nearly nothing must not resurface as a normalized noise vector.
     """
     _require_same_space(v, w)
-    if v.dim == 0 or w.dim == 0:
-        return Subspace.zero(v.ambient_dim, v.field)
-    coeff = gram(w.onb, v.onb)
-    u, s, _ = np.linalg.svd(coeff, full_matrices=False)
+    u, s, _ = np.linalg.svd(gram(w.onb, v.onb), full_matrices=False)
     rank = int(np.sum(s > tol.rank_eps))
     return Subspace(w.onb @ u[:, :rank], v.field, _validate=False)
 
 
 def complement(w: Subspace) -> Subspace:
-    """Orthogonal complement, of dimension ambient - dim."""
-    if w.dim == 0:
-        return Subspace.full(w.ambient_dim, w.field)
-    if w.dim == w.ambient_dim:
-        return Subspace.zero(w.ambient_dim, w.field)
+    """Orthogonal complement, of dimension ambient - dim: the trailing left
+    singular vectors of w's basis (all of ``eye(n)`` for the zero subspace)."""
     full_u, _, _ = np.linalg.svd(w.onb, full_matrices=True)
     return Subspace(full_u[:, w.dim :], w.field, _validate=False)
 

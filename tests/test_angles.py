@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from grassmann_angles import (
     AngleMethod,
+    AngleReport,
     Blade,
     DegenerateBasisError,
     DimensionMismatchError,
@@ -120,12 +121,19 @@ class TestGrassmannAngle:
         w = random_subspace(rng, Field.REAL, 5, 2)
         assert grassmann_angle(v, w).value == math.pi / 2
 
-    def test_degenerate_dimension_conventions(self):
-        zero = Subspace.zero(3, Field.REAL)
-        full = Subspace.full(3, Field.REAL)
-        assert grassmann_angle(zero, zero).value == 0.0
-        assert grassmann_angle(zero, full).value == 0.0
-        assert grassmann_angle(full, zero).value == math.pi / 2
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize(
+        "route, method",
+        [(grassmann_angle, AngleMethod.PROJECTION), (grassmann_angle_principal, AngleMethod.PRINCIPAL_PRODUCT)],
+    )
+    def test_degenerate_dimension_conventions(self, route, method, field):
+        # the kernels' own conventions: the empty determinant or product is 1,
+        # and a bigger subspace projects onto a smaller one with rank below p
+        zero, full = Subspace.zero(3, field), Subspace.full(3, field)
+        plane = Subspace.from_spanning(np.eye(3)[:, :2], field)
+        line = Subspace.from_spanning(np.eye(3)[:, :1], field)
+        assert route(zero, zero) == route(zero, line) == route(zero, full) == AngleReport(0.0, 1.0, method)
+        assert route(full, zero) == route(line, zero) == route(plane, line) == AngleReport(math.pi / 2, 0.0, method)
 
     def test_line_plane_pair(self):
         v = Subspace.from_spanning(LINE_R4)

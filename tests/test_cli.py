@@ -118,6 +118,12 @@ class TestAngleCommand:
         code, _, err = run_cli(capsys, "angle", COMPLEX_DOC, "V", "W", "--oriented", "--complementary")
         assert code == 2 and "error" in err
 
+    def test_tolerance_is_not_an_angle_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["angle", R4_DOC, "V", "W", "--tolerance", "1e-8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tolerance 1e-8" in capsys.readouterr().err
+
     def test_unknown_subspace_name(self, capsys):
         code, _, err = run_cli(capsys, "angle", COMPLEX_DOC, "V", "Q")
         assert code == 2 and "unknown subspace" in err
@@ -267,6 +273,11 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "--trials", trials, "--json")
         assert code == 2 and out == ""
         assert err == f"error: trials must be at least 1, got {trials}\n"
+
+    def test_one_dimension_exits_2_for_the_suites_that_need_two(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--n", "1", "--trials", "1")
+        assert code == 2 and out == ""
+        assert err == "error: the direct-sum suite needs ambient dimension >= 2\n"
 
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_nonpositive_dimension_exits_2(self, capsys, n):

@@ -12,6 +12,7 @@ from grassmann_angles import (
     MultiIndex,
     MultiIndexError,
     Subspace,
+    Tolerance,
     blade_inner,
     blade_norm,
     contract,
@@ -264,6 +265,18 @@ class TestContract:
         assert scalar == pytest.approx(blade_inner(nu, omega))
         one = Blade.scalar(1.0, 4, field)
         assert out.inner_with(one) == pytest.approx(blade_inner(nu, omega))
+
+    def test_norm_applies_the_rank_rule_of_tol(self):
+        # at rank_eps 0.1 every complement blade of three nearly parallel
+        # factors is zero, and so is the contraction that combines them
+        rng = rng_from_seed(0)
+        a = rng.standard_normal(4)
+        omega = Blade(np.column_stack([a + 1e-3 * e(4, j) for j in range(3)]))
+        out = contract(Blade(rng.standard_normal((4, 1))), omega)
+        tol = Tolerance(rank_eps=0.1)
+        assert [out.complement_blade(i).norm(tol) for i, _ in out] == [0.0, 0.0, 0.0]
+        assert out.norm(tol) == 0.0
+        assert out.norm() > 0.0
 
     def test_scalar_contraction(self):
         omega = Blade([e(3, 0), e(3, 1, Field.COMPLEX)], field=Field.COMPLEX)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from grassmann_angles import (
     random_instance,
     run_suite,
 )
+from grassmann_angles import identities
 from grassmann_angles.fields import Field
 from grassmann_angles.gallery import load_case_document, run_gallery
 from grassmann_angles.identities import _coordinate_cos_squared, _index_stack, _stacked_cos_squared
@@ -219,6 +221,22 @@ class TestOrientedSum:
     def test_grade_mismatch_rejected(self):
         with pytest.raises(DomainError):
             check_oriented_sum(Blade(np.eye(3)[:, :1]), Blade(np.eye(3)[:, :2]), np.eye(3))
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (5, 5)])
+@pytest.mark.parametrize(
+    "checker",
+    [
+        lambda basis: check_coordinate_pythagorean(Subspace.from_spanning(np.eye(4)[:, :2]), basis),
+        lambda basis: check_binomial_identities(Subspace.from_spanning(np.eye(4)[:, :2]), basis, 1),
+        lambda basis: check_oriented_sum(Blade(np.eye(4)[:, :2]), Blade(np.eye(4)[:, 1:3]), basis),
+    ],
+    ids=["pythagorean", "binomial", "oriented-sum"],
+)
+def test_coordinate_sums_need_a_full_basis_of_the_space(checker, shape):
+    # orthogonal columns, but n x (n - 1) or (n + 1) x (n + 1) in R^4
+    with pytest.raises(DomainError, match=re.escape(f"need 4 basis vectors of dimension 4, got shape {shape}")):
+        checker(np.eye(*shape))
 
 
 class TestExtremeScaleBases:
@@ -552,6 +570,14 @@ class TestRunSuite:
     def test_unknown_suite_rejected(self):
         with pytest.raises(DomainError):
             run_suite("no-such-suite", trials=1)
+
+    @pytest.mark.parametrize("name", ["direct-sum", "partition-chain", "converse"])
+    def test_two_dimensional_suites_rejected_before_any_trial(self, name, monkeypatch):
+        calls = []
+        monkeypatch.setitem(identities._TRIALS, "line-partition", lambda *args: calls.append(args))
+        with pytest.raises(DomainError, match=f"^the {name} suite needs ambient dimension >= 2$"):
+            run_suite(["line-partition", name], n_max=1)
+        assert calls == []
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_empty_runs_rejected(self, trials):

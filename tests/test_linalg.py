@@ -41,6 +41,11 @@ class TestDet:
         with pytest.raises(DimensionMismatchError):
             det(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("field, expected", [(Field.REAL, 1.0), (Field.COMPLEX, 1 + 0j)])
+    def test_empty_matrix_is_the_python_one(self, field, expected):
+        value = det(np.zeros((0, 0), dtype=field.dtype))
+        assert value == expected and type(value) is type(expected)
+
     @pytest.mark.parametrize("field", FIELDS)
     def test_matches_laplace_oracle_on_random_5x5(self, field):
         rng = rng_from_seed(11)
@@ -252,6 +257,14 @@ class TestSvd:
     def test_zero_matrix(self):
         _, s, _ = svd(np.zeros((3, 2)))
         np.testing.assert_allclose(s, 0.0)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
+    def test_empty_matrix_has_empty_factors(self, shape, field):
+        u, s, v = svd(np.zeros(shape, dtype=field.dtype))
+        k = min(shape)
+        assert (u.shape, s.shape, v.shape) == ((shape[0], k), (k,), (shape[1], k))
+        assert (u.dtype, s.dtype, v.dtype) == (field.dtype, np.float64, field.dtype)
 
     def test_complex_reconstruction(self):
         rng = rng_from_seed(17)

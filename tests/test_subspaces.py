@@ -136,9 +136,14 @@ class TestProjectBlade:
 
 
 class TestComplement:
-    def test_zero_and_full(self):
-        assert complement(Subspace.zero(3, Field.REAL)).dim == 3
-        assert complement(Subspace.full(3, Field.COMPLEX)).dim == 0
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_zero_and_full(self, n, field):
+        whole = complement(Subspace.zero(n, field)).onb
+        assert whole.dtype == field.dtype
+        np.testing.assert_array_equal(whole, np.eye(n))
+        empty = complement(Subspace.full(n, field)).onb
+        assert empty.shape == (n, 0) and empty.dtype == field.dtype
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_involution_and_orthogonality(self, field):
@@ -429,6 +434,13 @@ class TestProjectSubspace:
         # the image sits inside w
         residual = image.onb - w.onb @ gram(w.onb, image.onb)
         assert np.max(np.abs(residual)) <= 1e-12
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_zero_subspace_on_either_side_gives_zero(self, field):
+        v = random_subspace(rng_from_seed(27), field, 4, 2)
+        zero = Subspace.zero(4, field)
+        for image in (project_subspace(zero, v), project_subspace(v, zero), project_subspace(zero, zero)):
+            assert (image.dim, image.ambient_dim, image.field) == (0, 4, field)
 
     def test_orthogonal_directions_are_cut(self):
         # a direction of v with an exactly zero projection must not resurface
