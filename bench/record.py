@@ -31,7 +31,10 @@ time the call on prebuilt Gaussian blades: omega of grade k, and nu of grade
 k for ``blade_inner`` and of grade min(2, k) for the contractions (whose
 norm is timed on a prebuilt contraction).  Each records, per version, the
 worst error over 20 such cases against the exact Gram determinants of
-``tests/exact.py``, relative to the norms of the blades involved.  The
+``tests/exact.py``, relative to the norms of the blades involved.  A
+contraction is checked through what it is, not through the terms that hold
+it: ``<mu, nu _| omega>`` for a Gaussian mu of the complementary grade,
+against the exact ``<nu ^ mu, omega>``.  The
 ``grassmann_angle_equal_dim``, ``grassmann_angle_any_dim`` and
 ``complementary_angle_formula`` rows time the call on two Gaussian n x k
 bases as given, and the ``vector_angle`` rows (k = 1 only) on two Gaussian
@@ -79,7 +82,6 @@ import sys
 import tempfile
 import timeit
 from datetime import datetime, timezone
-from itertools import combinations
 from pathlib import Path
 from time import perf_counter
 
@@ -221,24 +223,13 @@ def volume(f: np.ndarray) -> float:
     return float(np.prod(np.abs(np.linalg.qr(f)[1].diagonal())))
 
 
-def exact_contraction(exact, nu: np.ndarray, omega: np.ndarray) -> tuple[list, list]:
-    """The coefficients ``sigma(I) <nu, omega_I>`` of ``contract(nu, omega)``
-    over the increasing p-subsets I of the columns of omega, exactly, with the
-    norms ``|nu| |omega_I|`` they are measured against."""
-    p, q = nu.shape[1], omega.shape[1]
-    values, scales = [], []
-    for index in combinations(range(q), p):
-        sign = -1 if (sum(index) + p + p * (p + 1) // 2) % 2 else 1  # 1-based weight = sum(index) + p
-        values.append(complex(sign * exact.blade_inner(nu, omega[:, index])))
-        scales.append(volume(nu) * volume(omega[:, index]))
-    return values, scales
-
-
-def exact_values(exact, call: str, nu: np.ndarray, omega: np.ndarray) -> tuple[list, list]:
-    """The exact outputs of ``call`` on the blades with factors nu and omega,
-    and the norms each error is measured against."""
-    if call == "contract":
-        return exact_contraction(exact, nu, omega)
+def exact_values(exact, call: str, nu: np.ndarray, omega: np.ndarray, mu: np.ndarray) -> tuple[list, list]:
+    """The exact outputs of ``call`` on the blades with factors nu and omega
+    (for ``contract``, its inner product with the blade mu), and the norms
+    each error is measured against."""
+    if call == "contract":  # <mu, nu _| omega> = <nu ^ mu, omega>
+        value = complex(exact.blade_inner(np.hstack([nu, mu]), omega))
+        return [value], [volume(nu) * volume(mu) * volume(omega)]
     if call == "blade_inner":
         value = complex(exact.blade_inner(nu, omega))
     elif call == "blade_norm":
@@ -262,21 +253,21 @@ def blade_row(versions: dict, exact, rng: np.random.Generator, call: str, field_
     the worst error against ``tests/exact.py`` over CASES cases."""
     grade, bind = BLADE_CALLS[call]
     cases = [(gaussian(rng, field_name == "complex", n, grade(k)), gaussian(rng, field_name == "complex", n, k)) for _ in range(CASES)]
-    expected = [exact_values(exact, call, nu, omega) for nu, omega in cases]
+    mus = [gaussian(rng, field_name == "complex", n, k - grade(k)) if call == "contract" else None for _ in cases]
+    expected = [exact_values(exact, call, nu, omega, mu) for (nu, omega), mu in zip(cases, mus)]
     row = {"call": call, "field": field_name, "n": n, "k": k, "nu_grade": grade(k)}
     calls = {}
     for side, ga in versions.items():
         field = ga.Field(field_name)
         bound = [bind(ga, ga.Blade(nu, field=field), ga.Blade(omega, field=field)) for nu, omega in cases]
         errors = []
-        for run, (values, scales) in zip(bound, expected):
+        for run, mu, (values, scales) in zip(bound, mus, expected):
             out = run()
-            got = [c for _, c in out] if call == "contract" else [out]
+            got = [out.inner_with(ga.Blade(mu, field=field))] if call == "contract" else [out]
             errors += [abs(g - v) / s for g, v, s in zip(got, values, scales)]
         row[f"{side}_oracle_error"] = float(max(errors))
         calls[side] = bound[0]
-    terms = math.comb(k, grade(k))  # one but for the contractions; their norm takes terms^2 inner products
-    number = max(1, 200 // terms ** (2 if call == "Contraction.norm" else 1))
+    number = max(1, 200 // math.comb(k, grade(k)))  # the contractions hold C(k, grade) terms
     row.update(best_times(calls, number=number))
     return row
 

@@ -75,8 +75,8 @@ def _cmd_angle(args) -> int:
     basis_v, basis_w = doc.basis(name_v), doc.basis(name_w)
 
     if args.oriented:
-        if args.complementary:
-            raise GrassmannError("--oriented and --complementary cannot be combined")
+        if args.complementary or args.method:
+            raise GrassmannError("--oriented cannot be combined with --complementary or --method")
         from .exterior import Blade
 
         nu = Blade(basis_v, field=doc.field)
@@ -100,14 +100,14 @@ def _cmd_angle(args) -> int:
         return EXIT_OK
 
     if args.complementary:
-        if args.method == "projection":
+        if args.method in (None, "projection"):
             report = complementary_angle(doc.subspace(name_v), doc.subspace(name_w))
         elif args.method in ("equal-dim", "any-dim"):
             report = complementary_angle_formula(basis_v, basis_w, field=doc.field)
         else:
             report = complementary_angle_orthonormal(doc.subspace(name_v), doc.subspace(name_w))
     else:
-        if args.method == "projection":
+        if args.method in (None, "projection"):
             report = grassmann_angle(doc.subspace(name_v), doc.subspace(name_w))
         elif args.method == "equal-dim":
             report = grassmann_angle_equal_dim(basis_v, basis_w, field=doc.field)
@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     angle.add_argument("document", help="path to the input JSON document")
     angle.add_argument("v", metavar="V", help="name of the first subspace")
     angle.add_argument("w", metavar="W", help="name of the second subspace")
-    angle.add_argument("--method", choices=_METHODS, default="projection")
+    angle.add_argument("--method", choices=_METHODS, help="route of the angle (default: projection)")
     angle.add_argument("--complementary", action="store_true", help="angle with the orthogonal complement of W")
     angle.add_argument("--oriented", action="store_true", help="signed/phased cosine of the raw basis blades")
     angle.add_argument("--degrees", action="store_true")

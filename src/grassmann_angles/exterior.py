@@ -2,8 +2,8 @@
 
 A blade is kept as its list of vector factors (columns of an ``(n, p)``
 array) plus a scalar weight; it is never expanded into ``C(n, p)``
-coordinates.  Norms and inner products are read off the unit frame
-F = QR of the factors (``_unit_frame``), conjugate-linear in the first
+coordinates.  Norms, inner products and contractions are read off the unit
+frame F = QR of the factors (``_unit_frame``), conjugate-linear in the first
 argument over the complex field.  Grade-0 blades are scalars with an empty
 factor list.
 """
@@ -143,7 +143,7 @@ class Blade:
         return f"Blade(grade={self.grade}, ambient={self.ambient_dim}, field={self.field.value})"
 
 
-def _require_compatible(a: Blade, b: Blade):
+def _require_compatible(a: Blade, b: "Blade | Contraction"):
     if a.field is not b.field:
         raise DomainError(f"mixed scalar fields: {a.field.value} vs {b.field.value}")
     if a.ambient_dim != b.ambient_dim:
@@ -226,15 +226,22 @@ def blade_norm(a: Blade, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     return float(_polars([a], tol)[1][0])
 
 
+def _unit_inners(a: Blade, q: np.ndarray, indices: list[MultiIndex], tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
+    """``<a, q_I>`` for each index I, q_I the unit blade of those columns of an orthonormal
+    q: ``conj(w) det(Q* q_I)`` for ``a = w * (Q's unit blade)``, in one stacked determinant."""
+    (phase,), (norm,), (frame,) = _polars([a], tol)
+    cols = np.array([i.zero_based() for i in indices], dtype=int).reshape(len(indices), a.grade)
+    return np.conj(phase * norm) * np.linalg.det(np.moveaxis(gram(frame, q)[:, cols], 0, 1))
+
+
 @dataclass(frozen=True)
 class Contraction:
-    """Left contraction ``nu _| omega`` kept as coefficients against the
-    complementary coordinate blades of one decomposition of omega.
-
-    ``terms[k] = (I, c_I)`` means the contraction is ``sum_I c_I * omega_Ihat``
-    where ``omega_Ihat`` is built from the source factors indexed by the
-    complement of I.  For removed grade > source grade the contraction is
-    zero and ``terms`` is empty.
+    """Left contraction ``nu _| omega`` against omega's unit frame: omega is
+    ``w * (q_1 ^ ... ^ q_q)`` for the orthonormal columns of ``source_factors``
+    (all zero for a zero omega), and ``terms[k] = (I, c_I)`` means the
+    contraction is ``sum_I c_I * q_Ihat``, with ``c_I = sigma(I) w <nu, q_I>``
+    and q_Ihat the unit blade of the columns off I.  For removed grade >
+    source grade the contraction is zero and ``terms`` is empty.
     """
 
     source_factors: np.ndarray
@@ -246,6 +253,10 @@ class Contraction:
     def grade(self) -> int:
         return max(self.source_factors.shape[1] - self.removed_grade, 0)
 
+    @property
+    def ambient_dim(self) -> int:
+        return self.source_factors.shape[0]
+
     def __iter__(self):
         return iter(self.terms)
 
@@ -254,46 +265,37 @@ class Contraction:
 
     def complement_blade(self, index: MultiIndex) -> Blade:
         cols = index.complement().zero_based()
-        return Blade(self.source_factors[:, cols], field=self.field, ambient_dim=self.source_factors.shape[0])
+        return Blade(self.source_factors[:, cols], field=self.field, ambient_dim=self.ambient_dim)
 
     def inner_with(self, mu: Blade) -> complex | float:
-        """``<mu, nu _| omega>``, linear in the contraction."""
-        zero = 0j if self.field is Field.COMPLEX else 0.0
-        return sum((c * blade_inner(mu, self.complement_blade(i)) for i, c in self.terms), zero)
+        """``<mu, nu _| omega> = sum_I c_I <mu, q_Ihat>``, linear in the
+        contraction; mu is judged zero by the default rule, as in ``blade_inner``."""
+        _require_compatible(mu, self)
+        value = 0.0
+        if self.terms and mu.grade == self.grade:
+            inners = _unit_inners(mu, self.source_factors, [i.complement() for i, _ in self.terms])
+            value = np.array([c for _, c in self.terms]) @ inners
+        return complex(value) if self.field is Field.COMPLEX else float(value)
 
-    def norm(self, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
-        """Norm through the Gram matrix of the complementary blades, in one stacked determinant."""
-        if not self.terms:
-            return 0.0
-        if self.grade == 0:  # c times the empty blade, whose Gram matrix is [[1]]
-            return abs(self.terms[0][1])
-        phase, norm, q = _polars([self.complement_blade(i) for i, _ in self.terms], tol)
-        w, coeffs = phase * norm, np.array([c for _, c in self.terms], dtype=self.field.dtype)
-        g = np.outer(w.conj(), w) * np.linalg.det(q.conj().swapaxes(1, 2)[:, None] @ q)  # <b_i, b_j>
-        value = np.real(coeffs.conj() @ g @ coeffs)
-        if value < -tol.residual_eps * max(1.0, float(np.max(np.abs(g))) * float(np.sum(np.abs(coeffs) ** 2))):
-            raise NumericalConsistencyError(f"squared contraction norm came out negative: {value}")
-        return float(np.sqrt(max(value, 0.0)))
+    def norm(self) -> float:
+        """``sqrt(sum_I |c_I|^2)``, as the q_Ihat are orthonormal: the generalized Pythagorean identity."""
+        return math.hypot(*(abs(c) for _, c in self.terms))
 
 
-def contract(nu: Blade, omega: Blade) -> Contraction:
+def contract(nu: Blade, omega: Blade, tol: Tolerance = DEFAULT_TOLERANCE) -> Contraction:
     """Left contraction of ``nu`` on ``omega``: the adjoint of wedging by nu,
     so that ``<mu, contract(nu, omega)> = <nu ^ mu, omega>`` for every mu.
 
-    Returns the zero contraction when ``grade(nu) > grade(omega)``; for equal
-    grades the single term coincides with the blade inner product.
+    Both blades are judged zero by the rank rule of ``tol``.  Each <nu, q_I>
+    is a minor of Q_nu* Q, all in one stacked determinant (none when
+    grade(nu) > grade(omega); one, the blade inner product, at equal grades).
     """
     _require_compatible(nu, omega)
-    p, q = nu.grade, omega.grade
-    if p > q:
-        return Contraction(omega.factors, omega.field, p, ())
-    indices = multi_indices(p, q)
-    parts = [Blade(omega.factors[:, i.zero_based()], field=omega.field, ambient_dim=omega.ambient_dim) for i in indices]
-    phase, norm, frames = _polars([nu] + parts)
-    w = phase * norm
-    inner = w[0].conjugate() * w[1:] * np.linalg.det(frames[0].conj().T @ frames[1:])  # <nu, omega_I>
-    terms = tuple((i, sigma_sign(i) * x * omega.coefficient) for i, x in zip(indices, inner.tolist()))
-    return Contraction(omega.factors, omega.field, p, terms)
+    (phase,), (norm,), (q,) = _polars([omega], tol)
+    indices = multi_indices(nu.grade, omega.grade)
+    inner = phase * norm * _unit_inners(nu, q, indices, tol)  # w <nu, q_I>
+    terms = tuple((i, sigma_sign(i) * x) for i, x in zip(indices, inner.tolist()))
+    return Contraction(q, omega.field, nu.grade, terms)
 
 
 @dataclass(frozen=True)

@@ -179,7 +179,6 @@ def direct_sum(*parts: Subspace) -> Subspace:
 
 def orthogonal_complement_within(u: Subspace, v: Subspace) -> Subspace:
     """The orthogonal complement of u inside v (u must be a subspace of v)."""
-    _require_same_space(u, v)
     _require_subset(u, v)
     if u.dim == 0:
         return v
@@ -280,6 +279,7 @@ def principal_decomposition(v: Subspace, w: Subspace) -> PrincipalDecomposition:
 
 
 def _require_subset(u: Subspace, v: Subspace):
+    _require_same_space(u, v)
     if u.dim > v.dim:
         raise DomainError(f"a {u.dim}-dimensional space cannot sit inside a {v.dim}-dimensional one")
     if u.dim == 0:
@@ -298,8 +298,6 @@ def is_principal_subspace(
     inside v: Proj_w(u) is orthogonal to Proj_w of that complement.  The zero
     subspace and subspaces orthogonal to w count as principal.
     """
-    _require_same_space(u, w)
-    _require_same_space(v, w)
     return is_principal_partition(Partition((u, orthogonal_complement_within(u, v))), w, tol)
 
 

@@ -118,6 +118,12 @@ class TestAngleCommand:
         code, _, err = run_cli(capsys, "angle", COMPLEX_DOC, "V", "W", "--oriented", "--complementary")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("method", ["projection", "equal-dim", "any-dim", "principal"])
+    def test_oriented_and_method_conflict(self, capsys, method):
+        # the oriented route takes no method, so naming one is an input error
+        code, out, err = run_cli(capsys, "angle", COMPLEX_DOC, "V", "W", "--oriented", "--method", method)
+        assert code == 2 and "error" in err and out == ""
+
     def test_tolerance_is_not_an_angle_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["angle", R4_DOC, "V", "W", "--tolerance", "1e-8"])

@@ -267,16 +267,40 @@ class TestContract:
         assert out.inner_with(one) == pytest.approx(blade_inner(nu, omega))
 
     def test_norm_applies_the_rank_rule_of_tol(self):
-        # at rank_eps 0.1 every complement blade of three nearly parallel
-        # factors is zero, and so is the contraction that combines them
+        # at rank_eps 0.1 omega of three nearly parallel factors is zero, and so
+        # are its frame, every complement blade and the contraction itself
         rng = rng_from_seed(0)
         a = rng.standard_normal(4)
         omega = Blade(np.column_stack([a + 1e-3 * e(4, j) for j in range(3)]))
-        out = contract(Blade(rng.standard_normal((4, 1))), omega)
+        nu = Blade(rng.standard_normal((4, 1)))
         tol = Tolerance(rank_eps=0.1)
+        out = contract(nu, omega, tol)
         assert [out.complement_blade(i).norm(tol) for i, _ in out] == [0.0, 0.0, 0.0]
-        assert out.norm(tol) == 0.0
-        assert out.norm() > 0.0
+        assert out.norm() == 0.0
+        assert contract(nu, omega).norm() > 0.0
+
+    def test_inner_with_is_bounded_by_the_norm_at_tol(self):
+        # one tolerance per contraction: inner_with cannot see a part of
+        # omega that norm() was built to judge zero (Cauchy-Schwarz)
+        rng = rng_from_seed(0)
+        a = rng.standard_normal(4)
+        omega = Blade(np.column_stack([a + 1e-3 * e(4, j) for j in range(3)]))
+        out = contract(Blade(rng.standard_normal((4, 1))), omega, Tolerance(rank_eps=0.1))
+        for _ in range(10):
+            mu = Blade(rng.standard_normal((4, 2)))
+            assert abs(out.inner_with(mu)) <= out.norm() * blade_norm(mu)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_terms_are_taken_against_a_unit_frame(self, field):
+        rng = rng_from_seed(21)
+        for p, q in ((0, 3), (1, 3), (2, 4), (3, 3)):
+            nu = random_blade(rng, field, 6, p) if p else Blade.scalar(0.5, 6, field)
+            omega = Blade(1e3 * random_matrix(rng, field, 6, q), field=field, coefficient=-2.0)
+            out = contract(nu, omega)
+            frame = out.source_factors
+            assert frame.shape == (6, q)
+            assert np.abs(frame.conj().T @ frame - np.eye(q)).max() <= 1e-14
+            assert all(abs(out.complement_blade(i).norm() - 1.0) <= 1e-14 for i, _ in out)
 
     def test_scalar_contraction(self):
         omega = Blade([e(3, 0), e(3, 1, Field.COMPLEX)], field=Field.COMPLEX)

@@ -6,6 +6,7 @@ import pytest
 
 from grassmann_angles import (
     Blade,
+    DimensionMismatchError,
     DomainError,
     Partition,
     Subspace,
@@ -300,6 +301,16 @@ class TestWeightedAverage:
         w = random_subspace(rng, Field.REAL, 4, 2)
         with pytest.raises(DomainError):
             check_weighted_average(u, v, w)
+
+    @pytest.mark.parametrize("n, field", [(5, Field.REAL), (4, Field.COMPLEX)])
+    def test_requires_the_same_space(self, n, field):
+        # a u of another ambient dimension or field is a mismatch, not numpy's
+        # matmul ValueError or a subspace that is "not contained"
+        rng = rng_from_seed(10)
+        v = random_subspace(rng, Field.REAL, 4, 2)
+        w = random_subspace(rng, Field.REAL, 4, 2)
+        with pytest.raises(DimensionMismatchError):
+            check_weighted_average(random_subspace(rng, field, n, 1), v, w)
 
 
 class TestDirectSum:

@@ -259,6 +259,13 @@ class TestComplementWithin:
         with pytest.raises(DomainError):
             orthogonal_complement_within(u, v)
 
+    @pytest.mark.parametrize("n, field", [(5, Field.REAL), (4, Field.COMPLEX)])
+    def test_requires_the_same_space(self, n, field):
+        rng = rng_from_seed(13)
+        v = random_subspace(rng, Field.REAL, 4, 2)
+        with pytest.raises(DimensionMismatchError):
+            orthogonal_complement_within(random_subspace(rng, field, n, 1), v)
+
     @pytest.mark.parametrize("field", FIELDS)
     def test_splits_parent(self, field):
         rng = rng_from_seed(14)
@@ -271,6 +278,14 @@ class TestComplementWithin:
 
 
 class TestPrincipalSubspace:
+    @pytest.mark.parametrize("n, field", [(5, Field.REAL), (4, Field.COMPLEX)])
+    def test_requires_the_same_space(self, n, field):
+        rng = rng_from_seed(15)
+        v = random_subspace(rng, Field.REAL, 4, 2)
+        u = random_subspace_within(rng, v, 1)
+        with pytest.raises(DimensionMismatchError):
+            is_principal_subspace(u, v, random_subspace(rng, field, n, 2))
+
     def test_zero_subspace_is_principal(self):
         rng = rng_from_seed(15)
         v = random_subspace(rng, Field.REAL, 4, 2)
