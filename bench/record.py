@@ -26,10 +26,11 @@ k-dimensional subspaces spanned by Gaussian bases (the complementary
 cosine is 0 by dimension when 2k > n).  Each records, per version, the worst
 ``|cos - oracle|`` over 20 such pairs, where the oracle is the matching
 function of ``perfbench/oracle.py`` (QR- and SVD-based, numpy only).  The
-``blade_norm``, ``blade_inner``, ``contract`` and ``Contraction.norm`` rows
-time the call on prebuilt Gaussian blades: omega of grade k, and nu of grade
-k for ``blade_inner`` and of grade min(2, k) for the contractions (whose
-norm is timed on a prebuilt contraction).  Each records, per version, the
+``blade_norm``, ``blade_inner``, ``contract``, ``Contraction.norm`` and
+``Contraction.inner_with`` rows time the call on prebuilt Gaussian blades:
+omega of grade k, and nu of grade k for ``blade_inner`` and of grade
+min(2, k) for the contractions (whose norm and inner product with mu are
+timed on a prebuilt contraction and mu).  Each records, per version, the
 worst error over 20 such cases against the exact Gram determinants of
 ``tests/exact.py``, relative to the norms of the blades involved.  A
 contraction is checked through what it is, not through the terms that hold
@@ -82,6 +83,7 @@ import sys
 import tempfile
 import timeit
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 
@@ -225,9 +227,9 @@ def volume(f: np.ndarray) -> float:
 
 def exact_values(exact, call: str, nu: np.ndarray, omega: np.ndarray, mu: np.ndarray) -> tuple[list, list]:
     """The exact outputs of ``call`` on the blades with factors nu and omega
-    (for ``contract``, its inner product with the blade mu), and the norms
-    each error is measured against."""
-    if call == "contract":  # <mu, nu _| omega> = <nu ^ mu, omega>
+    (for the calls of PROBED, the contraction's inner product with the blade
+    mu), and the norms each error is measured against."""
+    if call in PROBED:  # <mu, nu _| omega> = <nu ^ mu, omega>
         value = complex(exact.blade_inner(np.hstack([nu, mu]), omega))
         return [value], [volume(nu) * volume(mu) * volume(omega)]
     if call == "blade_inner":
@@ -239,13 +241,17 @@ def exact_values(exact, call: str, nu: np.ndarray, omega: np.ndarray, mu: np.nda
     return [value], [volume(nu) * volume(omega) if call != "blade_norm" else volume(omega)]
 
 
-# blade call -> (grade of nu given k, the call on prebuilt blades nu and omega of a package version)
+# blade call -> (grade of nu given k, the call on prebuilt blades nu, omega and mu of a package version);
+# new calls go last, so that the seed of every earlier row stays
 BLADE_CALLS = {
-    "blade_norm": (lambda k: k, lambda ga, nu, omega: lambda: ga.blade_norm(omega)),
-    "blade_inner": (lambda k: k, lambda ga, nu, omega: lambda: ga.blade_inner(nu, omega)),
-    "contract": (lambda k: min(2, k), lambda ga, nu, omega: lambda: ga.contract(nu, omega)),
-    "Contraction.norm": (lambda k: min(2, k), lambda ga, nu, omega: ga.contract(nu, omega).norm),
+    "blade_norm": (lambda k: k, lambda ga, nu, omega, mu: lambda: ga.blade_norm(omega)),
+    "blade_inner": (lambda k: k, lambda ga, nu, omega, mu: lambda: ga.blade_inner(nu, omega)),
+    "contract": (lambda k: min(2, k), lambda ga, nu, omega, mu: lambda: ga.contract(nu, omega)),
+    "Contraction.norm": (lambda k: min(2, k), lambda ga, nu, omega, mu: ga.contract(nu, omega).norm),
+    "Contraction.inner_with": (lambda k: min(2, k), lambda ga, nu, omega, mu: partial(ga.contract(nu, omega).inner_with, mu)),
 }
+# the calls checked through <mu, nu _| omega>, for a Gaussian mu of grade k - grade(nu)
+PROBED = ("contract", "Contraction.inner_with")
 
 
 def blade_row(versions: dict, exact, rng: np.random.Generator, call: str, field_name: str, n: int, k: int) -> dict:
@@ -253,17 +259,18 @@ def blade_row(versions: dict, exact, rng: np.random.Generator, call: str, field_
     the worst error against ``tests/exact.py`` over CASES cases."""
     grade, bind = BLADE_CALLS[call]
     cases = [(gaussian(rng, field_name == "complex", n, grade(k)), gaussian(rng, field_name == "complex", n, k)) for _ in range(CASES)]
-    mus = [gaussian(rng, field_name == "complex", n, k - grade(k)) if call == "contract" else None for _ in cases]
+    mus = [gaussian(rng, field_name == "complex", n, k - grade(k)) if call in PROBED else None for _ in cases]
     expected = [exact_values(exact, call, nu, omega, mu) for (nu, omega), mu in zip(cases, mus)]
     row = {"call": call, "field": field_name, "n": n, "k": k, "nu_grade": grade(k)}
     calls = {}
     for side, ga in versions.items():
         field = ga.Field(field_name)
-        bound = [bind(ga, ga.Blade(nu, field=field), ga.Blade(omega, field=field)) for nu, omega in cases]
+        probes = [None if mu is None else ga.Blade(mu, field=field) for mu in mus]
+        bound = [bind(ga, ga.Blade(nu, field=field), ga.Blade(omega, field=field), mu) for (nu, omega), mu in zip(cases, probes)]
         errors = []
-        for run, mu, (values, scales) in zip(bound, mus, expected):
+        for run, mu, (values, scales) in zip(bound, probes, expected):
             out = run()
-            got = [out.inner_with(ga.Blade(mu, field=field))] if call == "contract" else [out]
+            got = [out.inner_with(mu)] if call == "contract" else [out]
             errors += [abs(g - v) / s for g, v, s in zip(got, values, scales)]
         row[f"{side}_oracle_error"] = float(max(errors))
         calls[side] = bound[0]

@@ -4,15 +4,15 @@ A blade is kept as its list of vector factors (columns of an ``(n, p)``
 array) plus a scalar weight; it is never expanded into ``C(n, p)``
 coordinates.  Norms, inner products and contractions are read off the unit
 frame F = QR of the factors (``_unit_frame``), conjugate-linear in the first
-argument over the complex field.  Grade-0 blades are scalars with an empty
-factor list.
+argument over the complex field; the inner products with all coordinate
+blades u_I of a frame are one stack of minors (``_minors``).  Grade-0 blades
+are scalars with an empty factor list.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DomainError, MultiIndexError, NumericalConsistencyError
 from .fields import DEFAULT_TOLERANCE, Field, Tolerance, as_basis, unshared
 from .linalg import _column_exponents, _validate_multi_index, det, gram, orthonormalize
+from .subspaces import _index_stack
 
 # Combinatorial guard rails: C(16, 8) = 12870 keeps every enumeration cheap.
 AMBIENT_LIMIT = 16
@@ -74,9 +75,7 @@ def multi_indices(p: int, q: int) -> list[MultiIndex]:
     """
     if p < 0 or q < 0:
         raise MultiIndexError(f"sizes must be nonnegative, got p={p}, q={q}")
-    if p > q:
-        return []
-    return [MultiIndex(c, q) for c in combinations(range(1, q + 1), p)]
+    return [MultiIndex(row, q) for row in (_index_stack(q, p) + 1).tolist()]
 
 
 def sigma_sign(index: MultiIndex) -> int:
@@ -137,7 +136,7 @@ class Blade:
         """Numerical zero test: a zero coefficient, or a factor within rank_eps
         of the span of the factors before it (the rank rule of orthonormalize,
         which scales each extreme factor first); the one zero rule of this module."""
-        return _unit_frame(self, tol) is None
+        return _unit_frame(self, tol)[0] == 0
 
     def __repr__(self):
         return f"Blade(grade={self.grade}, ambient={self.ambient_dim}, field={self.field.value})"
@@ -150,19 +149,18 @@ def _require_compatible(a: Blade, b: "Blade | Contraction"):
         raise DomainError(f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}")
 
 
-def _unit_frame(blade: Blade, tol: Tolerance) -> tuple[complex | float, np.ndarray] | None:
-    """``(c / |c|, Q)`` for the blade ``c * (f_1 ^ ... ^ f_p)``, with Q from
-    ``orthonormalize(F)``; None for a zero blade (c = 0, or rank < grade).
+def _unit_frame(blade: Blade, tol: Tolerance) -> tuple[complex | float, np.ndarray]:
+    """``(c / |c|, Q)`` for the blade ``c * (f_1 ^ ... ^ f_p)``, with Q from ``orthonormalize(F)``;
+    ``(0.0, zeros like F)`` for a zero blade (c = 0, or rank < grade), never None.
     F = QR with R's diagonal real and positive, so the unit blade is
     ``(c / |c|) * (q_1 ^ ... ^ q_p)`` on any scale."""
-    if blade.coefficient == 0:
-        return None
-    if not math.isfinite(abs(blade.coefficient)):
-        raise DomainError("blade coefficient must be finite (no NaN or infinity)")
-    q, rank = orthonormalize(blade.factors, tol)
-    if rank < blade.grade:
-        return None
-    return blade.coefficient / abs(blade.coefficient), q
+    if blade.coefficient != 0:
+        if not math.isfinite(abs(blade.coefficient)):
+            raise DomainError("blade coefficient must be finite (no NaN or infinity)")
+        q, rank = orthonormalize(blade.factors, tol)
+        if rank == blade.grade:
+            return blade.coefficient / abs(blade.coefficient), q
+    return 0.0, np.zeros_like(blade.factors)
 
 
 def wedge(a: Blade, b: Blade) -> Blade:
@@ -178,9 +176,9 @@ def wedge(a: Blade, b: Blade) -> Blade:
 
 def _oriented_cos_of_frames(frame_a, frame_b) -> complex | float:
     """The oriented cosine ``conj(phase_a) phase_b det(Q_a* Q_b)`` of two ``_unit_frame`` results."""
-    if frame_a is None or frame_b is None:
-        raise DomainError("oriented angle is undefined for zero blades")
     (phase_a, q_a), (phase_b, q_b) = frame_a, frame_b
+    if phase_a == 0 or phase_b == 0:
+        raise DomainError("oriented angle is undefined for zero blades")
     return phase_a.conjugate() * phase_b * det(gram(q_a, q_b))
 
 
@@ -190,7 +188,7 @@ def _polars(blades: list[Blade], tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np
     > 0; a zero blade has phase 0, norm 0.0 and Q = 0.  Each factor is scaled
     by a power of two and the products run over mantissas and exponents, so
     no step over- or underflows before a norm does."""
-    frames = [_unit_frame(blade, tol) or (0.0, np.zeros_like(blade.factors)) for blade in blades]
+    frames = [_unit_frame(blade, tol) for blade in blades]
     phase = np.array([frame[0] for frame in frames], dtype=blades[0].field.dtype)
     q, f = np.stack([frame[1] for frame in frames]), np.stack([blade.factors for blade in blades])
     s = _column_exponents(f)
@@ -215,7 +213,7 @@ def blade_inner(a: Blade, b: Blade) -> complex | float:
     value = 0.0
     if a.grade == b.grade:
         phase, norm, q = _polars([a, b])
-        value = norm[0] * norm[1] * _oriented_cos_of_frames(*zip(phase, q))
+        value = norm[0] * norm[1] * _oriented_cos_of_frames(*zip(phase, q)) if phase.all() else 0.0
     return complex(value) if a.field is Field.COMPLEX else float(value)
 
 
@@ -226,22 +224,21 @@ def blade_norm(a: Blade, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     return float(_polars([a], tol)[1][0])
 
 
-def _unit_inners(a: Blade, q: np.ndarray, indices: list[MultiIndex], tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
-    """``<a, q_I>`` for each index I, q_I the unit blade of those columns of an orthonormal
-    q: ``conj(w) det(Q* q_I)`` for ``a = w * (Q's unit blade)``, in one stacked determinant."""
-    (phase,), (norm,), (frame,) = _polars([a], tol)
-    cols = np.array([i.zero_based() for i in indices], dtype=int).reshape(len(indices), a.grade)
-    return np.conj(phase * norm) * np.linalg.det(np.moveaxis(gram(frame, q)[:, cols], 0, 1))
+def _minors(phase, q: np.ndarray, units: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``<phase * (q_1 ^ ... ^ q_p), u_I> = conj(phase) det(Q* U_I)`` for each row I of the
+    (k, p) int array ``rows`` and those columns U_I of ``units``, in one stacked determinant."""
+    return np.conj(phase) * np.linalg.det(np.moveaxis(gram(q, units)[:, rows], 0, 1))
 
 
 @dataclass(frozen=True)
 class Contraction:
     """Left contraction ``nu _| omega`` against omega's unit frame: omega is
     ``w * (q_1 ^ ... ^ q_q)`` for the orthonormal columns of ``source_factors``
-    (all zero for a zero omega), and ``terms[k] = (I, c_I)`` means the
-    contraction is ``sum_I c_I * q_Ihat``, with ``c_I = sigma(I) w <nu, q_I>``
-    and q_Ihat the unit blade of the columns off I.  For removed grade >
-    source grade the contraction is zero and ``terms`` is empty.
+    (all zero for a zero omega, the zero frame of ``_unit_frame``), and
+    ``terms[k] = (I, c_I)`` means the contraction is ``sum_I c_I * q_Ihat``, with
+    ``c_I = sigma(I) w <nu, q_I>`` and q_Ihat the unit blade of the columns off I;
+    the terms may come in any order.  For removed grade > source grade the
+    contraction is zero and ``terms`` is empty.
     """
 
     source_factors: np.ndarray
@@ -273,8 +270,11 @@ class Contraction:
         _require_compatible(mu, self)
         value = 0.0
         if self.terms and mu.grade == self.grade:
-            inners = _unit_inners(mu, self.source_factors, [i.complement() for i, _ in self.terms])
-            value = np.array([c for _, c in self.terms]) @ inners
+            (phase,), (norm,), (q,) = _polars([mu])
+            columns = np.arange(1, self.source_factors.shape[1] + 1)
+            off = (np.array([i.indices for i, _ in self.terms])[..., None] != columns).all(axis=1)  # (k, q) mask
+            rows = np.nonzero(off)[1].reshape(len(self), self.grade)  # each I's complement, increasing
+            value = np.array([c for _, c in self.terms]) @ _minors(phase * norm, q, self.source_factors, rows)
         return complex(value) if self.field is Field.COMPLEX else float(value)
 
     def norm(self) -> float:
@@ -292,9 +292,9 @@ def contract(nu: Blade, omega: Blade, tol: Tolerance = DEFAULT_TOLERANCE) -> Con
     """
     _require_compatible(nu, omega)
     (phase,), (norm,), (q,) = _polars([omega], tol)
-    indices = multi_indices(nu.grade, omega.grade)
-    inner = phase * norm * _unit_inners(nu, q, indices, tol)  # w <nu, q_I>
-    terms = tuple((i, sigma_sign(i) * x) for i, x in zip(indices, inner.tolist()))
+    (phase_nu,), (norm_nu,), (q_nu,) = _polars([nu], tol)
+    inner = phase * norm * _minors(phase_nu * norm_nu, q_nu, q, _index_stack(omega.grade, nu.grade))  # w <nu, q_I>
+    terms = tuple((i, sigma_sign(i) * x) for i, x in zip(multi_indices(nu.grade, omega.grade), inner.tolist()))
     return Contraction(q, omega.field, nu.grade, terms)
 
 

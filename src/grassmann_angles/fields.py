@@ -26,10 +26,6 @@ class Field(enum.Enum):
     def dtype(self) -> np.dtype:
         return np.dtype(np.complex128 if self is Field.COMPLEX else np.float64)
 
-    def conj(self, x):
-        """Field conjugation: identity on the reals, complex conjugate otherwise."""
-        return np.conjugate(x) if self is Field.COMPLEX else x
-
 
 @dataclass(frozen=True)
 class Tolerance:

@@ -28,6 +28,7 @@ from .errors import DomainError
 from .exterior import (
     AMBIENT_LIMIT,
     Blade,
+    _minors,
     _oriented_cos_of_frames,
     _require_ambient_cap,
     _require_compatible,
@@ -182,7 +183,7 @@ def check_oriented_sum(nu: Blade, omega: Blade, basis, tol: Tolerance = DEFAULT_
 
     Each coordinate cosine is ``conj(phase) det(Q* U_I)`` for the unit
     frame (phase, Q) of a blade and the columns U_I of the normalized basis:
-    the C(n, p) minors of one Gram matrix, taken in one stacked determinant.
+    the C(n, p) minors of one Gram matrix, in one stacked determinant (``exterior._minors``).
     """
     if nu.grade != omega.grade or nu.grade < 1:
         raise DomainError("need two nonzero blades of the same positive grade")
@@ -191,7 +192,7 @@ def check_oriented_sum(nu: Blade, omega: Blade, basis, tol: Tolerance = DEFAULT_
     frames = _unit_frame(nu, tol), _unit_frame(omega, tol)
     lhs = _oriented_cos_of_frames(*frames)  # raises on a zero blade
     rows = _index_stack(nu.ambient_dim, nu.grade)
-    cv, cw = (phase.conjugate() * np.linalg.det(np.moveaxis(gram(q, units)[:, rows], 1, 0)) for phase, q in frames)
+    cv, cw = (_minors(phase, q, units, rows) for phase, q in frames)
     rhs = np.sum(cv * np.conjugate(cw))
     bound = np.sum(np.abs(cv) * np.abs(cw))
     residual = max(abs(lhs - rhs), max(abs(lhs) - bound, 0.0))

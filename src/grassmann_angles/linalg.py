@@ -24,6 +24,7 @@ The rule for the Gram determinants of raw bases sits with its one caller,
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -89,10 +90,13 @@ def _cofactor_det(m: np.ndarray) -> complex | float:
 
 
 def _validate_multi_index(cols, q: int) -> tuple[int, ...]:
-    idx = tuple(int(j) for j in cols)
-    if any(j < 1 or j > q for j in idx):
+    idx = tuple(cols)
+    if not all(t is int or issubclass(t, np.integer) for t in {type(q), *map(type, idx)}):  # 1.7 or True is not 1
+        raise MultiIndexError(f"indices {idx} and size {q} must be integers")
+    idx = tuple(map(int, idx))
+    if idx and (min(idx) < 1 or max(idx) > q):
         raise MultiIndexError(f"indices {idx} out of range [1, {q}]")
-    if any(a >= b for a, b in zip(idx, idx[1:])):
+    if not all(map(operator.lt, idx, idx[1:])):
         raise MultiIndexError(f"indices {idx} are not strictly increasing")
     return idx
 

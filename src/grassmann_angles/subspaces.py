@@ -216,8 +216,8 @@ def _stacked_cos_squared(b: np.ndarray) -> np.ndarray:
 
 
 def _index_stack(n: int, p: int) -> np.ndarray:
-    """The (C(n, p), p) array of the p-subsets of range(n), in the
-    lexicographic order of ``multi_indices(p, n)``; one empty row for p = 0."""
+    """The (C(n, p), p) array of the p-subsets of range(n), lexicographic: the package's one
+    p-subset enumeration, under ``multi_indices`` too; one empty row for p = 0, none for p > n."""
     flat = np.fromiter(chain.from_iterable(combinations(range(n), p)), dtype=np.intp)
     return flat.reshape(math.comb(n, p), p)
 

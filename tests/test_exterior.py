@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from grassmann_angles import (
     Blade,
+    Contraction,
     DomainError,
     MultiIndex,
     MultiIndexError,
@@ -66,6 +67,18 @@ class TestMultiIndices:
             MultiIndex((0, 1), 4)
         with pytest.raises(MultiIndexError):
             MultiIndex((1, 5), 4)
+
+    @pytest.mark.parametrize(
+        "indices, ambient", [((1.7, 2.2), 4), ((True, 2), 4), ((1.0, 2.0), 4), ((1, 2), 2.5), ((1, 2), True)]
+    )
+    def test_non_integers_are_rejected_not_truncated(self, indices, ambient):
+        with pytest.raises(MultiIndexError, match="must be integers"):
+            MultiIndex(indices, ambient)
+
+    def test_numpy_integers_are_accepted(self):
+        index = MultiIndex((np.int64(1), np.int32(3)), np.int64(4))
+        assert index.indices == (1, 3) and all(type(i) is int for i in index.indices)
+        assert index.complement().indices == (2, 4)
 
     @pytest.mark.parametrize("indices", [(2, 2), (3, 1), (0, 1), (1, 5)])
     def test_same_message_as_the_laplace_oracle(self, indices):
@@ -184,6 +197,18 @@ class TestBladeInner:
         ratio = abs(blade_inner(nu, omega)) ** 2 / (blade_norm(nu) ** 2 * blade_norm(omega) ** 2)
         assert ratio == pytest.approx(1.0 / 3.0, abs=1e-12)
 
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_a_zero_blade_is_orthogonal_to_every_blade_of_its_grade(self, field):
+        rng = rng_from_seed(8)
+        b = Blade(random_blade(rng, field, 4, 2).factors, field=field, coefficient=-1.0)
+        dependent = Blade(b.factors[:, [0, 0]] * [1.0, 2.0], field=field)
+        vanishing = Blade(b.factors, field=field, coefficient=0.0)
+        for zero in (dependent, vanishing):
+            assert zero.is_zero() and not b.is_zero()
+            for value in (blade_inner(zero, b), blade_inner(b, zero), blade_inner(zero, zero)):
+                assert value == 0.0 and type(value) is (complex if field is Field.COMPLEX else float)
+                assert not np.signbit(complex(value).real)  # +0.0, whatever the other blade's phase
+
     def test_conjugate_symmetry_and_first_slot_conjugation(self):
         rng = rng_from_seed(6)
         a = random_blade(rng, Field.COMPLEX, 4, 2)
@@ -301,6 +326,19 @@ class TestContract:
             assert frame.shape == (6, q)
             assert np.abs(frame.conj().T @ frame - np.eye(q)).max() <= 1e-14
             assert all(abs(out.complement_blade(i).norm() - 1.0) <= 1e-14 for i, _ in out)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_inner_with_reads_the_complement_of_each_terms_own_index(self, field):
+        # Contraction is public, so its terms may be any subset in any order
+        rng = rng_from_seed(41)
+        nu, omega = random_blade(rng, field, 7, 2), random_blade(rng, field, 7, 5)
+        out = contract(nu, omega)
+        picked = tuple(out.terms[k] for k in rng.permutation(len(out))[:6])
+        part = Contraction(out.source_factors, field, out.removed_grade, picked)
+        for _ in range(5):
+            mu = random_blade(rng, field, 7, 3)
+            expected = sum(c * blade_inner(mu, out.complement_blade(i)) for i, c in picked)
+            assert abs(part.inner_with(mu) - expected) <= 1e-12 * max(1.0, abs(expected))
 
     def test_scalar_contraction(self):
         omega = Blade([e(3, 0), e(3, 1, Field.COMPLEX)], field=Field.COMPLEX)

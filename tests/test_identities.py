@@ -223,6 +223,13 @@ class TestOrientedSum:
         with pytest.raises(DomainError):
             check_oriented_sum(Blade(np.eye(3)[:, :1]), Blade(np.eye(3)[:, :2]), np.eye(3))
 
+    def test_zero_blade_rejected(self):
+        plane = Blade(np.eye(3)[:, :2])
+        for zero in (Blade(np.eye(3)[:, [0, 0]]), Blade(np.eye(3)[:, :2], coefficient=0.0)):
+            for pair in ((zero, plane), (plane, zero)):
+                with pytest.raises(DomainError, match="zero blades"):
+                    check_oriented_sum(*pair, np.eye(3))
+
 
 @pytest.mark.parametrize("shape", [(4, 3), (5, 5)])
 @pytest.mark.parametrize(
@@ -509,6 +516,9 @@ class TestStackedCoordinateSums:
                 stack = _index_stack(n, p)
                 assert stack.dtype == np.intp and stack.shape == (math.comb(n, p), p)
                 assert stack.tolist() == [index.zero_based() for index in multi_indices(p, n)]
+                # multi_indices is read off the stack, so the order is checked against subsets from bitmasks
+                subsets = (tuple(i for i in range(n) if mask >> i & 1) for mask in range(2**n))
+                assert [tuple(row) for row in stack.tolist()] == sorted(s for s in subsets if len(s) == p)
 
 
 class TestGalleryCoordinateSums:

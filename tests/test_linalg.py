@@ -91,6 +91,14 @@ class TestLaplaceExpansion:
         with pytest.raises(MultiIndexError):
             laplace_expand_det(m, ())
 
+    @pytest.mark.parametrize("cols", [[1.9], [True], [np.True_], (1, 2.0)])
+    def test_non_integer_columns_are_rejected_not_truncated(self, cols):
+        with pytest.raises(MultiIndexError, match="must be integers"):
+            laplace_expand_det(np.eye(3), cols)
+
+    def test_numpy_integer_columns_are_accepted(self):
+        assert laplace_expand_det(np.diag([2.0, 3.0, 5.0]), np.array([1, 3])) == pytest.approx(30.0)
+
 
 class TestSchurDet:
     def test_block_diagonal(self):
