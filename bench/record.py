@@ -9,12 +9,16 @@ PARENT is a source checkout of the parent commit, for instance made with
 ``git archive <commit> | tar -x -C PARENT``.  Each command updates its own
 section of the output file and leaves the other as it is.
 
-``kernels`` imports the package twice in one process, from ``PARENT/src``
-and from this checkout's ``src/``.  For n in {3, 6, 10, 16}, k in
+``kernels`` imports the package three times in one process: from
+``PARENT/src`` as the versions ``parent`` and ``parent_again``, and from
+this checkout's ``src/`` as ``change``.  For n in {3, 6, 10, 16}, k in
 {1, 2, 3, 4, 5, n/2, n} and both fields it times ``orthonormalize`` and
 ``Subspace.from_spanning`` on one Gaussian basis, in microseconds per call:
-the minimum over repeats that alternate between the two versions, next to
-the interquartile range of those repeats (``*_iqr_us``).  The
+the minimum over repeats that rotate the order of the versions, next to
+the interquartile range of those repeats (``*_iqr_us``).  The parent timed
+against itself, ``parent_again_us`` and ``parent_again_iqr_us`` next to
+``parent_us`` and ``parent_iqr_us``, is the noise floor that the gap of
+``change_us`` to ``parent_us`` is read against.  The
 ``orthonormalize`` rows also time this checkout's two kernels forced on
 every width, which is where the column count that selects between them
 comes from.  Each row records, per version, the worst ``|Q* Q - I|`` and the
@@ -92,7 +96,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 AMBIENT_DIMS = (3, 6, 10, 16)
 CASES = 20  # bases per row for the residual columns
-REPEATS = 15  # alternating timing repeats per row and version
+REPEATS = 15  # timing repeats per row and version, a multiple of the three versions
 
 
 def load_package(src: Path, alias: str):
@@ -145,12 +149,13 @@ def residuals(onb_of, bases) -> tuple[float, float]:
 
 def best_times(calls: dict, number: int) -> dict:
     """``<name>_us``, the minimum microseconds per call of each entry over
-    repeats that alternate between them, and ``<name>_iqr_us``, the
-    interquartile range of those repeats."""
+    repeats that rotate their order (so that each entry runs in each place
+    equally often when REPEATS is a multiple of their number), and
+    ``<name>_iqr_us``, the interquartile range of those repeats."""
     runs = {name: [] for name in calls}
+    names = list(calls)
     for r in range(REPEATS):
-        order = list(calls) if r % 2 == 0 else list(reversed(calls))
-        for name in order:
+        for name in names[r % len(names) :] + names[: r % len(names)]:
             runs[name].append(timeit.timeit(calls[name], number=number) / number * 1e6)
     times = {}
     for name, values in runs.items():
@@ -280,7 +285,11 @@ def blade_row(versions: dict, exact, rng: np.random.Generator, call: str, field_
 
 
 def kernel_rows(parent_src: Path) -> list[dict]:
-    versions = {"parent": load_package(parent_src, "ga_parent"), "change": load_package(ROOT / "src", "ga_change")}
+    versions = {
+        "parent": load_package(parent_src, "ga_parent"),
+        "parent_again": load_package(parent_src, "ga_parent_again"),
+        "change": load_package(ROOT / "src", "ga_change"),
+    }
     linalg = sys.modules["ga_change.linalg"]
     threshold = linalg.QR_MIN_COLUMNS
     oracle = load_file(ROOT / "perfbench" / "oracle.py", "perfbench_oracle")

@@ -127,9 +127,8 @@ def _report_from_cos_sq(cos_sq: float, method: AngleMethod) -> AngleReport:
     return AngleReport(value=math.acos(cosine), cosine=cosine, method=method)
 
 
-def _basis_matrix(vectors, field: Field | None) -> tuple[np.ndarray, Field]:
-    """Basis matrix of a list that is independent, well-conditioned and finite."""
-    mat, field = as_basis(vectors, field)
+def _basis_matrix(mat: np.ndarray) -> np.ndarray:
+    """A basis matrix over its field, checked to be independent, well-conditioned and finite."""
     if mat.shape[1] == 0:
         raise DegenerateBasisError("a basis needs at least one vector")
     try:
@@ -143,15 +142,15 @@ def _basis_matrix(vectors, field: Field | None) -> tuple[np.ndarray, Field]:
     if abs(log2_root_det) > _GRAM_EXPONENT_LIMIT:
         e = -round(log2_root_det / mat.shape[1])
         mat = mat * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)  # in two factors, since 2^e alone may overflow
-    return mat, field
+    return mat
 
 
 def _paired_bases(basis_v, basis_w, field: Field | None):
-    mv, fv = _basis_matrix(basis_v, field)
-    mw, fw = _basis_matrix(basis_w, field)
-    if field is None and fv is not fw:
-        # one side looked real only because its entries happened to be real
-        return _paired_bases(basis_v, basis_w, Field.COMPLEX)
+    """Checked matrices of two bases over ``field``, or if None over the complex field when either is complex."""
+    (mv, fv), (mw, fw) = as_basis(basis_v, field), as_basis(basis_w, field)
+    if fv is not fw:  # one side looked real only because its entries happened to be real
+        mv, mw = as_field_array(mv, Field.COMPLEX), as_field_array(mw, Field.COMPLEX)
+    mv, mw = _basis_matrix(mv), _basis_matrix(mw)
     if mv.shape[0] != mw.shape[0]:
         raise DimensionMismatchError(f"ambient dimensions differ: {mv.shape[0]} vs {mw.shape[0]}")
     return mv, mw
@@ -204,7 +203,7 @@ def grassmann_angle_principal(v: Subspace, w: Subspace) -> AngleReport:
     if v.dim > w.dim:
         return AngleReport(math.pi / 2, 0.0, AngleMethod.PRINCIPAL_PRODUCT)
     cosine = float(np.prod(principal_cosines(v, w)))
-    return AngleReport(math.acos(min(cosine, 1.0)), cosine, AngleMethod.PRINCIPAL_PRODUCT)
+    return AngleReport(math.acos(cosine), cosine, AngleMethod.PRINCIPAL_PRODUCT)
 
 
 def grassmann_angle_equal_dim(basis_v, basis_w, field: Field | None = None) -> AngleReport:

@@ -58,7 +58,6 @@ from .subspaces import (
     _orthonormality_defect,
     _require_subset,
     _stacked_cos_squared,
-    direct_sum,
     is_partially_orthogonal,
     is_principal_partition,
     principal_cosines,
@@ -228,36 +227,27 @@ def check_direct_sum(v1: Subspace, v2: Subspace, w: Subspace, tol: Tolerance = D
       cos(V1+V2, W) = cos(V1, W) cos(V2, W) cos_perp(P(V1), P(V2)),
 
     the last factor being the complementary-angle cosine of the projections:
-    the partition chain of two parts.
+    ``check_partition_chain`` on the two-part partition.
     """
-    lhs = grassmann_angle(direct_sum(v1, v2), w).cosine  # raises unless v1 is orthogonal to v2
-    rhs = _chain_product((v1, v2), w, tol)
     witness = f"dims {v1.dim}+{v2.dim} vs {w.dim} in {w.ambient_dim} ({w.field.value})"
-    return _check("direct-sum", abs(lhs - rhs), witness, tol)
+    return replace(check_partition_chain(Partition((v1, v2)), w, tol), name="direct-sum", witness=witness)
 
 
 def check_partition_chain(partition: Partition, w: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> IdentityCheck:
-    """k-part extension of the direct-sum rule: the angle cosine of the whole
-    equals the product of the part cosines times the chain of complementary
-    cosines of projected tails."""
-    parts = partition.parts
-    lhs = grassmann_angle(partition.parent(), w).cosine  # raises unless the parts are orthogonal
-    rhs = _chain_product(parts, w, tol)
-    witness = f"parts {[p.dim for p in parts]} vs dim {w.dim} in {w.ambient_dim} ({w.field.value})"
-    return _check("partition-chain", abs(lhs - rhs), witness, tol)
-
-
-def _chain_product(parts, w: Subspace, tol: Tolerance) -> float:
-    """Right side of the chain rule for orthogonal parts V_1, ..., V_k:
-    prod_i cos(V_i, W) times prod_{i<k} cos_perp(P(V_i), P(V_i+1 + ... + V_k)),
-    P the projection onto W; the last tail is V_k itself."""
-    rhs = 1.0
+    """k-part extension of the direct-sum rule, for the parts V_i of V: cos(V, W) = prod_i
+    cos(V_i, W) times prod_{i<k} cos_perp(P(V_i), P(V_i+1 + ... + V_k)), P the projection
+    onto W; each tail is a trailing column block of the partition's stored direct sum V."""
+    parts, parent = partition.parts, partition.parent()
+    lhs = grassmann_angle(parent, w).cosine
+    rhs, start = 1.0, 0
     for part in parts:
         rhs *= grassmann_angle(part, w).cosine
-    for i in range(len(parts) - 1):
-        tail = parts[-1] if i == len(parts) - 2 else direct_sum(*parts[i + 1 :])
-        rhs *= complementary_angle(project_subspace(parts[i], w, tol), project_subspace(tail, w, tol)).cosine
-    return rhs
+    for part in parts[:-1]:
+        start += part.dim
+        tail = Subspace(parent.onb[:, start:], parent.field, _validate=False)
+        rhs *= complementary_angle(project_subspace(part, w, tol), project_subspace(tail, w, tol)).cosine
+    witness = f"parts {[p.dim for p in parts]} vs dim {w.dim} in {w.ambient_dim} ({w.field.value})"
+    return _check("partition-chain", abs(lhs - rhs), witness, tol)
 
 
 def check_partition_converse(partition: Partition, w: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> IdentityCheck:
@@ -462,8 +452,8 @@ def run_suite(
     ``suites`` is a name, an iterable of names, or "all"; ``field`` of None
     runs both fields.  Each (suite, field, trial) cell gets its own derived
     seed, so reports are reproducible and insensitive to the order cells run.
-    Raises DomainError unless ``trials >= 1`` and ``1 <= n_max <= 16``, and
-    before any trial runs if a selected suite needs ``n_max >= 2``.
+    Raises DomainError unless ``trials >= 1`` and ``1 <= n_max <= 16``, and before any
+    trial runs on an empty selection, an unknown name, or a suite that needs ``n_max >= 2``.
     """
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
@@ -473,6 +463,8 @@ def run_suite(
         names = list(SUITE_NAMES) if suites == "all" else [suites]
     else:
         names = list(suites)
+    if not names:
+        raise DomainError(f"no suite selected; known: {', '.join(SUITE_NAMES)}")
     for name in names:
         if name not in _TRIALS:
             raise DomainError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")

@@ -20,7 +20,7 @@ routes, the identity checkers and the gallery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from itertools import chain, combinations
 from typing import TYPE_CHECKING
 
@@ -303,31 +303,30 @@ def is_principal_subspace(
 
 @dataclass(frozen=True)
 class Partition:
-    """An orthogonal internal direct-sum decomposition; parts may be zero."""
+    """An orthogonal internal direct-sum decomposition; parts may be zero.  Built only from
+    parts of one space that are pairwise orthogonal (``direct_sum`` raises otherwise), it
+    keeps their direct sum, whose columns are the parts' bases in order."""
 
     parts: tuple[Subspace, ...]
+    _parent: Subspace = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.parts:
             raise DomainError("a partition needs at least one part")
         object.__setattr__(self, "parts", tuple(self.parts))
-        first = self.parts[0]
-        for p in self.parts[1:]:
-            _require_same_space(first, p)
+        object.__setattr__(self, "_parent", direct_sum(*self.parts))
 
     def parent(self) -> Subspace:
-        """The direct sum of the parts; raises if they are not orthogonal."""
-        return direct_sum(*self.parts)
+        """The direct sum of the parts, built with the partition."""
+        return self._parent
 
     def validate(self):
-        """Raise DomainError unless the parts are pairwise orthogonal."""
-        self.parent()
+        """Nothing left to check: a partition that exists has orthogonal parts."""
 
 
 def is_principal_partition(partition: Partition, w: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Whether an orthogonal partition of some subspace is principal w.r.t. w,
     i.e. the projected parts are pairwise orthogonal."""
-    partition.validate()
     projected = [project_subspace(p, w, tol) for p in partition.parts]
     return not any(
         a.dim and b.dim and principal_cosines(b, a)[0] >= tol.residual_eps for a, b in combinations(projected, 2)

@@ -337,6 +337,32 @@ class TestComplementaryFormula:
                 assert abs(by_formula.cosine - by_projection.cosine) <= 1e-8
 
 
+class TestMixedFieldBases:
+    """With no field given, a pair of bases of which one has complex entries
+    is read over the complex field, and each basis is checked once."""
+
+    @pytest.mark.parametrize(
+        "route, v, w, cosine",
+        [
+            (grassmann_angle_any_dim, [[1, 0, 0]], [[1j, 0, 0], [0, 1, 0]], 1.0),
+            (grassmann_angle_any_dim, [[1j, 0, 0]], [[1, 0, 0], [0, 1, 0]], 1.0),
+            (grassmann_angle_equal_dim, [[1, 1, 0]], [[1j, 0, 0]], math.sqrt(0.5)),
+            (complementary_angle_formula, [[1, 0, 0]], [[0, 1j, 0]], 1.0),
+        ],
+    )
+    def test_one_svd_per_basis(self, route, v, w, cosine, monkeypatch):
+        svd, checked = np.linalg.svd, []
+
+        def counting_svd(a, *args, **kwargs):
+            checked.append(a.dtype)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        report = route(v, w)
+        assert checked == [np.dtype(complex)] * 2
+        assert report.cosine == pytest.approx(cosine, abs=1e-12)
+
+
 class TestOrientedCos:
     def test_identical_unit_blade(self):
         b = Blade([np.array([1.0, 0.0]), np.array([0.0, 1.0])])

@@ -18,11 +18,14 @@ from grassmann_angles import (
     check_partition_chain,
     check_partition_converse,
     check_weighted_average,
+    complementary_angle,
     coordinate_blades,
+    direct_sum,
     grassmann_angle,
     multi_indices,
     oriented_grassmann_cos,
     principal_decomposition,
+    project_subspace,
     random_instance,
     run_suite,
 )
@@ -382,6 +385,26 @@ class TestPartitionChain:
             out = check_partition_chain(partition, w)
             assert out.passed, out.witness
 
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_tails_match_public_direct_sums(self, field):
+        # the checker reads each tail V_i+1 + ... + V_k off the partition's
+        # stored direct sum; the chain built from public direct_sum tails
+        # must give the same residual, bit for bit
+        rng = rng_from_seed(43)
+        for _ in range(30):
+            n = int(rng.integers(2, 8))
+            k = int(rng.integers(2, 6))
+            dims = rng.multinomial(int(rng.integers(1, n + 1)), np.ones(k) / k).tolist()
+            partition = split_subspace(rng, random_subspace(rng, field, n, sum(dims)), dims)
+            w = random_subspace(rng, field, n, int(rng.integers(1, n + 1)))
+            parts = partition.parts
+            rhs = math.prod(grassmann_angle(part, w).cosine for part in parts)
+            for i in range(k - 1):
+                tail = direct_sum(*parts[i + 1 :])
+                rhs *= complementary_angle(project_subspace(parts[i], w), project_subspace(tail, w)).cosine
+            expected = abs(grassmann_angle(direct_sum(*parts), w).cosine - rhs)
+            assert check_partition_chain(partition, w).residual == expected
+
 
 class TestPartitionConverse:
     def _pair(self, rng, field):
@@ -591,6 +614,15 @@ class TestRunSuite:
     def test_unknown_suite_rejected(self):
         with pytest.raises(DomainError):
             run_suite("no-such-suite", trials=1)
+
+    @pytest.mark.parametrize("suites", [[], ()])
+    def test_empty_selection_rejected_before_any_trial(self, suites, monkeypatch):
+        calls = []
+        for name in identities._TRIALS:
+            monkeypatch.setitem(identities._TRIALS, name, lambda *args: calls.append(args))
+        with pytest.raises(DomainError, match="^no suite selected"):
+            run_suite(suites, trials=1)
+        assert calls == []
 
     @pytest.mark.parametrize("name", ["direct-sum", "partition-chain", "converse"])
     def test_two_dimensional_suites_rejected_before_any_trial(self, name, monkeypatch):

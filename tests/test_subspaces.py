@@ -367,8 +367,17 @@ class TestPartitions:
     def test_non_orthogonal_partition_rejected(self):
         a = Subspace.from_spanning([[1.0, 0.0, 0.0]])
         b = Subspace.from_spanning([[1.0, 1.0, 0.0]])
-        with pytest.raises(DomainError):
-            Partition((a, b)).parent()
+        with pytest.raises(DomainError, match="parts are not pairwise orthogonal"):
+            Partition((a, b))  # when built, with no parent() call
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_parent_is_the_direct_sum_built_once(self, field):
+        rng = rng_from_seed(28)
+        partition = split_subspace(rng, random_subspace(rng, field, 6, 5), [2, 0, 1, 2])
+        parent = partition.parent()
+        assert parent is partition.parent()
+        expected = direct_sum(*partition.parts).onb
+        assert parent.onb.dtype == expected.dtype and parent.onb.tobytes() == expected.tobytes()
 
     def test_parent_collects_parts(self):
         rng = rng_from_seed(21)
