@@ -60,7 +60,6 @@ from .subspaces import (
     _stacked_cos_squared,
     is_partially_orthogonal,
     is_principal_partition,
-    principal_cosines,
     principal_decomposition,
     project_subspace,
 )
@@ -366,23 +365,26 @@ _MIN_COSINE, _MIN_GAP = 0.3, 0.15  # _principal_pair's margins: smallest princip
 
 
 def _principal_pair(rng, field, n, p):
-    """V, W with dim V = p <= dim W < n, V nowhere near partially orthogonal
-    to W, and (for p >= 2) two well-separated principal cosines.
+    """The principal decomposition of V w.r.t. W, and W, for dim V = p <= dim W = q < n
+    (or p = q = n = 2, where V = W is the plane and every partition is principal): V
+    nowhere near partially orthogonal to W and, if q < n and p >= 2, two well-separated
+    principal cosines.
 
     The margins keep both sides of the converse equivalence decidable at the
     1e-8 threshold: the 45-degree mixing of the extreme principal vectors
     then perturbs the product rule by at least ~_MIN_COSINE^4 * _MIN_GAP^2 / 2.
     """
     for _ in range(MAX_DRAWS):
-        q = int(rng.integers(p, n)) if p < n else p  # keep q < n so angles are not all equal
+        q = int(rng.integers(p, n)) if p < n else p
         v = random_subspace(rng, field, n, p)
         w = random_subspace(rng, field, n, q)
-        cosines = principal_cosines(v, w)
+        decomposition = principal_decomposition(v, w)
+        cosines = decomposition.cosines
         if cosines[-1] < _MIN_COSINE:
             continue
-        if p >= 2 and (cosines[0] - cosines[-1]) < _MIN_GAP:
+        if p >= 2 and q < n and (cosines[0] - cosines[-1]) < _MIN_GAP:
             continue
-        return v, w
+        return decomposition, w
     raise DomainError(f"no subspace pair in dimension {n} met the margins in {MAX_DRAWS} draws")
 
 
@@ -400,13 +402,11 @@ def _grouped_principal_partition(rng, e_basis: np.ndarray, field) -> Partition:
 
 def _trial_converse(rng, field, n_max, tol):
     n = int(rng.integers(3, n_max + 1)) if n_max >= 3 else 2
-    cases = []
-    if n >= 3:
-        p = int(rng.integers(2, n))  # p <= n-1 leaves room for q < n
-        v, w = _principal_pair(rng, field, n, p)
-        e_basis = principal_decomposition(v, w).e_basis
-        cases.append(check_partition_converse(_grouped_principal_partition(rng, e_basis, field), w, tol))
-
+    p = int(rng.integers(2, n)) if n >= 3 else 2  # p <= n-1 leaves room for q < n
+    decomposition, w = _principal_pair(rng, field, n, p)
+    e_basis = decomposition.e_basis
+    cases = [check_partition_converse(_grouped_principal_partition(rng, e_basis, field), w, tol)]
+    if w.dim < n:
         # mixing the extreme principal vectors by 45 degrees breaks both sides
         g1 = (e_basis[:, 0] + e_basis[:, p - 1]) / np.sqrt(2.0)
         g2 = (e_basis[:, 0] - e_basis[:, p - 1]) / np.sqrt(2.0)
@@ -414,13 +414,6 @@ def _trial_converse(rng, field, n_max, tol):
         if p > 2:
             rotated.append(Subspace(e_basis[:, 1 : p - 1], field, _validate=False))
         cases.append(check_partition_converse(Partition(tuple(rotated)), w, tol))
-    else:
-        # n = 2 leaves only the everywhere-principal full-space configuration
-        v = random_subspace(rng, field, n, 2)
-        w = random_subspace(rng, field, n, 2)
-        e_basis = principal_decomposition(v, w).e_basis
-        cases.append(check_partition_converse(_grouped_principal_partition(rng, e_basis, field), w, tol))
-
     return _check("converse", max(c.residual for c in cases), " | ".join(c.witness for c in cases), tol)
 
 
@@ -452,13 +445,21 @@ def run_suite(
     ``suites`` is a name, an iterable of names, or "all"; ``field`` of None
     runs both fields.  Each (suite, field, trial) cell gets its own derived
     seed, so reports are reproducible and insensitive to the order cells run.
-    Raises DomainError unless ``trials >= 1`` and ``1 <= n_max <= 16``, and before any
-    trial runs on an empty selection, an unknown name, or a suite that needs ``n_max >= 2``.
+    Raises DomainError before any trial runs unless ``trials >= 1``, ``1 <= n_max <= 16``
+    and ``seed >= 0`` are integers (a bool is not) and ``field`` is a Field or None, and on
+    an empty selection, an unknown name, or a suite that needs ``n_max >= 2``.
     """
+    for arg, value in (("trials", trials), ("n_max", n_max), ("seed", seed)):
+        if not (type(value) is int or isinstance(value, np.integer)):  # 1.5 or True is not 1
+            raise DomainError(f"{arg} must be an integer, got {value!r}")
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
     if not 1 <= n_max <= AMBIENT_LIMIT:
         raise DomainError(f"n_max must be in [1, {AMBIENT_LIMIT}], got {n_max}")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
+    if not (field is None or isinstance(field, Field)):
+        raise DomainError(f"field must be a Field or None, got {field!r}")
     if isinstance(suites, str):
         names = list(SUITE_NAMES) if suites == "all" else [suites]
     else:

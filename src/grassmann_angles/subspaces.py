@@ -189,14 +189,9 @@ def orthogonal_complement_within(u: Subspace, v: Subspace) -> Subspace:
 
 
 def is_partially_orthogonal(v: Subspace, w: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """True when some nonzero vector of v is orthogonal to all of w,
-    i.e. the projection of v into w loses rank."""
-    _require_same_space(v, w)
-    if v.dim == 0:
-        return False
-    if v.dim > w.dim:
-        return True
-    return bool(principal_cosines(v, w)[-1] < tol.rank_eps)
+    """True when some nonzero vector of v is orthogonal to all of w: the
+    projection of v into w loses rank, by ``project_subspace``'s rank rule."""
+    return project_subspace(v, w, tol).dim < v.dim
 
 
 def principal_cosines(v: Subspace, w: Subspace) -> np.ndarray:
@@ -326,8 +321,8 @@ class Partition:
 
 def is_principal_partition(partition: Partition, w: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Whether an orthogonal partition of some subspace is principal w.r.t. w,
-    i.e. the projected parts are pairwise orthogonal."""
-    projected = [project_subspace(p, w, tol) for p in partition.parts]
-    return not any(
-        a.dim and b.dim and principal_cosines(b, a)[0] >= tol.residual_eps for a, b in combinations(projected, 2)
-    )
+    i.e. the projected parts are pairwise orthogonal: their stacked bases pass
+    ``direct_sum``'s ORTHOGONALITY_DEFECT, so only ``tol.rank_eps`` (cutting
+    each projection) matters, never the grading tolerance."""
+    stacked = np.hstack([project_subspace(p, w, tol).onb for p in partition.parts])
+    return _orthonormality_defect(stacked) <= ORTHOGONALITY_DEFECT

@@ -285,6 +285,11 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err == "error: the direct-sum suite needs ambient dimension >= 2\n"
 
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--seed", "-1", "--trials", "1")
+        assert code == 2 and out == ""
+        assert err == "error: seed must be non-negative, got -1\n"
+
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_nonpositive_dimension_exits_2(self, capsys, n):
         code, out, err = run_cli(capsys, "verify", "--n", n, "--trials", "2")

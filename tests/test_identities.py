@@ -637,6 +637,30 @@ class TestRunSuite:
         with pytest.raises(DomainError, match=f"trials must be at least 1, got {trials}"):
             run_suite("pythagorean", trials=trials)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_max": 6.5}, "n_max must be an integer, got 6.5"),
+            ({"n_max": True}, "n_max must be an integer, got True"),
+            ({"trials": True}, "trials must be an integer, got True"),
+            ({"trials": 1.5}, "trials must be an integer, got 1.5"),
+            ({"seed": -1}, "seed must be non-negative, got -1"),
+            ({"seed": 0.5}, "seed must be an integer, got 0.5"),
+            ({"field": "real"}, "field must be a Field or None, got 'real'"),
+        ],
+    )
+    def test_malformed_arguments_rejected_before_any_trial(self, kwargs, message, monkeypatch):
+        calls = []
+        monkeypatch.setitem(identities._TRIALS, "binomial", lambda *args: calls.append(args))
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            run_suite("binomial", **{"trials": 2, **kwargs})
+        assert calls == []
+
+    def test_numpy_integer_arguments_accepted(self):
+        a = run_suite("binomial", field=Field.REAL, n_max=np.int64(4), trials=np.int32(3), seed=np.uint8(5))
+        b = run_suite("binomial", field=Field.REAL, n_max=4, trials=3, seed=5)
+        assert [c.to_dict() for c in a] == [c.to_dict() for c in b]
+
     @pytest.mark.parametrize("n_max", [0, -2, 17])
     def test_ambient_dimension_out_of_range_rejected(self, n_max):
         with pytest.raises(DomainError, match=rf"n_max must be in \[1, 16\], got {n_max}"):

@@ -22,7 +22,7 @@ from grassmann_angles import (
     project_blade,
     project_subspace,
 )
-from grassmann_angles.fields import Field
+from grassmann_angles.fields import DEFAULT_TOLERANCE, Field, Tolerance
 from grassmann_angles.linalg import gram
 from grassmann_angles.sampling import (
     random_matrix,
@@ -406,7 +406,24 @@ class TestPartitions:
         assert is_principal_partition(Partition(parts), w)
 
     @pytest.mark.parametrize("field", FIELDS)
-    def test_mixed_principal_vectors_break_principality(self, field):
+    def test_one_svd_per_part_and_none_per_pair(self, field, monkeypatch):
+        rng = rng_from_seed(29)
+        partition = split_subspace(rng, random_subspace(rng, field, 6, 4), [1, 2, 1])
+        w = random_subspace(rng, field, 6, 3)
+        svd, calls = np.linalg.svd, []
+
+        def counting_svd(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert not is_principal_partition(partition, w)
+        assert calls == [(3, 1), (3, 2), (3, 1)]  # one W* V_i per part
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("loose", [False, True])
+    def test_mixed_principal_vectors_break_principality(self, field, loose):
+        # the grading tolerance, even above the projected parts' cross cosine, does not decide principality
         rng = rng_from_seed(24)
         while True:
             v = random_subspace(rng, field, 5, 2)
@@ -420,7 +437,9 @@ class TestPartitions:
         rotated = Partition(
             (Subspace(g1[:, None], field, _validate=False), Subspace(g2[:, None], field, _validate=False))
         )
-        assert not is_principal_partition(rotated, w)
+        cross = (cos[0] ** 2 - cos[1] ** 2) / (cos[0] ** 2 + cos[1] ** 2)  # of the projected g1 and g2
+        tol = Tolerance(residual_eps=(1.0 + cross) / 2) if loose else DEFAULT_TOLERANCE  # loose: above the cross cosine
+        assert not is_principal_partition(rotated, w, tol)
 
 
 class TestCoprincipalBlades:
