@@ -70,6 +70,11 @@ SUITE_NAMES = (
 )
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not, nor is 2.0."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
 def as_field_array(data, field: Field) -> np.ndarray:
     """Coerce array-like data to the dtype of ``field``, copying only when the
     dtype changes: the result may be ``data`` itself (see ``unshared``).

@@ -34,7 +34,7 @@ from .exterior import (
     _require_compatible,
     _unit_frame,
 )
-from .fields import DEFAULT_TOLERANCE, SUITE_NAMES, Field, Tolerance, as_basis
+from .fields import DEFAULT_TOLERANCE, SUITE_NAMES, Field, Tolerance, _is_integer, as_basis
 from .linalg import gram, scale_columns
 # random_instance is re-exported: the seeded generators are part of this
 # module's public surface alongside the checkers
@@ -56,10 +56,9 @@ from .subspaces import (
     _coordinate_cos_squared,
     _index_stack,
     _orthonormality_defect,
+    _projected_parts,
     _require_subset,
     _stacked_cos_squared,
-    is_partially_orthogonal,
-    is_principal_partition,
     principal_decomposition,
     project_subspace,
 )
@@ -226,10 +225,9 @@ def check_direct_sum(v1: Subspace, v2: Subspace, w: Subspace, tol: Tolerance = D
       cos(V1+V2, W) = cos(V1, W) cos(V2, W) cos_perp(P(V1), P(V2)),
 
     the last factor being the complementary-angle cosine of the projections:
-    ``check_partition_chain`` on the two-part partition.
+    ``check_partition_chain`` on the two-part partition, renamed ``direct-sum``.
     """
-    witness = f"dims {v1.dim}+{v2.dim} vs {w.dim} in {w.ambient_dim} ({w.field.value})"
-    return replace(check_partition_chain(Partition((v1, v2)), w, tol), name="direct-sum", witness=witness)
+    return replace(check_partition_chain(Partition((v1, v2)), w, tol), name="direct-sum")
 
 
 def check_partition_chain(partition: Partition, w: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> IdentityCheck:
@@ -254,30 +252,30 @@ def check_partition_converse(partition: Partition, w: Subspace, tol: Tolerance =
     partition of V is principal w.r.t. W exactly when the angle cosine of V
     factors as the product of the part cosines.
 
-    Violated preconditions (partial orthogonality) produce a failed check
-    with infinite residual rather than an exception, so suite runs can
-    report them.
+    ORTHOGONALITY_DEFECT decides both sides, on the projected parts and on
+    the product's miss; ``tol.residual_eps`` grades only a principal miss.
+    A non-principal partition whose product holds, and violated
+    preconditions (partial orthogonality), give a failed check with
+    infinite residual at every tolerance rather than an exception, so suite
+    runs can report them.
     """
     parent = partition.parent()
     if parent.dim < 1 or w.dim < 1:
         raise DomainError("need nonzero subspaces")
-    if is_partially_orthogonal(parent, w, tol):
-        return IdentityCheck(
-            "converse", math.inf, False, "precondition violated: V is partially orthogonal to W"
-        )
-    principal = is_principal_partition(partition, w, tol)
+    stacked = _projected_parts(partition, w, tol)
+    principal = _orthonormality_defect(stacked) <= ORTHOGONALITY_DEFECT
+    # principal: the projected parts are an orthonormal basis of Proj_W(V)
+    projected_dim = stacked.shape[1] if principal else project_subspace(parent, w, tol).dim
+    if projected_dim < parent.dim:
+        return IdentityCheck("converse", math.inf, False, "precondition violated: V is partially orthogonal to W")
     product = math.prod(grassmann_angle(part, w).cosine for part in partition.parts)
     diff = abs(grassmann_angle(parent, w).cosine - product)
-    product_holds = diff <= tol.residual_eps
     if principal:
-        residual = diff
-        outcome = "principal partition, product rule"
-    elif product_holds:
-        residual = 10.0 * tol.residual_eps  # equivalence broken: product held anyway
-        outcome = "NON-principal partition but the product rule held"
+        residual, outcome = diff, "principal partition, product rule"
+    elif diff <= ORTHOGONALITY_DEFECT:
+        residual, outcome = math.inf, "NON-principal partition but the product rule held"
     else:
-        residual = 0.0
-        outcome = f"non-principal partition, product rule off by {diff:.3e} as it should be"
+        residual, outcome = 0.0, f"non-principal partition, product rule off by {diff:.3e} as it should be"
     witness = (
         f"parts {[p.dim for p in partition.parts]} vs dim {w.dim} in {w.ambient_dim} "
         f"({w.field.value}): {outcome}"
@@ -346,10 +344,9 @@ def _trial_direct_sum(rng, field, n_max, tol):
     n = int(rng.integers(2, n_max + 1))
     d1 = int(rng.integers(1, n))
     d2 = int(rng.integers(1, n - d1 + 1))
-    parent = random_subspace(rng, field, n, d1 + d2)
-    v1, v2 = split_subspace(rng, parent, [d1, d2]).parts
+    partition = split_subspace(rng, random_subspace(rng, field, n, d1 + d2), [d1, d2])
     w = random_subspace(rng, field, n, int(rng.integers(1, n + 1)))
-    return check_direct_sum(v1, v2, w, tol)
+    return check_partition_chain(partition, w, tol)  # check_direct_sum on the parts, built once
 
 
 def _trial_partition_chain(rng, field, n_max, tol):
@@ -370,8 +367,8 @@ def _principal_pair(rng, field, n, p):
     nowhere near partially orthogonal to W and, if q < n and p >= 2, two well-separated
     principal cosines.
 
-    The margins keep both sides of the converse equivalence decidable at the
-    1e-8 threshold: the 45-degree mixing of the extreme principal vectors
+    The margins keep both sides of the converse equivalence decidable at
+    ORTHOGONALITY_DEFECT: the 45-degree mixing of the extreme principal vectors
     then perturbs the product rule by at least ~_MIN_COSINE^4 * _MIN_GAP^2 / 2.
     """
     for _ in range(MAX_DRAWS):
@@ -450,7 +447,7 @@ def run_suite(
     an empty selection, an unknown name, or a suite that needs ``n_max >= 2``.
     """
     for arg, value in (("trials", trials), ("n_max", n_max), ("seed", seed)):
-        if not (type(value) is int or isinstance(value, np.integer)):  # 1.5 or True is not 1
+        if not _is_integer(value):
             raise DomainError(f"{arg} must be an integer, got {value!r}")
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")

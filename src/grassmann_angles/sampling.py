@@ -2,7 +2,8 @@
 
 Everything goes through ``numpy.random.Generator`` seeded from integers (or
 tuples of integers), so the same seed always reproduces the same subspaces,
-partitions, and blades.
+partitions, and blades.  Every dimension argument must be an integer (a bool
+is not, nor is 2.0), as for ``run_suite``; anything else raises DomainError.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import numpy as np
 
 from .errors import DomainError
 from .exterior import Blade
-from .fields import Field
+from .fields import Field, _is_integer
 from .subspaces import Partition, Subspace
 
 # Rejection loops give up with DomainError after this many draws.  The
@@ -19,11 +20,19 @@ from .subspaces import Partition, Subspace
 MAX_DRAWS = 100_000
 
 
+def _require_integers(what: str, *values) -> tuple:
+    """The dimension arguments ``values`` as given; DomainError unless each is an integer."""
+    if not all(map(_is_integer, values)):
+        raise DomainError(f"{what} must be integers, got {list(values)}")
+    return values
+
+
 def rng_from_seed(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
 def random_matrix(rng: np.random.Generator, field: Field, rows: int, cols: int) -> np.ndarray:
+    _require_integers("dimensions", rows, cols)
     m = rng.standard_normal((rows, cols))
     if field is Field.COMPLEX:
         m = m + 1j * rng.standard_normal((rows, cols))
@@ -38,6 +47,7 @@ def random_unitary(rng: np.random.Generator, field: Field, n: int) -> np.ndarray
 
 
 def random_subspace(rng: np.random.Generator, field: Field, n: int, dim: int) -> Subspace:
+    _require_integers("dimensions", n, dim)
     if not 0 <= dim <= n:
         raise DomainError(f"cannot fit a {dim}-dimensional subspace in dimension {n}")
     if dim == 0:
@@ -47,6 +57,7 @@ def random_subspace(rng: np.random.Generator, field: Field, n: int, dim: int) ->
 
 def random_subspace_within(rng: np.random.Generator, parent: Subspace, dim: int) -> Subspace:
     """Random dim-dimensional subspace of ``parent``."""
+    _require_integers("dimensions", dim)
     if not 0 <= dim <= parent.dim:
         raise DomainError(f"cannot fit dimension {dim} inside a {parent.dim}-dimensional space")
     if dim == 0:
@@ -58,12 +69,13 @@ def random_subspace_within(rng: np.random.Generator, parent: Subspace, dim: int)
 def random_partition(rng: np.random.Generator, field: Field, n: int, dims) -> Partition:
     """Orthogonal partition of the full n-dimensional space with the given
     part dimensions (zeros allowed); the dims must sum to n."""
+    _require_integers("dimensions", n)
     return split_subspace(rng, Subspace.full(n, field), dims)
 
 
 def split_subspace(rng: np.random.Generator, parent: Subspace, dims) -> Partition:
     """Orthogonal partition of ``parent`` into parts of the given dimensions."""
-    dims = [int(d) for d in dims]
+    dims = [int(d) for d in _require_integers("part dimensions", *dims)]
     if any(d < 0 for d in dims) or sum(dims) != parent.dim:
         raise DomainError(f"part dimensions {dims} do not partition a {parent.dim}-dimensional space")
     mixed = parent.onb @ random_unitary(rng, parent.field, parent.dim) if parent.dim else parent.onb
@@ -113,8 +125,8 @@ def random_mixing(rng: np.random.Generator, field: Field, dim: int, cond_limit: 
 def random_instance(field: Field, n: int, dims, seed) -> list[Subspace]:
     """Independent generic subspaces of the given dimensions, reproducible
     from the seed."""
+    n, *dims = map(int, _require_integers("dimensions", n, *dims))
     rng = rng_from_seed(seed)
-    dims = [int(d) for d in dims]
     if any(not 0 <= d <= n for d in dims):
         raise DomainError(f"dimensions {dims} are infeasible in ambient dimension {n}")
     return [random_subspace(rng, field, n, d) for d in dims]

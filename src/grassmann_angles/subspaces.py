@@ -315,8 +315,10 @@ class Partition:
         """The direct sum of the parts, built with the partition."""
         return self._parent
 
-    def validate(self):
-        """Nothing left to check: a partition that exists has orthogonal parts."""
+
+def _projected_parts(partition: Partition, w: Subspace, tol: Tolerance) -> np.ndarray:
+    """The ``project_subspace`` bases of the parts, stacked in order: one SVD per part."""
+    return np.hstack([project_subspace(p, w, tol).onb for p in partition.parts])
 
 
 def is_principal_partition(partition: Partition, w: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
@@ -324,5 +326,4 @@ def is_principal_partition(partition: Partition, w: Subspace, tol: Tolerance = D
     i.e. the projected parts are pairwise orthogonal: their stacked bases pass
     ``direct_sum``'s ORTHOGONALITY_DEFECT, so only ``tol.rank_eps`` (cutting
     each projection) matters, never the grading tolerance."""
-    stacked = np.hstack([project_subspace(p, w, tol).onb for p in partition.parts])
-    return _orthonormality_defect(stacked) <= ORTHOGONALITY_DEFECT
+    return _orthonormality_defect(_projected_parts(partition, w, tol)) <= ORTHOGONALITY_DEFECT

@@ -29,8 +29,8 @@ from grassmann_angles import (
     random_instance,
     run_suite,
 )
-from grassmann_angles import identities
-from grassmann_angles.fields import Field
+from grassmann_angles import identities, subspaces
+from grassmann_angles.fields import DEFAULT_TOLERANCE, Field, Tolerance
 from grassmann_angles.gallery import load_case_document, run_gallery
 from grassmann_angles.identities import _coordinate_cos_squared, _index_stack, _stacked_cos_squared
 from grassmann_angles.linalg import gram
@@ -41,11 +41,15 @@ from grassmann_angles.sampling import (
     random_partition,
     random_subspace,
     random_subspace_within,
+    random_unitary,
     rng_from_seed,
     split_subspace,
 )
 
 FIELDS = (Field.REAL, Field.COMPLEX)
+REAL = Field.REAL
+FULL_R3 = Subspace.full(3, REAL)
+LOOSE = Tolerance(residual_eps=0.5)
 XI = complex(-0.5, math.sqrt(3) / 2)
 
 
@@ -370,6 +374,15 @@ class TestDirectSum:
             pair = check_direct_sum(v1, v2, w).residual
             assert pair == check_partition_chain(Partition((v1, v2)), w).residual
 
+    def test_suite_builds_each_direct_sum_once(self, monkeypatch):
+        calls = []
+        build = subspaces.direct_sum
+        monkeypatch.setattr(subspaces, "direct_sum", lambda *parts: calls.append(parts) or build(*parts))
+        checks = run_suite("direct-sum", field=Field.REAL, trials=20)
+        assert len(calls) == len(checks) == 20
+        # the suite rows carry the chain's witness: one implementation
+        assert all(c.passed and c.witness.startswith("parts [") for c in checks)
+
 
 class TestPartitionChain:
     @pytest.mark.parametrize("field", FIELDS)
@@ -415,8 +428,9 @@ class TestPartitionConverse:
             if cos[-1] > 0.3 and cos[0] - cos[-1] > 0.15:
                 return v, w
 
+    @pytest.mark.parametrize("tol", [DEFAULT_TOLERANCE, LOOSE])
     @pytest.mark.parametrize("field", FIELDS)
-    def test_principal_grouping_passes(self, field):
+    def test_principal_grouping_passes(self, field, tol):
         rng = rng_from_seed(13)
         v, w = self._pair(rng, field)
         e = principal_decomposition(v, w).e_basis
@@ -424,23 +438,52 @@ class TestPartitionConverse:
             Subspace(e[:, :1], field, _validate=False),
             Subspace(e[:, 1:], field, _validate=False),
         )
-        out = check_partition_converse(Partition(parts), w)
+        out = check_partition_converse(Partition(parts), w, tol)
         assert out.passed and "principal partition" in out.witness
 
-    @pytest.mark.parametrize("field", FIELDS)
-    def test_mixed_partition_fails_both_sides(self, field):
-        rng = rng_from_seed(14)
+    def _mixed(self, rng, field, angle):
+        """A pair (v, w) and the 3-part partition of v whose extreme principal
+        vectors are rotated into each other by ``angle``."""
         v, w = self._pair(rng, field)
         e = principal_decomposition(v, w).e_basis
-        g1 = (e[:, 0] + e[:, 2]) / math.sqrt(2)
-        g2 = (e[:, 0] - e[:, 2]) / math.sqrt(2)
+        g1 = math.cos(angle) * e[:, 0] + math.sin(angle) * e[:, 2]
+        g2 = -math.sin(angle) * e[:, 0] + math.cos(angle) * e[:, 2]
         parts = (
             Subspace(g1[:, None], field, _validate=False),
             Subspace(g2[:, None], field, _validate=False),
             Subspace(e[:, 1:2], field, _validate=False),
         )
-        out = check_partition_converse(Partition(parts), w)
-        assert out.passed and "as it should be" in out.witness
+        return Partition(parts), w
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOLERANCE, LOOSE])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_mixed_partition_fails_both_sides(self, field, tol):
+        partition, w = self._mixed(rng_from_seed(14), field, math.pi / 4)
+        out = check_partition_converse(partition, w, tol)
+        assert out.passed and out.residual == 0.0 and "as it should be" in out.witness
+
+    @pytest.mark.parametrize("residual_eps", [1e-12, 1e-8, 0.5])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_product_held_for_a_non_principal_partition_fails_at_every_tolerance(self, field, residual_eps):
+        # mixed by 1e-5 rad the partition is not principal, but its product
+        # rule misses by ~1e-11, below ORTHOGONALITY_DEFECT: the equivalence
+        # is broken whatever the grading tolerance
+        partition, w = self._mixed(rng_from_seed(14), field, 1e-5)
+        out = check_partition_converse(partition, w, Tolerance(residual_eps=residual_eps))
+        assert not out.passed and math.isinf(out.residual)
+        assert "NON-principal partition but the product rule held" in out.witness
+
+    def test_principal_partition_takes_no_precondition_svd(self, monkeypatch):
+        rng = rng_from_seed(13)
+        v, w = self._pair(rng, Field.REAL)
+        e = principal_decomposition(v, w).e_basis
+        partition = Partition(tuple(Subspace(e[:, i : i + 1], Field.REAL, _validate=False) for i in range(3)))
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+        out = check_partition_converse(partition, w)
+        assert out.passed and "principal partition" in out.witness
+        assert len(calls) == len(partition.parts)
 
     def test_trivial_partition_passes(self):
         rng = rng_from_seed(15)
@@ -454,6 +497,24 @@ class TestPartitionConverse:
         out = check_partition_converse(Partition((v,)), w)
         assert not out.passed and math.isinf(out.residual)
         assert "precondition" in out.witness
+
+    def test_partial_orthogonality_of_a_non_principal_partition_reported(self):
+        # V = span(e1, e3) meets W = span(e1, e2) only along e1; both parts
+        # (e1 +- e3)/sqrt(2) project onto e1, so the partition is not principal
+        eye = np.eye(4)
+        w = Subspace(eye[:, :2], Field.REAL, _validate=False)
+        parts = tuple(
+            Subspace(((eye[:, 0] + sign * eye[:, 2]) / math.sqrt(2))[:, None], Field.REAL, _validate=False)
+            for sign in (1.0, -1.0)
+        )
+        out = check_partition_converse(Partition(parts), w)
+        assert not out.passed and math.isinf(out.residual)
+        assert out.witness == "precondition violated: V is partially orthogonal to W"
+
+    @pytest.mark.parametrize("residual_eps", [0.1, 0.5])
+    def test_loose_grading_passes_the_suite(self, residual_eps):
+        checks = run_suite("converse", field=Field.REAL, n_max=3, trials=10, tol=Tolerance(residual_eps=residual_eps))
+        assert all(c.passed for c in checks), [c for c in checks if not c.passed]
 
 
 # Per-term references for the stacked checkers: one scalar route call per
@@ -598,6 +659,34 @@ class TestRandomInstance:
     def test_infeasible_dims_rejected(self):
         with pytest.raises(DomainError):
             random_instance(Field.REAL, 3, [4], seed=0)
+
+    @pytest.mark.parametrize(
+        "draw, got",
+        [
+            pytest.param(lambda rng: split_subspace(rng, FULL_R3, [1.7, 2.2]), "[1.7, 2.2]", id="split_subspace-float"),
+            pytest.param(lambda rng: random_instance(REAL, 4, [1.9, True], 0), "[4, 1.9, True]", id="random_instance"),
+            pytest.param(lambda rng: random_partition(rng, REAL, 2, [True, True]), "[True, True]", id="random_partition"),
+            pytest.param(lambda rng: random_partition(rng, REAL, True, [1]), "[True]", id="random_partition-n"),
+            pytest.param(lambda rng: random_subspace(rng, REAL, 4, 2.5), "[4, 2.5]", id="random_subspace-float"),
+            pytest.param(lambda rng: random_subspace(rng, REAL, 4, True), "[4, True]", id="random_subspace-bool"),
+            pytest.param(lambda rng: random_subspace(rng, REAL, 4.0, 2), "[4.0, 2]", id="random_subspace-n"),
+            pytest.param(lambda rng: random_subspace_within(rng, FULL_R3, True), "[True]", id="random_subspace_within"),
+            pytest.param(lambda rng: random_orthogonal_basis(rng, REAL, True), "[True, True]", id="random_orthogonal_basis"),
+            pytest.param(lambda rng: random_blade(rng, REAL, 3, True), "[3, True]", id="random_blade"),
+            pytest.param(lambda rng: random_mixing(rng, REAL, 2.0), "[2.0, 2.0]", id="random_mixing"),
+            pytest.param(lambda rng: random_unitary(rng, REAL, True), "[True, True]", id="random_unitary"),
+        ],
+    )
+    def test_non_integer_dimensions_rejected(self, draw, got):
+        # the run_suite rule: a float or a bool is not a dimension, never truncated
+        with pytest.raises(DomainError, match=f"dimensions must be integers, got {re.escape(got)}$"):
+            draw(rng_from_seed(0))
+
+    def test_numpy_integer_dimensions_accepted(self):
+        a = random_instance(Field.REAL, np.int64(5), [np.int32(2), np.uint8(3)], seed=99)
+        b = random_instance(Field.REAL, 5, [2, 3], seed=99)
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x.onb, y.onb)
 
     def test_unmeetable_rejection_loop_gives_up(self):
         # no 2 x 2 Gaussian draw has condition number exactly 1
