@@ -11,7 +11,9 @@ Schema::
 
 A vector is a list of n entries; an entry is a number or, over the complex
 field only, a two-element ``[re, im]`` array.  Raw basis vectors are kept
-as given (the determinant formulas need them un-orthonormalized).
+as given (the determinant formulas need them un-orthonormalized).  A parsed
+document is an immutable value: its basis arrays are read-only and its
+subspace table is a read-only mapping.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -108,7 +111,9 @@ def parse_document(obj) -> InputDocument:
             if not isinstance(vec, list) or len(vec) != ambient:
                 raise DocumentError(f"subspace {name!r}: every vector must have length {ambient}")
             cols.append([decode_entry(x, field) for x in vec])
-        subspaces[name] = np.array(cols, dtype=field.dtype).T
+        basis = np.array(cols, dtype=field.dtype).T
+        basis.flags.writeable = False
+        subspaces[name] = basis
 
     raw_options = obj.get("options", {})
     if not isinstance(raw_options, dict):
@@ -130,12 +135,14 @@ def parse_document(obj) -> InputDocument:
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
     options = DocumentOptions(tolerance=tolerance, degrees=raw_options.get("degrees", False))
-    return InputDocument(field=field, ambient=ambient, subspaces=subspaces, options=options)
+    return InputDocument(field=field, ambient=ambient, subspaces=MappingProxyType(subspaces), options=options)
 
 
 def load_document(path) -> InputDocument:
+    """The document at ``path``: a file system path, or a resource of an
+    ``importlib.resources`` package, which may sit inside a zip archive."""
     try:
-        text = Path(path).read_text()
+        text = (path if hasattr(path, "read_text") else Path(path)).read_text()
     except OSError as exc:
         raise DocumentError(f"cannot read document {path}: {exc}") from None
     try:

@@ -18,7 +18,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import DomainError, MultiIndexError, NumericalConsistencyError
-from .fields import DEFAULT_TOLERANCE, Field, Tolerance, as_basis, unshared
+from .fields import DEFAULT_TOLERANCE, Field, Tolerance, _is_integer, as_basis, unshared
 from .linalg import _column_exponents, _validate_multi_index, det, gram, orthonormalize
 from .subspaces import _index_stack
 
@@ -73,8 +73,8 @@ def multi_indices(p: int, q: int) -> list[MultiIndex]:
 
     For p = 0 this is the single empty index; for p > q it is empty.
     """
-    if p < 0 or q < 0:
-        raise MultiIndexError(f"sizes must be nonnegative, got p={p}, q={q}")
+    if not (_is_integer(p) and _is_integer(q) and p >= 0 and q >= 0):
+        raise MultiIndexError(f"sizes must be nonnegative integers, got p={p!r}, q={q!r}")
     return [MultiIndex(row, q) for row in (_index_stack(q, p) + 1).tolist()]
 
 

@@ -5,8 +5,9 @@ specific angle computation, and reports expected-vs-computed pairs.  The
 case ids ("3.2", "3.5", ...) are stable labels used by the CLI's ``--only``
 selector.
 
-Each bundled document is parsed once per process, on first use, and its
-basis arrays are read-only so no caller can change what later callers get.
+Each bundled document is loaded once per process, on first use, by
+``load_document``, as the CLI loads a document; like every parsed document
+it is read-only, so no caller can change what later callers get.
 The 4.x cases sum squared cosines over coordinate subspaces; they take all
 terms from one Gram matrix in one stacked determinant, as the identity
 checkers do, instead of one angle route call per coordinate subspace.
@@ -15,11 +16,9 @@ checkers do, instead of one angle route call per coordinate subspace.
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
-from types import MappingProxyType
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .angles import (
     grassmann_angle_equal_dim,
     vector_angle,
 )
-from .documents import InputDocument, parse_document
+from .documents import InputDocument, load_document
 from .errors import DocumentError
 from .subspaces import _coordinate_cos_squared, complement, principal_decomposition
 
@@ -82,13 +81,8 @@ class GalleryResult:
 
 @functools.cache
 def load_case_document(name: str) -> InputDocument:
-    """The bundled document ``name``, parsed on first use and shared by every
-    later caller, so its subspace table and arrays are read-only."""
-    text = resources.files("grassmann_angles").joinpath("data", name).read_text()
-    doc = parse_document(json.loads(text))
-    for basis in doc.subspaces.values():
-        basis.flags.writeable = False
-    return replace(doc, subspaces=MappingProxyType(doc.subspaces))
+    """The bundled document ``name``, loaded on first use and shared by every later caller."""
+    return load_document(resources.files("grassmann_angles").joinpath("data", name))
 
 
 def _case_3_2() -> list[GalleryCheck]:

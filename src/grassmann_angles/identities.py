@@ -135,8 +135,8 @@ def _coordinate_sum(v: Subspace, basis, q: int) -> float:
     n = v.ambient_dim
     units = _orthogonal_basis_matrix(basis, v.field, n)
     _require_ambient_cap(n)
-    if not 0 <= q <= n:
-        raise DomainError(f"coordinate dimension must be in [0, {n}], got {q}")
+    if not (_is_integer(q) and 0 <= q <= n):
+        raise DomainError(f"coordinate dimension must be an integer in [0, {n}], got {q!r}")
     return np.sum(_coordinate_cos_squared(units, v.onb, q))
 
 

@@ -4,6 +4,8 @@ Everything goes through ``numpy.random.Generator`` seeded from integers (or
 tuples of integers), so the same seed always reproduces the same subspaces,
 partitions, and blades.  Every dimension argument must be an integer (a bool
 is not, nor is 2.0), as for ``run_suite``; anything else raises DomainError.
+Every Haar draw goes through ``random_subspace``, and ``random_blade`` and
+``random_mixing`` share one rejection loop on a Gaussian's condition number.
 """
 
 from __future__ import annotations
@@ -39,6 +41,16 @@ def random_matrix(rng: np.random.Generator, field: Field, rows: int, cols: int) 
     return m.astype(field.dtype)
 
 
+def _conditioned_matrix(rng: np.random.Generator, field: Field, rows: int, cols: int, cond_limit: float) -> np.ndarray:
+    """The first Gaussian rows x cols draw whose condition number is at most ``cond_limit``."""
+    for _ in range(MAX_DRAWS):
+        m = random_matrix(rng, field, rows, cols)
+        s = np.linalg.svd(m, compute_uv=False)
+        if s[-1] > 0.0 and s[0] / s[-1] <= cond_limit:
+            return m
+    raise DomainError(f"no {rows} x {cols} draw had condition number <= {cond_limit} in {MAX_DRAWS} draws")
+
+
 def random_unitary(rng: np.random.Generator, field: Field, n: int) -> np.ndarray:
     """Haar-ish random orthogonal/unitary matrix (QR with phase fix)."""
     q, r = np.linalg.qr(random_matrix(rng, field, n, n))
@@ -58,11 +70,7 @@ def random_subspace(rng: np.random.Generator, field: Field, n: int, dim: int) ->
 def random_subspace_within(rng: np.random.Generator, parent: Subspace, dim: int) -> Subspace:
     """Random dim-dimensional subspace of ``parent``."""
     _require_integers("dimensions", dim)
-    if not 0 <= dim <= parent.dim:
-        raise DomainError(f"cannot fit dimension {dim} inside a {parent.dim}-dimensional space")
-    if dim == 0:
-        return Subspace.zero(parent.ambient_dim, parent.field)
-    coeffs = random_unitary(rng, parent.field, parent.dim)[:, :dim]
+    coeffs = random_subspace(rng, parent.field, parent.dim, dim).onb
     return Subspace(parent.onb @ coeffs, parent.field, _validate=False)
 
 
@@ -78,7 +86,7 @@ def split_subspace(rng: np.random.Generator, parent: Subspace, dims) -> Partitio
     dims = [int(d) for d in _require_integers("part dimensions", *dims)]
     if any(d < 0 for d in dims) or sum(dims) != parent.dim:
         raise DomainError(f"part dimensions {dims} do not partition a {parent.dim}-dimensional space")
-    mixed = parent.onb @ random_unitary(rng, parent.field, parent.dim) if parent.dim else parent.onb
+    mixed = parent.onb @ random_subspace(rng, parent.field, parent.dim, parent.dim).onb
     parts, start = [], 0
     for d in dims:
         parts.append(Subspace(mixed[:, start : start + d], parent.field, _validate=False))
@@ -88,21 +96,14 @@ def split_subspace(rng: np.random.Generator, parent: Subspace, dims) -> Partitio
 
 def random_orthogonal_basis(rng: np.random.Generator, field: Field, n: int) -> np.ndarray:
     """Columns form an orthogonal, deliberately not normalized, basis of the full space."""
-    return random_unitary(rng, field, n) * rng.uniform(0.5, 2.0, size=n)
+    return random_subspace(rng, field, n, n).onb * rng.uniform(0.5, 2.0, size=n)
 
 
 def random_blade(rng: np.random.Generator, field: Field, n: int, grade: int) -> Blade:
     """Random nonzero blade with well-separated factors."""
     if not 1 <= grade <= n:
         raise DomainError(f"cannot build a grade-{grade} blade in dimension {n}")
-    for _ in range(MAX_DRAWS):
-        factors = random_matrix(rng, field, n, grade)
-        s = np.linalg.svd(factors, compute_uv=False)
-        if s[-1] > 0.1 * s[0]:
-            break
-    else:
-        raise DomainError(f"no well-separated grade-{grade} factors in {MAX_DRAWS} draws")
-    factors = factors * rng.uniform(0.5, 2.0, size=grade)
+    factors = _conditioned_matrix(rng, field, n, grade, 10.0) * rng.uniform(0.5, 2.0, size=grade)
     coefficient = 1.0
     if field is Field.COMPLEX:
         coefficient = np.exp(2j * np.pi * rng.uniform())
@@ -114,12 +115,7 @@ def random_blade(rng: np.random.Generator, field: Field, n: int, grade: int) -> 
 def random_mixing(rng: np.random.Generator, field: Field, dim: int, cond_limit: float = 100.0) -> np.ndarray:
     """Random well-conditioned square matrix (for turning orthonormal bases
     into generic raw bases without tripping degeneracy checks)."""
-    for _ in range(MAX_DRAWS):
-        m = random_matrix(rng, field, dim, dim)
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[-1] > 0.0 and s[0] / s[-1] <= cond_limit:
-            return m
-    raise DomainError(f"no {dim} x {dim} draw had condition number <= {cond_limit} in {MAX_DRAWS} draws")
+    return _conditioned_matrix(rng, field, dim, dim, cond_limit)
 
 
 def random_instance(field: Field, n: int, dims, seed) -> list[Subspace]:

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .fields import DEFAULT_TOLERANCE, Field, Tolerance, as_basis, as_field_array, unshared
+from .fields import DEFAULT_TOLERANCE, Field, Tolerance, _is_integer, as_basis, as_field_array, unshared
 from .linalg import gram, orthonormalize
 
 if TYPE_CHECKING:
@@ -81,10 +81,12 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim: int, field: Field) -> "Subspace":
+        _require_ambient_dim(ambient_dim)
         return cls(np.zeros((ambient_dim, 0), dtype=field.dtype), field, _validate=False)
 
     @classmethod
     def full(cls, ambient_dim: int, field: Field) -> "Subspace":
+        _require_ambient_dim(ambient_dim)
         return cls(np.eye(ambient_dim, dtype=field.dtype), field, _validate=False)
 
     @property
@@ -103,6 +105,12 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, field={self.field.value})"
+
+
+def _require_ambient_dim(ambient_dim):
+    """DomainError unless ``ambient_dim`` is a nonnegative integer (a bool is not, nor is 2.0)."""
+    if not (_is_integer(ambient_dim) and ambient_dim >= 0):
+        raise DomainError(f"ambient dimension must be a nonnegative integer, got {ambient_dim!r}")
 
 
 def _orthonormality_defect(mat: np.ndarray) -> float:
@@ -178,14 +186,11 @@ def direct_sum(*parts: Subspace) -> Subspace:
 
 
 def orthogonal_complement_within(u: Subspace, v: Subspace) -> Subspace:
-    """The orthogonal complement of u inside v (u must be a subspace of v)."""
+    """The orthogonal complement of u inside v (u must be a subspace of v):
+    ``complement`` taken in v's coordinates, where u has the orthonormal basis v* u."""
     _require_subset(u, v)
-    if u.dim == 0:
-        return v
-    coeffs = gram(u.onb, v.onb)  # dim(u) x dim(v)
-    _, s, vt = np.linalg.svd(coeffs, full_matrices=True)
-    kernel = vt.conj().T[:, u.dim :]
-    return Subspace(v.onb @ kernel, v.field, _validate=False)
+    inside = complement(Subspace(gram(v.onb, u.onb), v.field, _validate=False))
+    return Subspace(v.onb @ inside.onb, v.field, _validate=False)
 
 
 def is_partially_orthogonal(v: Subspace, w: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:

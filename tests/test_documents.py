@@ -1,4 +1,5 @@
 import json
+import zipfile
 from importlib import resources
 
 import numpy as np
@@ -158,12 +159,39 @@ class TestFieldTypes:
         assert "error" in capsys.readouterr().err
 
 
+def _loaded(tmp_path, obj):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(obj))
+    return load_document(path)
+
+
+@pytest.mark.parametrize("read", [lambda tmp_path, obj: parse_document(obj), _loaded], ids=["parse", "load"])
+def test_documents_are_immutable_values(tmp_path, read):
+    doc = read(tmp_path, minimal_doc())
+    for basis in doc.subspaces.values():
+        with pytest.raises(ValueError):
+            basis[0, 0] = 7.0
+    with pytest.raises(TypeError):
+        doc.subspaces["V"] = np.eye(3)
+    with pytest.raises(TypeError):
+        del doc.subspaces["W"]
+    assert doc.basis("V")[0, 0] == 1.0 and set(doc.subspaces) == {"V", "W"}
+
+
 class TestLoadDocument:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(minimal_doc()))
         doc = load_document(path)
         assert doc.ambient == 3
+
+    def test_resource_inside_a_zip_archive(self, tmp_path):
+        archive = tmp_path / "docs.zip"
+        with zipfile.ZipFile(archive, "w") as zf:
+            zf.writestr("data/doc.json", json.dumps(minimal_doc()))
+        with zipfile.ZipFile(archive) as zf:
+            doc = load_document(zipfile.Path(zf, "data/doc.json"))
+        assert doc.ambient == 3 and doc.basis("V").shape == (3, 2)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DocumentError):

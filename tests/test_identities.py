@@ -8,6 +8,7 @@ from grassmann_angles import (
     Blade,
     DimensionMismatchError,
     DomainError,
+    MultiIndexError,
     Partition,
     Subspace,
     check_binomial_identities,
@@ -29,7 +30,7 @@ from grassmann_angles import (
     random_instance,
     run_suite,
 )
-from grassmann_angles import identities, subspaces
+from grassmann_angles import identities, sampling, subspaces
 from grassmann_angles.fields import DEFAULT_TOLERANCE, Field, Tolerance
 from grassmann_angles.gallery import load_case_document, run_gallery
 from grassmann_angles.identities import _coordinate_cos_squared, _index_stack, _stacked_cos_squared
@@ -692,6 +693,56 @@ class TestRandomInstance:
         # no 2 x 2 Gaussian draw has condition number exactly 1
         with pytest.raises(DomainError):
             random_mixing(rng_from_seed(0), Field.REAL, 2, cond_limit=1.0)
+
+    def test_blade_draw_gives_up(self, monkeypatch):
+        monkeypatch.setattr(sampling, "MAX_DRAWS", 0)
+        with pytest.raises(DomainError, match="^no 4 x 2 draw had condition number <= 10.0 in 0 draws$"):
+            random_blade(rng_from_seed(0), Field.REAL, 4, 2)
+
+    @pytest.mark.parametrize("dim", [-1, 4])
+    def test_subspace_within_too_small_parent_rejected(self, dim):
+        with pytest.raises(DomainError, match=f"^cannot fit a {dim}-dimensional subspace in dimension 3$"):
+            random_subspace_within(rng_from_seed(0), FULL_R3, dim)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_zero_dimensional_draws(self, field):
+        rng = rng_from_seed(0)
+        drawn = [
+            random_subspace_within(rng, random_subspace(rng, field, 5, 3), 0),
+            *split_subspace(rng, Subspace.zero(5, field), [0, 0]).parts,
+        ]
+        for part in drawn:
+            assert part.onb.shape == (5, 0) and part.onb.dtype == field.dtype
+
+
+V_R4 = Subspace(np.eye(4)[:, :2], REAL)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: check_binomial_identities(V_R4, np.eye(4), 2.0), DomainError, id="binomial-2.0"),
+        pytest.param(lambda: check_binomial_identities(V_R4, np.eye(4), 2.5), DomainError, id="binomial-2.5"),
+        pytest.param(lambda: check_binomial_identities(V_R4, np.eye(4), True), DomainError, id="binomial-True"),
+        pytest.param(lambda: multi_indices(2.0, 4), MultiIndexError, id="multi_indices-2.0"),
+        pytest.param(lambda: multi_indices(True, 3), MultiIndexError, id="multi_indices-True"),
+        pytest.param(lambda: coordinate_blades(np.eye(4), 2.0), MultiIndexError, id="coordinate_blades-2.0"),
+        pytest.param(lambda: coordinate_blades(np.eye(4), True), MultiIndexError, id="coordinate_blades-True"),
+        pytest.param(lambda: Subspace.zero(2.0, REAL), DomainError, id="zero-2.0"),
+        pytest.param(lambda: Subspace.full(True, REAL), DomainError, id="full-True"),
+    ],
+)
+def test_non_integer_dimension_arguments_rejected(call, error):
+    # the fields._is_integer rule of the sampling generators and run_suite: never numpy's TypeError
+    with pytest.raises(error, match="integer"):
+        call()
+
+
+def test_numpy_integer_dimension_arguments_accepted():
+    assert check_binomial_identities(V_R4, np.eye(4), np.int64(2)).passed
+    assert len(multi_indices(np.int32(2), np.int64(4))) == 6
+    assert len(coordinate_blades(np.eye(4), np.int8(2)).blades) == 6
+    assert Subspace.zero(np.int64(3), REAL).ambient_dim == Subspace.full(np.uint8(3), REAL).dim == 3
 
 
 class TestRunSuite:

@@ -267,13 +267,14 @@ class TestComplementWithin:
             orthogonal_complement_within(random_subspace(rng, field, n, 1), v)
 
     @pytest.mark.parametrize("field", FIELDS)
-    def test_splits_parent(self, field):
+    @pytest.mark.parametrize("k", [0, 2, 4], ids=["zero", "proper", "all"])
+    def test_splits_parent(self, field, k):
         rng = rng_from_seed(14)
         v = random_subspace(rng, field, 6, 4)
-        u = random_subspace_within(rng, v, 2)
+        u = random_subspace_within(rng, v, k)
         rest = orthogonal_complement_within(u, v)
-        assert rest.dim == 2
-        assert np.max(np.abs(gram(u.onb, rest.onb))) <= 1e-10
+        assert rest.dim == 4 - k and rest.onb.shape == (6, 4 - k) and rest.onb.dtype == field.dtype
+        assert np.max(np.abs(gram(u.onb, rest.onb)), initial=0.0) <= 1e-10
         assert max_principal_angle(direct_sum(u, rest), v) <= 1e-7
 
 
