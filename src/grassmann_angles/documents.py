@@ -27,7 +27,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DocumentError
-from .fields import DEFAULT_TOLERANCE, Field, Tolerance
+from .fields import DEFAULT_TOLERANCE, Field, Tolerance, _is_integer
 from .subspaces import Subspace
 
 
@@ -56,11 +56,6 @@ class InputDocument:
         if span.dim == 0:
             raise DocumentError(f"subspace {name!r} spans nothing: its vectors are all zero")
         return span
-
-
-def _is_int(value) -> bool:
-    """A JSON integer; JSON's true and false are bools, not integers."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:
@@ -96,7 +91,7 @@ def parse_document(obj) -> InputDocument:
     except ValueError:
         raise DocumentError(f"field must be 'real' or 'complex', got {obj.get('field')!r}") from None
     ambient = obj.get("ambient")
-    if not _is_int(ambient) or ambient < 1:
+    if not _is_integer(ambient) or ambient < 1:
         raise DocumentError(f"ambient must be a positive integer, got {ambient!r}")
     raw_subspaces = obj.get("subspaces")
     if not isinstance(raw_subspaces, dict) or not raw_subspaces:

@@ -182,23 +182,21 @@ def _oriented_cos_of_frames(frame_a, frame_b) -> complex | float:
     return phase_a.conjugate() * phase_b * det(gram(q_a, q_b))
 
 
-def _polars(blades: list[Blade], tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(phase, norm, Q)`` stacked over blades of one grade from each
-    ``_unit_frame`` (c/|c|, Q), with norm |c| prod r_jj for r_jj = <q_j, f_j>
-    > 0; a zero blade has phase 0, norm 0.0 and Q = 0.  Each factor is scaled
-    by a power of two and the products run over mantissas and exponents, so
-    no step over- or underflows before a norm does."""
-    frames = [_unit_frame(blade, tol) for blade in blades]
-    phase = np.array([frame[0] for frame in frames], dtype=blades[0].field.dtype)
-    q, f = np.stack([frame[1] for frame in frames]), np.stack([blade.factors for blade in blades])
-    s = _column_exponents(f)
-    m, r_exp = np.frexp(np.einsum("bij,bij->bj", q.conj(), f * np.ldexp(1.0, s)[:, None]).real)
-    cm, ce = np.frexp([abs(blade.coefficient) for blade in blades])
-    m, e = np.frexp(cm * m.prod(axis=1))
-    e += ce + (r_exp - s).sum(axis=1)
-    if (e[m > 0] > 1024).any():
+def _polar(blade: Blade, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[complex | float, float, np.ndarray]:
+    """``(phase, norm, Q)`` of a blade from its ``_unit_frame`` (c/|c|, Q), with
+    norm |c| prod r_jj for r_jj = <q_j, f_j> > 0; a zero blade has phase 0,
+    norm 0.0 and Q = 0.  Each factor is scaled by a power of two and the
+    product runs over mantissas and exponents, so no step over- or underflows
+    before the norm does."""
+    phase, q = _unit_frame(blade, tol)
+    s = _column_exponents(blade.factors)
+    m, r_exp = np.frexp(np.einsum("ij,ij->j", q.conj(), blade.factors * np.ldexp(1.0, s)).real)
+    cm, ce = math.frexp(abs(blade.coefficient))
+    m, e = math.frexp(cm * m.prod())
+    e += ce + int((r_exp - s).sum())
+    if m > 0 and e > 1024:
         raise NumericalConsistencyError("blade norm is too large for a float")
-    return phase, np.ldexp(m, e), q
+    return phase, math.ldexp(m, e), q
 
 
 def blade_inner(a: Blade, b: Blade) -> complex | float:
@@ -212,8 +210,8 @@ def blade_inner(a: Blade, b: Blade) -> complex | float:
     _require_compatible(a, b)
     value = 0.0
     if a.grade == b.grade:
-        phase, norm, q = _polars([a, b])
-        value = norm[0] * norm[1] * _oriented_cos_of_frames(*zip(phase, q)) if phase.all() else 0.0
+        (phase_a, norm_a, q_a), (phase_b, norm_b, q_b) = _polar(a), _polar(b)
+        value = norm_a * norm_b * _oriented_cos_of_frames((phase_a, q_a), (phase_b, q_b)) if phase_a and phase_b else 0.0
     return complex(value) if a.field is Field.COMPLEX else float(value)
 
 
@@ -221,7 +219,7 @@ def blade_norm(a: Blade, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """Norm ``sqrt(<a, a>)``: the factor-parallelotope volume (squared volume
     of the underlying real parallelotope, in the complex case); 0.0 exactly
     when ``a.is_zero(tol)``, NumericalConsistencyError when it overflows."""
-    return float(_polars([a], tol)[1][0])
+    return _polar(a, tol)[1]
 
 
 def _minors(phase, q: np.ndarray, units: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -270,7 +268,7 @@ class Contraction:
         _require_compatible(mu, self)
         value = 0.0
         if self.terms and mu.grade == self.grade:
-            (phase,), (norm,), (q,) = _polars([mu])
+            phase, norm, q = _polar(mu)
             columns = np.arange(1, self.source_factors.shape[1] + 1)
             off = (np.array([i.indices for i, _ in self.terms])[..., None] != columns).all(axis=1)  # (k, q) mask
             rows = np.nonzero(off)[1].reshape(len(self), self.grade)  # each I's complement, increasing
@@ -291,8 +289,8 @@ def contract(nu: Blade, omega: Blade, tol: Tolerance = DEFAULT_TOLERANCE) -> Con
     grade(nu) > grade(omega); one, the blade inner product, at equal grades).
     """
     _require_compatible(nu, omega)
-    (phase,), (norm,), (q,) = _polars([omega], tol)
-    (phase_nu,), (norm_nu,), (q_nu,) = _polars([nu], tol)
+    phase, norm, q = _polar(omega, tol)
+    phase_nu, norm_nu, q_nu = _polar(nu, tol)
     inner = phase * norm * _minors(phase_nu * norm_nu, q_nu, q, _index_stack(omega.grade, nu.grade))  # w <nu, q_I>
     terms = tuple((i, sigma_sign(i) * x) for i, x in zip(multi_indices(nu.grade, omega.grade), inner.tolist()))
     return Contraction(q, omega.field, nu.grade, terms)

@@ -29,7 +29,7 @@ import operator
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, MultiIndexError, SingularPivotError
-from .fields import DEFAULT_TOLERANCE, Tolerance
+from .fields import DEFAULT_TOLERANCE, Tolerance, _is_integer
 
 # Naive cofactor recursion is O(n!); anything bigger than this is a mistake.
 _COFACTOR_LIMIT = 10
@@ -91,7 +91,7 @@ def _cofactor_det(m: np.ndarray) -> complex | float:
 
 def _validate_multi_index(cols, q: int) -> tuple[int, ...]:
     idx = tuple(cols)
-    if not all(t is int or issubclass(t, np.integer) for t in {type(q), *map(type, idx)}):  # 1.7 or True is not 1
+    if not all(map(_is_integer, (q, *idx))):  # 1.7 or True is not 1
         raise MultiIndexError(f"indices {idx} and size {q} must be integers")
     idx = tuple(map(int, idx))
     if idx and (min(idx) < 1 or max(idx) > q):
@@ -168,10 +168,10 @@ def schur_det(a, b, c, d, pivot: str = "A", tol: Tolerance = DEFAULT_TOLERANCE) 
 
 
 def _column_exponents(x: np.ndarray) -> np.ndarray:
-    """Per column of x (axis -2, so stacks of matrices too), the exponent s
-    for which 2^s puts the largest real or imaginary part in [0.5, 1); capped
-    at 1023, so that 2^s is finite (a subnormal column ends at 2^-51 and up),
-    and 0 for a zero column.  Raises DomainError on an entry that is not finite."""
+    """Per column of x (axis -2), the exponent s for which 2^s puts the
+    largest real or imaginary part in [0.5, 1); capped at 1023, so that 2^s
+    is finite (a subnormal column ends at 2^-51 and up), and 0 for a zero
+    column.  Raises DomainError on an entry that is not finite."""
     if not np.isfinite(x).all():
         raise DomainError("entries must be finite (no NaN or infinity)")
     return np.minimum(-np.frexp(np.maximum(abs(x.real), abs(x.imag)).max(axis=-2, initial=0.0))[1], 1023)

@@ -34,7 +34,8 @@ def rng_from_seed(seed) -> np.random.Generator:
 
 
 def random_matrix(rng: np.random.Generator, field: Field, rows: int, cols: int) -> np.ndarray:
-    _require_integers("dimensions", rows, cols)
+    if min(_require_integers("dimensions", rows, cols)) < 0:
+        raise DomainError(f"dimensions must be nonnegative, got {[rows, cols]}")
     m = rng.standard_normal((rows, cols))
     if field is Field.COMPLEX:
         m = m + 1j * rng.standard_normal((rows, cols))
@@ -42,7 +43,10 @@ def random_matrix(rng: np.random.Generator, field: Field, rows: int, cols: int) 
 
 
 def _conditioned_matrix(rng: np.random.Generator, field: Field, rows: int, cols: int, cond_limit: float) -> np.ndarray:
-    """The first Gaussian rows x cols draw whose condition number is at most ``cond_limit``."""
+    """The first Gaussian rows x cols draw whose condition number is at most ``cond_limit``;
+    an empty draw has no condition number, so both sizes must be at least 1."""
+    if min(_require_integers("dimensions", rows, cols)) < 1:
+        raise DomainError(f"a conditioned draw needs sizes of at least 1, got {rows} x {cols}")
     for _ in range(MAX_DRAWS):
         m = random_matrix(rng, field, rows, cols)
         s = np.linalg.svd(m, compute_uv=False)

@@ -115,9 +115,7 @@ def _require_ambient_dim(ambient_dim):
 
 def _orthonormality_defect(mat: np.ndarray) -> float:
     """Largest entry of ``|mat* mat - 1|``; 0 for no columns, not finite if an entry is not."""
-    if mat.shape[1] == 0:
-        return 0.0
-    return float(np.max(np.abs(gram(mat, mat) - np.eye(mat.shape[1]))))
+    return float(np.abs(gram(mat, mat) - np.eye(mat.shape[1])).max(initial=0.0))
 
 
 def _require_same_space(a: Subspace | Blade, b: Subspace):
@@ -282,10 +280,8 @@ def _require_subset(u: Subspace, v: Subspace):
     _require_same_space(u, v)
     if u.dim > v.dim:
         raise DomainError(f"a {u.dim}-dimensional space cannot sit inside a {v.dim}-dimensional one")
-    if u.dim == 0:
-        return
     residual = u.onb - v.onb @ gram(v.onb, u.onb)
-    if float(np.max(np.abs(residual))) > _SUBSET_RESIDUAL:
+    if float(np.abs(residual).max(initial=0.0)) > _SUBSET_RESIDUAL:
         raise DomainError("the first subspace is not contained in the second")
 
 

@@ -110,6 +110,7 @@ class TestFieldTypes:
         "overrides, match",
         [
             ({"ambient": True}, "ambient"),
+            ({"ambient": 2.0}, "ambient"),
             ({"options": {"degrees": "false"}}, "degrees"),
             ({"options": {"degrees": 1}}, "degrees"),
             ({"options": {"rank_eps": "1e-3"}}, "rank_eps"),

@@ -58,10 +58,12 @@ class TestProbes:
         assert abs(blade_norm(blade) - expected) <= 1e-6 * expected
 
     def test_a_norm_that_overflows_raises_without_a_warning(self):
+        # by the factors alone, and by a coefficient on factors of norm ~1e300
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalConsistencyError):
-                blade_norm(Blade(probe_factors() * 1e200))
+            for blade in (Blade(probe_factors() * 1e200), Blade(probe_factors() * 1e100, coefficient=-3e100)):
+                with pytest.raises(NumericalConsistencyError):
+                    blade_norm(blade)
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -149,6 +149,9 @@ class TestWedge:
         nu = random_blade(rng, Field.REAL, 4, 2)
         one = Blade.scalar(1.0, 4, Field.REAL)
         assert abs(blade_inner(wedge(one, nu), nu) - blade_inner(nu, nu)) < 1e-12
+        # a grade-0 blade is its coefficient, with norm |c| exactly
+        assert blade_norm(Blade.scalar(-2.5, 4, Field.REAL)) == 2.5
+        assert blade_norm(Blade.scalar(3 - 4j, 4, Field.COMPLEX)) == 5.0
 
     def test_repeated_factor_is_zero(self):
         v = np.array([1.0, 2.0, 0.0])
@@ -205,6 +208,7 @@ class TestBladeInner:
         vanishing = Blade(b.factors, field=field, coefficient=0.0)
         for zero in (dependent, vanishing):
             assert zero.is_zero() and not b.is_zero()
+            assert blade_norm(zero) == 0.0 and type(blade_norm(zero)) is float
             for value in (blade_inner(zero, b), blade_inner(b, zero), blade_inner(zero, zero)):
                 assert value == 0.0 and type(value) is (complex if field is Field.COMPLEX else float)
                 assert not np.signbit(complex(value).real)  # +0.0, whatever the other blade's phase

@@ -37,6 +37,7 @@ from grassmann_angles.identities import _coordinate_cos_squared, _index_stack, _
 from grassmann_angles.linalg import gram
 from grassmann_angles.sampling import (
     random_blade,
+    random_matrix,
     random_mixing,
     random_orthogonal_basis,
     random_partition,
@@ -681,6 +682,19 @@ class TestRandomInstance:
     def test_non_integer_dimensions_rejected(self, draw, got):
         # the run_suite rule: a float or a bool is not a dimension, never truncated
         with pytest.raises(DomainError, match=f"dimensions must be integers, got {re.escape(got)}$"):
+            draw(rng_from_seed(0))
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            pytest.param(lambda rng: random_mixing(rng, REAL, 0), id="random_mixing-empty"),
+            pytest.param(lambda rng: random_mixing(rng, REAL, -1), id="random_mixing-negative"),
+            pytest.param(lambda rng: random_matrix(rng, REAL, -1, 2), id="random_matrix-negative"),
+        ],
+    )
+    def test_empty_or_negative_draw_sizes_rejected(self, draw):
+        # an empty draw has no condition number, and numpy has no negative size
+        with pytest.raises(DomainError, match="sizes of at least 1|must be nonnegative"):
             draw(rng_from_seed(0))
 
     def test_numpy_integer_dimensions_accepted(self):
