@@ -15,7 +15,8 @@ this checkout's ``src/`` as ``change``.  For n in {3, 6, 10, 16}, k in
 {1, 2, 3, 4, 5, n/2, n} and both fields it times ``orthonormalize`` and
 ``Subspace.from_spanning`` on one Gaussian basis, in microseconds per call:
 the minimum over repeats that rotate the order of the versions, next to
-the interquartile range of those repeats (``*_iqr_us``).  The parent timed
+the median (``*_median_us``) and the interquartile range (``*_iqr_us``) of
+those repeats.  The parent timed
 against itself, ``parent_again_us`` and ``parent_again_iqr_us`` next to
 ``parent_us`` and ``parent_iqr_us``, is the noise floor that the gap of
 ``change_us`` to ``parent_us`` is read against.  The
@@ -49,7 +50,14 @@ such pairs, where the exact cosine comes from the rational Gram
 determinants of ``tests/exact.py`` (for ``vector_angle``, the cosine of the
 Euclidean angle against ``Re <v, w> / (|v| |w|)``).  The bases of every
 route row are drawn again above condition number 1e6, which the raw-basis
-routes reject.
+routes reject.  The sampling rows, seeded after all the others, time per
+field and n in {3, 6} ``random_subspace`` of dimension 1, n/2 and n, and
+``haar_pair``, two Haar n x n unitaries from one stream (drawn first and
+factored in one stacked QR by a version that has ``sampling._haar``); the
+``run_suite`` rows time one ``run_suite(S, trials=1)`` per suite over both
+fields.  Each cycles over CASES seeds and records per version, as
+``*_mismatches``, how many of those seeds give output (arrays and rng state,
+or checks) that differs from the parent's by a bit.
 
 ``pairs`` runs ``perfbench/run.py`` in both checkouts, alternating which
 runs first, one seed per pair, and records every run's end-to-end metrics,
@@ -77,7 +85,9 @@ gets a ``__pycache__``.
 from __future__ import annotations
 
 import argparse
+import importlib
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -151,8 +161,9 @@ def residuals(onb_of, bases) -> tuple[float, float]:
 def best_times(calls: dict, number: int) -> dict:
     """``<name>_us``, the minimum microseconds per call of each entry over
     repeats that rotate their order (so that each entry runs in each place
-    equally often when REPEATS is a multiple of their number), and
-    ``<name>_iqr_us``, the interquartile range of those repeats."""
+    equally often when REPEATS is a multiple of their number),
+    ``<name>_median_us``, their median, and ``<name>_iqr_us``, their
+    interquartile range."""
     runs = {name: [] for name in calls}
     names = list(calls)
     for r in range(REPEATS):
@@ -162,6 +173,7 @@ def best_times(calls: dict, number: int) -> dict:
     for name, values in runs.items():
         q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
         times[f"{name}_us"], times[f"{name}_iqr_us"] = round(min(values), 2), round(q3 - q1, 2)
+        times[f"{name}_median_us"] = round(statistics.median(values), 2)
     return times
 
 
@@ -288,6 +300,88 @@ def blade_row(versions: dict, exact, rng: np.random.Generator, call: str, field_
     return row
 
 
+SAMPLING_DIMS = (3, 6)
+# the suites of perfbench's verify-all, fixed here so that the rows stay comparable if SUITE_NAMES grows
+SUITES = (
+    "line-partition",
+    "pythagorean",
+    "binomial",
+    "oriented-sum",
+    "weighted-average",
+    "direct-sum",
+    "partition-chain",
+    "converse",
+)
+
+
+def haar_pair(ga, field, n: int):
+    """Two Haar n x n unitaries from one seeded stream: drawn first and factored in one
+    stacked QR where the version has ``sampling._haar``, else one ``random_unitary`` each."""
+    sampling = importlib.import_module(f"{ga.__name__}.sampling")
+    if hasattr(sampling, "_haar"):
+        return lambda rng: sampling._haar([sampling.random_matrix(rng, field, n, n) for _ in range(2)])
+    return lambda rng: [sampling.random_unitary(rng, field, n) for _ in range(2)]
+
+
+def cycling(calls: list):
+    """One call that runs the next of ``calls`` each time, in turn."""
+    turn = itertools.cycle(calls)
+    return lambda: next(turn)()
+
+
+def bitwise_differ(a: list, b: list) -> bool:
+    """Whether two lists of arrays (and a trailing rng state) differ in any dtype, shape or bit."""
+    *arrays_a, state_a = a
+    *arrays_b, state_b = b
+    if len(arrays_a) != len(arrays_b) or state_a != state_b:
+        return True
+    return not all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(arrays_a, arrays_b))
+
+
+def sampling_rows(versions: dict) -> list[dict]:
+    """Rows of the Haar draws and of one suite trial: ``random_subspace`` and a two-draw pair of
+    unitaries per field, and ``run_suite(S, trials=1)`` per suite over both fields, each call
+    cycling over CASES seeds.  ``<side>_mismatches`` counts the seeds whose arrays (and rng
+    state) or checks differ from the parent's by a bit."""
+    rows = []
+    for field_name in ("real", "complex"):
+        for n in SAMPLING_DIMS:
+            for call, k in [("random_subspace", k) for k in sorted({1, n // 2, n})] + [("haar_pair", n)]:
+                row, calls, outputs = {"call": call, "field": field_name, "n": n, "k": k}, {}, {}
+                for side, ga in versions.items():
+                    field = ga.Field(field_name)
+                    if call == "random_subspace":
+                        sampling = importlib.import_module(f"{ga.__name__}.sampling")
+                        subspace = partial(sampling.random_subspace, field=field, n=n, dim=k)
+                        draw = lambda rng, subspace=subspace: [subspace(rng).onb]  # noqa: E731
+                    else:
+                        draw = haar_pair(ga, field, n)
+
+                    def seeded(seed, draw=draw):
+                        rng = np.random.default_rng(seed)
+                        return [*draw(rng), rng.bit_generator.state]
+
+                    outputs[side] = [seeded(seed) for seed in range(CASES)]
+                    calls[side] = cycling([partial(draw, np.random.default_rng(seed)) for seed in range(CASES)])
+                for side, out in outputs.items():
+                    row[f"{side}_mismatches"] = float(sum(map(bitwise_differ, out, outputs["parent"])))
+                row.update(best_times(calls, number=10 * CASES))
+                rows.append(row)
+                print(json.dumps(row), flush=True)
+    for suite in SUITES:
+        row, calls, outputs = {"call": "run_suite", "suite": suite, "field": "both", "trials": 1}, {}, {}
+        for side, ga in versions.items():
+            runs = [partial(ga.run_suite, suite, trials=1, seed=seed) for seed in range(CASES)]
+            outputs[side] = [[(c.name, c.residual.hex(), c.passed, c.witness) for c in run()] for run in runs]
+            calls[side] = cycling(runs)
+        for side, out in outputs.items():
+            row[f"{side}_mismatches"] = float(sum(a != b for a, b in zip(out, outputs["parent"])))
+        row.update(best_times(calls, number=2 * CASES))
+        rows.append(row)
+        print(json.dumps(row), flush=True)
+    return rows
+
+
 def kernel_rows(parent_src: Path) -> list[dict]:
     versions = {
         "parent": load_package(parent_src, "ga_parent"),
@@ -334,7 +428,7 @@ def kernel_rows(parent_src: Path) -> list[dict]:
                     else:
                         rows.append(blade_row(versions, exact, call_rng, call, field_name, n, k))
                     print(json.dumps(rows[-1]), flush=True)
-    return rows
+    return rows + sampling_rows(versions)
 
 
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:

@@ -280,6 +280,16 @@ class Contraction:
         return math.hypot(*(abs(c) for _, c in self.terms))
 
 
+def _ldexp_terms(x: np.ndarray, e: int) -> np.ndarray:
+    """``x * 2**e`` exactly, for a real or complex array x with parts below 2 in modulus;
+    NumericalConsistencyError, as for a blade norm, when a real or imaginary part passes
+    the largest float, which needs e > 1023."""
+    parts = x.view(np.float64)  # a complex x as its real and imaginary parts side by side
+    if e > 1023 and np.abs(parts).max(initial=0.0) >= math.ldexp(1.0, 1024 - e):
+        raise NumericalConsistencyError("contraction term is too large for a float")
+    return np.ldexp(parts, e).view(x.dtype)
+
+
 def contract(nu: Blade, omega: Blade, tol: Tolerance = DEFAULT_TOLERANCE) -> Contraction:
     """Left contraction of ``nu`` on ``omega``: the adjoint of wedging by nu,
     so that ``<mu, contract(nu, omega)> = <nu ^ mu, omega>`` for every mu.
@@ -291,7 +301,10 @@ def contract(nu: Blade, omega: Blade, tol: Tolerance = DEFAULT_TOLERANCE) -> Con
     _require_compatible(nu, omega)
     phase, norm, q = _polar(omega, tol)
     phase_nu, norm_nu, q_nu = _polar(nu, tol)
-    inner = phase * norm * _minors(phase_nu * norm_nu, q_nu, q, _index_stack(omega.grade, nu.grade))  # w <nu, q_I>
+    # |w| |nu| = m m_nu 2^e may pass the largest float where a term, times a minor, does not;
+    # the mantissas are below 1 and the minors of two unit frames at most 1
+    (m, e), (m_nu, e_nu) = math.frexp(norm), math.frexp(norm_nu)
+    inner = _ldexp_terms(phase * m * _minors(phase_nu * m_nu, q_nu, q, _index_stack(omega.grade, nu.grade)), e + e_nu)
     terms = tuple((i, sigma_sign(i) * x) for i, x in zip(multi_indices(nu.grade, omega.grade), inner.tolist()))
     return Contraction(q, omega.field, nu.grade, terms)
 

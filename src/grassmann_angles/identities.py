@@ -40,14 +40,15 @@ from .linalg import gram, scale_columns
 # module's public surface alongside the checkers
 from .sampling import (
     MAX_DRAWS,
+    _haar,
+    _parts,
+    _span,
+    _within,
     random_blade,
     random_instance,  # noqa: F401
+    random_matrix,
     random_orthogonal_basis,
-    random_partition,
-    random_subspace,
-    random_subspace_within,
     rng_from_seed,
-    split_subspace,
 )
 from .subspaces import (
     ORTHOGONALITY_DEFECT,
@@ -301,24 +302,32 @@ def _random_composition(rng, total: int, allow_zero: bool = True) -> list[int]:
 
 def _trial_line_partition(rng, field, n_max, tol):
     n = int(rng.integers(1, n_max + 1))
-    partition = random_partition(rng, field, n, _random_composition(rng, n))
-    line = random_subspace(rng, field, n, 1)
-    return check_line_partition(line, partition, tol)
+    dims = _random_composition(rng, n)
+    unitary, line = _haar([random_matrix(rng, field, n, n) for _ in range(2)])
+    return check_line_partition(_span(line, field, 1), _parts(unitary, field, dims), tol)
+
+
+def _subspace_and_basis(rng, field, n, p):
+    """A trial's Haar p-dimensional V and orthogonal basis of the full space (as from
+    ``random_orthogonal_basis``), from one ``_haar`` call after all their draws; V = 0 draws nothing."""
+    draws = [random_matrix(rng, field, n, n) for _ in range(2 if p else 1)]
+    scale = rng.uniform(0.5, 2.0, size=n)
+    unitaries = _haar(draws)
+    v = _span(unitaries[0], field, p) if p else Subspace.zero(n, field)
+    return v, unitaries[-1] * scale
 
 
 def _trial_pythagorean(rng, field, n_max, tol):
     n = int(rng.integers(1, n_max + 1))
     p = int(rng.integers(1, n + 1))
-    v = random_subspace(rng, field, n, p)
-    return check_coordinate_pythagorean(v, random_orthogonal_basis(rng, field, n), tol)
+    return check_coordinate_pythagorean(*_subspace_and_basis(rng, field, n, p), tol)
 
 
 def _trial_binomial(rng, field, n_max, tol):
     n = int(rng.integers(1, n_max + 1))
     p = int(rng.integers(0, n + 1))
     q = int(rng.integers(0, n + 1))
-    v = random_subspace(rng, field, n, p)
-    return check_binomial_identities(v, random_orthogonal_basis(rng, field, n), q, tol)
+    return check_binomial_identities(*_subspace_and_basis(rng, field, n, p), q, tol)
 
 
 def _trial_oriented_sum(rng, field, n_max, tol):
@@ -334,27 +343,35 @@ def _trial_weighted_average(rng, field, n_max, tol):
     p = int(rng.integers(1, n + 1))
     r = int(rng.integers(1, p + 1))
     q = int(rng.integers(1, n + 1))
-    v = random_subspace(rng, field, n, p)
-    u = random_subspace_within(rng, v, r)
-    w = random_subspace(rng, field, n, q)
-    return check_weighted_average(u, v, w, tol)
+    qv, qu, qw = _haar([random_matrix(rng, field, k, k) for k in (n, p, n)])
+    v = _span(qv, field, p)
+    return check_weighted_average(_within(v, _span(qu, field, r)), v, _span(qw, field, q), tol)
+
+
+def _split_trial(rng, field, n, p, dims_of):
+    """A trial's Haar p-dimensional parent split into parts of the widths ``dims_of(rng)``, and a
+    Haar W of random dimension, from one ``_haar`` call after all their draws in stream order."""
+    draws = [random_matrix(rng, field, n, n)]
+    dims = dims_of(rng)
+    draws.append(random_matrix(rng, field, p, p))
+    q = int(rng.integers(1, n + 1))
+    draws.append(random_matrix(rng, field, n, n))
+    qv, mix, qw = _haar(draws)
+    return _parts(_span(qv, field, p).onb @ mix, field, dims), _span(qw, field, q)
 
 
 def _trial_direct_sum(rng, field, n_max, tol):
     n = int(rng.integers(2, n_max + 1))
     d1 = int(rng.integers(1, n))
     d2 = int(rng.integers(1, n - d1 + 1))
-    partition = split_subspace(rng, random_subspace(rng, field, n, d1 + d2), [d1, d2])
-    w = random_subspace(rng, field, n, int(rng.integers(1, n + 1)))
+    partition, w = _split_trial(rng, field, n, d1 + d2, lambda rng: [d1, d2])
     return check_partition_chain(partition, w, tol)  # check_direct_sum on the parts, built once
 
 
 def _trial_partition_chain(rng, field, n_max, tol):
     n = int(rng.integers(2, n_max + 1))
     p = int(rng.integers(2, n + 1))
-    parent = random_subspace(rng, field, n, p)
-    partition = split_subspace(rng, parent, _random_composition(rng, p))
-    w = random_subspace(rng, field, n, int(rng.integers(1, n + 1)))
+    partition, w = _split_trial(rng, field, n, p, lambda rng: _random_composition(rng, p))
     return check_partition_chain(partition, w, tol)
 
 
@@ -373,9 +390,9 @@ def _principal_pair(rng, field, n, p):
     """
     for _ in range(MAX_DRAWS):
         q = int(rng.integers(p, n)) if p < n else p
-        v = random_subspace(rng, field, n, p)
-        w = random_subspace(rng, field, n, q)
-        decomposition = principal_decomposition(v, w)
+        qv, qw = _haar([random_matrix(rng, field, n, n) for _ in range(2)])
+        w = _span(qw, field, q)
+        decomposition = principal_decomposition(_span(qv, field, p), w)
         cosines = decomposition.cosines
         if cosines[-1] < _MIN_COSINE:
             continue

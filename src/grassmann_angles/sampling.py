@@ -4,8 +4,18 @@ Everything goes through ``numpy.random.Generator`` seeded from integers (or
 tuples of integers), so the same seed always reproduces the same subspaces,
 partitions, and blades.  Every dimension argument must be an integer (a bool
 is not, nor is 2.0), as for ``run_suite``; anything else raises DomainError.
-Every Haar draw goes through ``random_subspace``, and ``random_blade`` and
-``random_mixing`` share one rejection loop on a Gaussian's condition number.
+``random_blade`` and ``random_mixing`` share one rejection loop on a
+Gaussian's condition number.
+
+A Haar unitary is the Q factor of a square Gaussian draw with R's diagonal
+made positive (Mezzadri's recipe).  Drawing and factoring are separate steps:
+a caller makes all its draws first, in stream order, and then factors them
+in one ``_haar`` call, which takes one stacked ``np.linalg.qr`` per size.
+numpy's stacked QR runs the same LAPACK routine on each matrix, so every
+unitary, and every subspace and partition read off one, is bit for bit the
+one a QR per draw gives, and the random stream is the same as drawing and
+factoring one at a time.  The suite trials of ``identities`` use it this way;
+the public generators here are each one draw and one ``_haar`` call.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ import numpy as np
 from .errors import DomainError
 from .exterior import Blade
 from .fields import Field, _is_integer
-from .subspaces import Partition, Subspace
+from .subspaces import Partition, Subspace, _require_ambient_dim
 
 # Rejection loops give up with DomainError after this many draws.  The
 # hardest request, a well-separated 16 x 16 blade, accepts ~1 draw in 3000.
@@ -36,10 +46,12 @@ def rng_from_seed(seed) -> np.random.Generator:
 def random_matrix(rng: np.random.Generator, field: Field, rows: int, cols: int) -> np.ndarray:
     if min(_require_integers("dimensions", rows, cols)) < 0:
         raise DomainError(f"dimensions must be nonnegative, got {[rows, cols]}")
-    m = rng.standard_normal((rows, cols))
-    if field is Field.COMPLEX:
-        m = m + 1j * rng.standard_normal((rows, cols))
-    return m.astype(field.dtype)
+    if field is Field.REAL:
+        return rng.standard_normal((rows, cols))
+    m = np.empty((rows, cols), field.dtype)
+    m.real = rng.standard_normal((rows, cols))
+    m.imag = rng.standard_normal((rows, cols))
+    return m
 
 
 def _conditioned_matrix(rng: np.random.Generator, field: Field, rows: int, cols: int, cond_limit: float) -> np.ndarray:
@@ -55,11 +67,51 @@ def _conditioned_matrix(rng: np.random.Generator, field: Field, rows: int, cols:
     raise DomainError(f"no {rows} x {cols} draw had condition number <= {cond_limit} in {MAX_DRAWS} draws")
 
 
+def _haar(draws: list[np.ndarray]) -> list[np.ndarray]:
+    """The Haar unitaries of the square Gaussian ``draws``, in their order: the Q
+    factors with R's diagonal made positive, from one stacked QR per size."""
+    unitaries = [None] * len(draws)
+    for n in {len(g) for g in draws}:
+        at = [i for i, g in enumerate(draws) if len(g) == n]
+        # a lone draw is factored as it is: numpy's stacked QR costs more per call
+        q, r = np.linalg.qr(np.array([draws[i] for i in at]) if len(at) > 1 else draws[at[0]])
+        d = r.diagonal(0, -2, -1)
+        q *= (d / abs(d))[..., None, :]
+        for i, u in zip(at, q.reshape(len(at), n, n)):
+            unitaries[i] = u
+    return unitaries
+
+
+def _span(unitary: np.ndarray, field: Field, dim: int) -> Subspace:
+    """The subspace spanned by the first ``dim`` columns of a Haar unitary (a contiguous copy)."""
+    return Subspace(unitary[:, :dim], field, _validate=False)
+
+
+def _within(parent: Subspace, coeffs: Subspace) -> Subspace:
+    """The subspace of ``parent`` whose basis has the coordinates ``coeffs.onb`` in parent's basis."""
+    return Subspace(parent.onb @ coeffs.onb, parent.field, _validate=False)
+
+
+def _parts(columns: np.ndarray, field: Field, dims) -> Partition:
+    """The partition into consecutive column blocks of the given widths of an orthonormal ``columns``."""
+    parts, start = [], 0
+    for d in dims:
+        parts.append(Subspace(columns[:, start : start + d], field, _validate=False))
+        start += d
+    return Partition(tuple(parts))
+
+
+def _require_parts(dims, total: int) -> list[int]:
+    """``dims`` as ints; DomainError unless they are nonnegative integers summing to ``total``."""
+    dims = [int(d) for d in _require_integers("part dimensions", *dims)]
+    if any(d < 0 for d in dims) or sum(dims) != total:
+        raise DomainError(f"part dimensions {dims} do not partition a {total}-dimensional space")
+    return dims
+
+
 def random_unitary(rng: np.random.Generator, field: Field, n: int) -> np.ndarray:
-    """Haar-ish random orthogonal/unitary matrix (QR with phase fix)."""
-    q, r = np.linalg.qr(random_matrix(rng, field, n, n))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    """Haar random orthogonal/unitary matrix (QR with phase fix)."""
+    return _haar([random_matrix(rng, field, n, n)])[0]
 
 
 def random_subspace(rng: np.random.Generator, field: Field, n: int, dim: int) -> Subspace:
@@ -68,34 +120,29 @@ def random_subspace(rng: np.random.Generator, field: Field, n: int, dim: int) ->
         raise DomainError(f"cannot fit a {dim}-dimensional subspace in dimension {n}")
     if dim == 0:
         return Subspace.zero(n, field)
-    return Subspace(random_unitary(rng, field, n)[:, :dim], field, _validate=False)
+    return _span(random_unitary(rng, field, n), field, dim)
 
 
 def random_subspace_within(rng: np.random.Generator, parent: Subspace, dim: int) -> Subspace:
     """Random dim-dimensional subspace of ``parent``."""
     _require_integers("dimensions", dim)
-    coeffs = random_subspace(rng, parent.field, parent.dim, dim).onb
-    return Subspace(parent.onb @ coeffs, parent.field, _validate=False)
+    return _within(parent, random_subspace(rng, parent.field, parent.dim, dim))
 
 
 def random_partition(rng: np.random.Generator, field: Field, n: int, dims) -> Partition:
     """Orthogonal partition of the full n-dimensional space with the given
     part dimensions (zeros allowed); the dims must sum to n."""
     _require_integers("dimensions", n)
-    return split_subspace(rng, Subspace.full(n, field), dims)
+    _require_ambient_dim(n)
+    dims = _require_parts(dims, n)
+    return _parts(random_subspace(rng, field, n, n).onb, field, dims)
 
 
 def split_subspace(rng: np.random.Generator, parent: Subspace, dims) -> Partition:
     """Orthogonal partition of ``parent`` into parts of the given dimensions."""
-    dims = [int(d) for d in _require_integers("part dimensions", *dims)]
-    if any(d < 0 for d in dims) or sum(dims) != parent.dim:
-        raise DomainError(f"part dimensions {dims} do not partition a {parent.dim}-dimensional space")
-    mixed = parent.onb @ random_subspace(rng, parent.field, parent.dim, parent.dim).onb
-    parts, start = [], 0
-    for d in dims:
-        parts.append(Subspace(mixed[:, start : start + d], parent.field, _validate=False))
-        start += d
-    return Partition(tuple(parts))
+    dims = _require_parts(dims, parent.dim)
+    mix = random_subspace(rng, parent.field, parent.dim, parent.dim).onb
+    return _parts(parent.onb @ mix, parent.field, dims)
 
 
 def random_orthogonal_basis(rng: np.random.Generator, field: Field, n: int) -> np.ndarray:

@@ -20,6 +20,11 @@ ROUTE_CALLS = {"oriented_grassmann_cos", "grassmann_angle", "grassmann_angle_pri
 ROUTE_CALLS |= {"blade_norm", "blade_inner", "contract", "Contraction.norm", "Contraction.inner_with"}
 ROUTE_CALLS |= {"grassmann_angle_equal_dim", "grassmann_angle_any_dim", "complementary_angle_formula", "vector_angle"}
 ROUTE_KEYS = ROW_KEYS | {f"{side}_oracle_error" for side in ("parent", "change")}
+# rows of the Haar draws, and of one run_suite trial per suite over both fields, count
+# the seeds whose output differs from the parent's by a bit instead
+SAMPLING_CALLS = {"random_subspace", "haar_pair"}
+SAMPLING_KEYS = ROW_KEYS | {f"{side}_mismatches" for side in ("parent", "parent_again", "change")}
+SUITE_KEYS = SAMPLING_KEYS - {"n", "k"} | {"suite", "trials"}
 
 
 def test_a_record_is_committed():
@@ -33,12 +38,19 @@ def test_record_schema(path):
     rows = record["kernels"]["rows"]
     assert rows
     for row in rows:
-        keys = ROUTE_KEYS if row["call"] in ROUTE_CALLS else KERNEL_KEYS
-        assert keys <= set(row)
-        assert row["call"] in {"orthonormalize", "from_spanning"} | ROUTE_CALLS
-        assert row["field"] in {"real", "complex"}
-        assert 1 <= row["k"] <= row["n"]
+        if row["call"] == "run_suite":
+            assert SUITE_KEYS <= set(row) and row["field"] == "both" and row["trials"] == 1
+            keys = SUITE_KEYS - {"suite", "trials"}
+        else:
+            keys = ROUTE_KEYS if row["call"] in ROUTE_CALLS else SAMPLING_KEYS if row["call"] in SAMPLING_CALLS else KERNEL_KEYS
+            assert keys <= set(row)
+            assert row["call"] in {"orthonormalize", "from_spanning"} | ROUTE_CALLS | SAMPLING_CALLS
+            assert row["field"] in {"real", "complex"}
+            assert 1 <= row["k"] <= row["n"]
         assert all(isinstance(row[key], float) and row[key] >= 0.0 for key in keys - {"call", "field", "n", "k"})
+        for side in ("parent", "parent_again", "change"):
+            if f"{side}_median_us" in row:
+                assert row[f"{side}_us"] <= row[f"{side}_median_us"]
         if row["call"] == "orthonormalize":
             assert {"gram_schmidt_us", "householder_us"} <= set(row)
     end_to_end = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]

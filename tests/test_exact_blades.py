@@ -66,6 +66,24 @@ class TestProbes:
                     blade_norm(blade)
 
 
+    def test_contraction_terms_past_the_largest_float_raise_without_a_warning(self):
+        # |nu| 2.2e300 and |omega| 3.2e300 are finite, but every term |nu| |omega| det(Q_nu* Q_I) is not
+        rng = np.random.default_rng(1)
+        nu, omega = rng.standard_normal((6, 2)) * 1e150, rng.standard_normal((6, 3)) * 1e100
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalConsistencyError):
+                contract(Blade(nu), Blade(omega))
+            # the same norms, but nu nearly orthogonal to omega: <nu ^ e_6, omega> = 1e300 fits
+            eye = np.eye(6)
+            nu, mu = eye[:, :2] * 1e150, eye[:, 5:]
+            omega = np.column_stack([eye[:, 3] + 1e-150 * eye[:, 0], eye[:, 4] + 1e-150 * eye[:, 1], eye[:, 5]]) * 1e100
+            out = contract(Blade(nu), Blade(omega))
+            assert all(np.isfinite(c) for _, c in out)
+            # the frames' off-axis entries are exact zeros, so the minor keeps its relative precision
+            assert out.inner_with(Blade(mu)) == pytest.approx(float(exact.blade_inner(np.hstack([nu, mu]), omega)), rel=1e-12)
+
+
 @pytest.mark.parametrize("field", FIELDS)
 class TestRandomBlades:
     def test_norm_matches_the_gram_determinant(self, field):
