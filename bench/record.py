@@ -57,7 +57,12 @@ factored in one stacked QR by a version that has ``sampling._haar``); the
 ``run_suite`` rows time one ``run_suite(S, trials=1)`` per suite over both
 fields.  Each cycles over CASES seeds and records per version, as
 ``*_mismatches``, how many of those seeds give output (arrays and rng state,
-or checks) that differs from the parent's by a bit.
+or checks) that differs from the parent's by a bit.  The two
+``run_gallery`` rows time the bundled worked examples: ``cold`` loads each
+version's documents again before every call, so every named subspace is
+derived again, and ``warm`` runs on the documents of earlier calls.  Each
+records per version, as ``*_mismatches``, how many of CASES calls give
+``to_dict()`` output that differs from the parent's first cold call by a bit.
 
 ``pairs`` runs ``perfbench/run.py`` in both checkouts, alternating which
 runs first, one seed per pair, and records every run's end-to-end metrics,
@@ -382,6 +387,33 @@ def sampling_rows(versions: dict) -> list[dict]:
     return rows
 
 
+def gallery_rows(versions: dict) -> list[dict]:
+    """Rows of ``run_gallery()`` per version, with its bundled documents loaded again
+    before every call (``cold``) and loaded once (``warm``); ``<side>_mismatches``
+    counts the calls whose ``to_dict()`` output differs from the parent's by a bit."""
+    sys.path.insert(0, str(ROOT / "src"))  # every version's gallery finds its documents by the package name
+    reference = None
+    rows = []
+    for cache in ("cold", "warm"):
+        row, calls = {"call": "run_gallery", "cache": cache}, {}
+        for side, ga in versions.items():
+            gallery = importlib.import_module(f"{ga.__name__}.gallery")
+
+            def run(gallery=gallery, cold=cache == "cold"):
+                if cold:
+                    gallery.load_case_document.cache_clear()
+                return gallery.run_gallery()
+
+            outputs = [json.dumps([r.to_dict() for r in run()]) for _ in range(CASES)]
+            reference = reference or outputs[0]  # the parent's first cold call
+            row[f"{side}_mismatches"] = float(sum(out != reference for out in outputs))
+            calls[side] = run
+        row.update(best_times(calls, number=CASES))
+        rows.append(row)
+        print(json.dumps(row), flush=True)
+    return rows
+
+
 def kernel_rows(parent_src: Path) -> list[dict]:
     versions = {
         "parent": load_package(parent_src, "ga_parent"),
@@ -428,7 +460,7 @@ def kernel_rows(parent_src: Path) -> list[dict]:
                     else:
                         rows.append(blade_row(versions, exact, call_rng, call, field_name, n, k))
                     print(json.dumps(rows[-1]), flush=True)
-    return rows + sampling_rows(versions)
+    return rows + sampling_rows(versions) + gallery_rows(versions)
 
 
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:

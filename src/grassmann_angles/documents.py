@@ -13,7 +13,9 @@ A vector is a list of n entries; an entry is a number or, over the complex
 field only, a two-element ``[re, im]`` array.  Raw basis vectors are kept
 as given (the determinant formulas need them un-orthonormalized).  A parsed
 document is an immutable value: its basis arrays are read-only and its
-subspace table is a read-only mapping.
+subspace table is a read-only mapping.  It derives each named subspace once,
+on the first ``subspace(name)`` call, and hands every later call the same
+``Subspace``, whose orthonormal basis is read-only as well.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ class InputDocument:
     ambient: int
     subspaces: Mapping[str, np.ndarray]  # name -> (ambient, k) matrix of raw basis columns
     options: DocumentOptions = dataclass_field(default_factory=DocumentOptions)
+    _spans: dict[str, Subspace] = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def basis(self, name: str) -> np.ndarray:
         try:
@@ -52,9 +55,16 @@ class InputDocument:
             raise DocumentError(f"unknown subspace {name!r}; document defines: {known}") from None
 
     def subspace(self, name: str) -> Subspace:
-        span = Subspace.from_spanning(self.basis(name), field=self.field, tol=self.options.tolerance)
-        if span.dim == 0:
-            raise DocumentError(f"subspace {name!r} spans nothing: its vectors are all zero")
+        """The subspace spanned by ``name``'s basis, orthonormalized on the first
+        call and shared, read-only, by every later one; an unknown name, or one
+        that spans nothing, raises DocumentError on every call."""
+        span = self._spans.get(name)
+        if span is None:
+            span = Subspace.from_spanning(self.basis(name), field=self.field, tol=self.options.tolerance)
+            if span.dim == 0:
+                raise DocumentError(f"subspace {name!r} spans nothing: its vectors are all zero")
+            span.onb.flags.writeable = False
+            self._spans[name] = span
         return span
 
 

@@ -276,8 +276,15 @@ class Contraction:
         return complex(value) if self.field is Field.COMPLEX else float(value)
 
     def norm(self) -> float:
-        """``sqrt(sum_I |c_I|^2)``, as the q_Ihat are orthonormal: the generalized Pythagorean identity."""
-        return math.hypot(*(abs(c) for _, c in self.terms))
+        """``sqrt(sum_I |c_I|^2)``, as the q_Ihat are orthonormal: the generalized Pythagorean identity;
+        NumericalConsistencyError, as for a blade norm, when it passes the largest float."""
+        try:
+            value = math.hypot(*(abs(c) for _, c in self.terms))
+        except OverflowError:  # the modulus of one complex term already does
+            value = math.inf
+        if value == math.inf:
+            raise NumericalConsistencyError("contraction norm is too large for a float")
+        return value
 
 
 def _ldexp_terms(x: np.ndarray, e: int) -> np.ndarray:

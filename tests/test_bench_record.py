@@ -25,6 +25,8 @@ ROUTE_KEYS = ROW_KEYS | {f"{side}_oracle_error" for side in ("parent", "change")
 SAMPLING_CALLS = {"random_subspace", "haar_pair"}
 SAMPLING_KEYS = ROW_KEYS | {f"{side}_mismatches" for side in ("parent", "parent_again", "change")}
 SUITE_KEYS = SAMPLING_KEYS - {"n", "k"} | {"suite", "trials"}
+# rows of the bundled worked examples, with the documents loaded again before each call or once
+GALLERY_KEYS = SAMPLING_KEYS - {"field", "n", "k"} | {"cache"}
 
 
 def test_a_record_is_committed():
@@ -41,6 +43,9 @@ def test_record_schema(path):
         if row["call"] == "run_suite":
             assert SUITE_KEYS <= set(row) and row["field"] == "both" and row["trials"] == 1
             keys = SUITE_KEYS - {"suite", "trials"}
+        elif row["call"] == "run_gallery":
+            assert GALLERY_KEYS <= set(row) and row["cache"] in {"cold", "warm"}
+            keys = GALLERY_KEYS - {"cache"}
         else:
             keys = ROUTE_KEYS if row["call"] in ROUTE_CALLS else SAMPLING_KEYS if row["call"] in SAMPLING_CALLS else KERNEL_KEYS
             assert keys <= set(row)

@@ -49,6 +49,17 @@ class TestParseDocument:
         doc = parse_document(minimal_doc())
         with pytest.raises(DocumentError, match="V, W"):
             doc.basis("nope")
+        for _ in range(2):
+            with pytest.raises(DocumentError, match="V, W"):
+                doc.subspace("nope")
+
+    def test_each_subspace_is_derived_once_and_shared_read_only(self):
+        doc = parse_document(minimal_doc())
+        v = doc.subspace("V")
+        assert doc.subspace("V") is v and doc.subspace("W") is not v
+        with pytest.raises(ValueError):
+            v.onb[0, 0] = 7.0
+        assert v.onb[0, 0] != 7.0
 
     def test_wrong_vector_length(self):
         with pytest.raises(DocumentError):
@@ -76,8 +87,9 @@ class TestParseDocument:
     def test_a_subspace_that_spans_nothing_is_named(self, vectors):
         doc = parse_document(minimal_doc(subspaces={"Z": vectors, "W": [[0, 0, 1]]}))
         assert doc.basis("Z").shape == (3, len(vectors))
-        with pytest.raises(DocumentError, match="'Z'"):
-            doc.subspace("Z")
+        for _ in range(2):
+            with pytest.raises(DocumentError, match="'Z'"):
+                doc.subspace("Z")
 
     def test_bad_entry_type(self):
         with pytest.raises(DocumentError):

@@ -83,6 +83,18 @@ class TestProbes:
             # the frames' off-axis entries are exact zeros, so the minor keeps its relative precision
             assert out.inner_with(Blade(mu)) == pytest.approx(float(exact.blade_inner(np.hstack([nu, mu]), omega)), rel=1e-12)
 
+    def test_a_contraction_norm_past_the_largest_float_raises_without_a_warning(self):
+        # the one term 1.697e308 (1 + i) fits by its parts, but its modulus 2.4e308 does not
+        e1 = np.eye(2, 1, dtype=complex)
+        nu = Blade(e1 * 1e154, field=Field.COMPLEX)
+        omega = Blade(e1 * 2.4e154, field=Field.COMPLEX, coefficient=(1 + 1j) / np.sqrt(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = contract(nu, omega)
+            assert all(np.isfinite(c) for _, c in out)
+            with pytest.raises(NumericalConsistencyError):
+                out.norm()
+
 
 @pytest.mark.parametrize("field", FIELDS)
 class TestRandomBlades:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from grassmann_angles import Subspace
+from grassmann_angles.cli import main
 from grassmann_angles.gallery import CASE_IDS, load_case_document, run_gallery
 
 COS_THIRD = math.sqrt(3.0) / 3.0
@@ -75,3 +77,27 @@ def test_case_document_arrays_are_read_only(name):
     with pytest.raises(TypeError):
         doc.subspaces["V"] = np.eye(doc.ambient)
     assert not any(np.any(basis == 7.0) for basis in doc.subspaces.values())
+
+
+def test_each_named_subspace_is_orthonormalized_once(monkeypatch):
+    spanning = Subspace.from_spanning.__func__
+    calls = []
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return spanning(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Subspace, "from_spanning", classmethod(counted))
+    load_case_document.cache_clear()
+    first = [r.to_dict() for r in run_gallery()]
+    assert len(calls) == 6  # 8 subspace calls on 6 distinct (document, name) pairs
+    assert [r.to_dict() for r in run_gallery()] == first
+    assert len(calls) == 6
+
+
+def test_repeated_examples_print_the_same_bytes(capsys):
+    outputs = []
+    for _ in range(2):
+        assert main(["examples", "--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
