@@ -63,6 +63,14 @@ version's documents again before every call, so every named subspace is
 derived again, and ``warm`` runs on the documents of earlier calls.  Each
 records per version, as ``*_mismatches``, how many of CASES calls give
 ``to_dict()`` output that differs from the parent's first cold call by a bit.
+A version whose gallery finds its documents by the package name
+``grassmann_angles`` rather than its own (the parent of ``BENCH_26.json``
+and earlier) reads them only when that name is importable, for instance
+with ``PYTHONPATH=src``.  The ``load_document`` rows time one load of each
+bundled document, given as a path string as the CLI gives it, and record
+per version, as ``*_mismatches``, how many of CASES loads differ from the
+parent's first load by a bit in any basis array, dtype, field, ``ambient``
+or option.
 
 ``pairs`` runs ``perfbench/run.py`` in both checkouts, alternating which
 runs first, one seed per pair, and records every run's end-to-end metrics,
@@ -391,7 +399,6 @@ def gallery_rows(versions: dict) -> list[dict]:
     """Rows of ``run_gallery()`` per version, with its bundled documents loaded again
     before every call (``cold``) and loaded once (``warm``); ``<side>_mismatches``
     counts the calls whose ``to_dict()`` output differs from the parent's by a bit."""
-    sys.path.insert(0, str(ROOT / "src"))  # every version's gallery finds its documents by the package name
     reference = None
     rows = []
     for cache in ("cold", "warm"):
@@ -409,6 +416,37 @@ def gallery_rows(versions: dict) -> list[dict]:
             row[f"{side}_mismatches"] = float(sum(out != reference for out in outputs))
             calls[side] = run
         row.update(best_times(calls, number=CASES))
+        rows.append(row)
+        print(json.dumps(row), flush=True)
+    return rows
+
+
+DATA = ROOT / "src" / "grassmann_angles" / "data"
+
+
+def document_bits(doc) -> tuple:
+    """Everything a parsed document holds, bit for bit: its field, ``ambient``,
+    options, and each basis array's name, dtype, shape and bytes."""
+    tolerance = doc.options.tolerance
+    options = (tolerance.rank_eps.hex(), tolerance.residual_eps.hex(), doc.options.degrees)
+    bases = [(name, b.dtype.str, b.shape, b.tobytes()) for name, b in doc.subspaces.items()]
+    return doc.field.value, doc.ambient, options, bases
+
+
+def document_rows(versions: dict) -> list[dict]:
+    """Rows of ``load_document`` per bundled document, given its path as a string as
+    the CLI gives it; ``<side>_mismatches`` counts the loads of CASES whose document
+    differs from the parent's first load by a bit."""
+    rows = []
+    for path in sorted(DATA.glob("*.json")):
+        row, calls, reference = {"call": "load_document", "document": path.name}, {}, None
+        for side, ga in versions.items():
+            load = partial(importlib.import_module(f"{ga.__name__}.documents").load_document, str(path))
+            loads = [document_bits(load()) for _ in range(CASES)]
+            reference = reference or loads[0]  # the parent's first load
+            row[f"{side}_mismatches"] = float(sum(bits != reference for bits in loads))
+            calls[side] = load
+        row.update(best_times(calls, number=200))
         rows.append(row)
         print(json.dumps(row), flush=True)
     return rows
@@ -460,7 +498,7 @@ def kernel_rows(parent_src: Path) -> list[dict]:
                     else:
                         rows.append(blade_row(versions, exact, call_rng, call, field_name, n, k))
                     print(json.dumps(rows[-1]), flush=True)
-    return rows + sampling_rows(versions) + gallery_rows(versions)
+    return rows + sampling_rows(versions) + gallery_rows(versions) + document_rows(versions)
 
 
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:

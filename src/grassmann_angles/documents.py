@@ -9,21 +9,27 @@ Schema::
       "options": {"rank_eps": ..., "residual_eps": ..., "degrees": bool}
     }
 
-A vector is a list of n entries; an entry is a number or, over the complex
-field only, a two-element ``[re, im]`` array.  Raw basis vectors are kept
-as given (the determinant formulas need them un-orthonormalized).  A parsed
-document is an immutable value: its basis arrays are read-only and its
-subspace table is a read-only mapping.  It derives each named subspace once,
-on the first ``subspace(name)`` call, and hands every later call the same
-``Subspace``, whose orthonormal basis is read-only as well.
+A document is UTF-8 JSON.  A vector is a list of n entries; an entry is a
+number or, over the complex field only, a two-element ``[re, im]`` array,
+and a number beyond the float range is an input error.  Each subspace is
+decoded in one flat pass over its entries: a plain ``int`` or ``float``
+goes into the array as it is, and every other entry goes through
+``decode_entry``, the one rule for what an entry may be.  Raw basis
+vectors are kept as given (the determinant formulas need them
+un-orthonormalized).  A parsed document is an immutable value: its basis
+arrays are read-only and its subspace table is a read-only mapping.  It
+derives each named subspace once, on the first ``subspace(name)`` call, and
+hands every later call the same ``Subspace``, whose orthonormal basis is
+read-only as well.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dataclass_field
-from pathlib import Path
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -68,6 +74,9 @@ class InputDocument:
         return span
 
 
+_PLAIN = (int, float)  # the entry types that go into an array as they are
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -75,7 +84,7 @@ def _is_number(value) -> bool:
 def decode_entry(entry, field: Field):
     if _is_number(entry):
         return float(entry)
-    if isinstance(entry, list) and len(entry) == 2 and all(_is_number(x) for x in entry):
+    if isinstance(entry, list) and len(entry) == 2 and _is_number(entry[0]) and _is_number(entry[1]):
         if field is Field.REAL:
             raise DocumentError("[re, im] entries are only allowed when field is 'complex'")
         return complex(entry[0], entry[1])
@@ -111,12 +120,16 @@ def parse_document(obj) -> InputDocument:
     for name, vectors in raw_subspaces.items():
         if not isinstance(vectors, list) or not vectors:
             raise DocumentError(f"subspace {name!r} must be a nonempty list of vectors")
-        cols = []
-        for vec in vectors:
-            if not isinstance(vec, list) or len(vec) != ambient:
+        # the vectors before the first malformed one are decoded first, so their entry errors come first
+        malformed = (i for i, vec in enumerate(vectors) if not isinstance(vec, list) or len(vec) != ambient)
+        good = next(malformed, len(vectors))
+        try:
+            entries = [x if type(x) in _PLAIN else decode_entry(x, field) for x in chain.from_iterable(vectors[:good])]
+            if good < len(vectors):
                 raise DocumentError(f"subspace {name!r}: every vector must have length {ambient}")
-            cols.append([decode_entry(x, field) for x in vec])
-        basis = np.array(cols, dtype=field.dtype).T
+            basis = np.array(entries, dtype=field.dtype).reshape(len(vectors), ambient).T
+        except OverflowError:
+            raise DocumentError(f"subspace {name!r}: a number is too large for a float") from None
         basis.flags.writeable = False
         subspaces[name] = basis
 
@@ -127,16 +140,19 @@ def parse_document(obj) -> InputDocument:
     unknown = set(raw_options) - known
     if unknown:
         raise DocumentError(f"unknown options: {sorted(unknown)}")
+    eps = {}
     for name in ("rank_eps", "residual_eps"):
-        if name in raw_options and not _is_number(raw_options[name]):
-            raise DocumentError(f"option {name} must be a number, got {raw_options[name]!r}")
+        value = raw_options.get(name, getattr(DEFAULT_TOLERANCE, name))
+        if not _is_number(value):
+            raise DocumentError(f"option {name} must be a number, got {value!r}")
+        try:
+            eps[name] = float(value)
+        except OverflowError:
+            raise DocumentError(f"option {name} is too large for a float") from None
     if not isinstance(raw_options.get("degrees", False), bool):
         raise DocumentError(f"option degrees must be true or false, got {raw_options['degrees']!r}")
     try:
-        tolerance = Tolerance(
-            rank_eps=float(raw_options.get("rank_eps", DEFAULT_TOLERANCE.rank_eps)),
-            residual_eps=float(raw_options.get("residual_eps", DEFAULT_TOLERANCE.residual_eps)),
-        )
+        tolerance = Tolerance(**eps)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
     options = DocumentOptions(tolerance=tolerance, degrees=raw_options.get("degrees", False))
@@ -144,12 +160,21 @@ def parse_document(obj) -> InputDocument:
 
 
 def load_document(path) -> InputDocument:
-    """The document at ``path``: a file system path, or a resource of an
-    ``importlib.resources`` package, which may sit inside a zip archive."""
+    """The document at ``path``, read as UTF-8: a file system path, or a
+    resource of an ``importlib.resources`` package, which may sit inside a
+    zip archive."""
     try:
-        text = (path if hasattr(path, "read_text") else Path(path)).read_text()
+        if hasattr(path, "read_bytes"):
+            data = path.read_bytes()
+        else:
+            with open(os.fspath(path), "rb") as file:
+                data = file.read()
     except OSError as exc:
         raise DocumentError(f"cannot read document {path}: {exc}") from None
+    try:
+        text = data.decode("utf-8")  # a BOM stays, and json.loads rejects it
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"document {path} is not UTF-8: {exc}") from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

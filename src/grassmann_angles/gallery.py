@@ -6,11 +6,13 @@ case ids ("3.2", "3.5", ...) are stable labels used by the CLI's ``--only``
 selector.
 
 Each bundled document is loaded once per process, on first use, by
-``load_document``, as the CLI loads a document; like every parsed document
-it is read-only, so no caller can change what later callers get.  A
-document derives each named subspace on its first ``subspace(name)`` call
-and hands every later call the same read-only ``Subspace``, so a cold run
-orthonormalizes 6 (document, name) pairs and a later run none.
+``load_document``, as the CLI loads a document, from the ``data/`` of the
+package this module belongs to, under whatever name it was imported; like
+every parsed document it is read-only, so no caller can change what later
+callers get.  A document derives each named subspace on its first
+``subspace(name)`` call and hands every later call the same read-only
+``Subspace``, so a cold run orthonormalizes 6 (document, name) pairs and a
+later run none.
 The 4.x cases sum squared cosines over coordinate subspaces; they take all
 terms from one Gram matrix in one stacked determinant, as the identity
 checkers do, instead of one angle route call per coordinate subspace.
@@ -85,7 +87,7 @@ class GalleryResult:
 @functools.cache
 def load_case_document(name: str) -> InputDocument:
     """The bundled document ``name``, loaded on first use and shared by every later caller."""
-    return load_document(resources.files("grassmann_angles").joinpath("data", name))
+    return load_document(resources.files(__package__).joinpath("data", name))
 
 
 def _case_3_2() -> list[GalleryCheck]:

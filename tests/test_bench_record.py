@@ -27,6 +27,8 @@ SAMPLING_KEYS = ROW_KEYS | {f"{side}_mismatches" for side in ("parent", "parent_
 SUITE_KEYS = SAMPLING_KEYS - {"n", "k"} | {"suite", "trials"}
 # rows of the bundled worked examples, with the documents loaded again before each call or once
 GALLERY_KEYS = SAMPLING_KEYS - {"field", "n", "k"} | {"cache"}
+# rows of one load of each bundled document
+DOCUMENT_KEYS = SAMPLING_KEYS - {"field", "n", "k"} | {"document"}
 
 
 def test_a_record_is_committed():
@@ -46,6 +48,9 @@ def test_record_schema(path):
         elif row["call"] == "run_gallery":
             assert GALLERY_KEYS <= set(row) and row["cache"] in {"cold", "warm"}
             keys = GALLERY_KEYS - {"cache"}
+        elif row["call"] == "load_document":
+            assert DOCUMENT_KEYS <= set(row) and row["document"].endswith(".json")
+            keys = DOCUMENT_KEYS - {"document"}
         else:
             keys = ROUTE_KEYS if row["call"] in ROUTE_CALLS else SAMPLING_KEYS if row["call"] in SAMPLING_CALLS else KERNEL_KEYS
             assert keys <= set(row)

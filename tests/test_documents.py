@@ -1,4 +1,5 @@
 import json
+import re
 import zipfile
 from importlib import resources
 
@@ -7,7 +8,7 @@ import pytest
 
 from grassmann_angles import DocumentError
 from grassmann_angles.cli import main
-from grassmann_angles.documents import load_document, parse_document
+from grassmann_angles.documents import decode_entry, load_document, parse_document
 from grassmann_angles.fields import Field
 
 
@@ -215,3 +216,150 @@ class TestLoadDocument:
         path.write_text("{not json")
         with pytest.raises(DocumentError):
             load_document(path)
+
+    def test_a_path_that_is_not_a_path_is_a_type_error(self):
+        # an int is never opened as a file descriptor
+        with pytest.raises(TypeError):
+            load_document(3)
+
+    def test_a_utf8_byte_order_mark_is_rejected(self, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(minimal_doc()).encode())
+        with pytest.raises(DocumentError, match="not valid JSON"):
+            load_document(path)
+
+    def test_a_document_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        text = json.dumps(minimal_doc(subspaces={"V\u00e9": [[1, 0, 0]], "W": [[0, 0, 1]]}), ensure_ascii=False)
+        path.write_bytes(text.encode("latin-1"))
+        for as_given in (path, str(path)):
+            with pytest.raises(DocumentError, match=re.escape(f"document {path} is not UTF-8")):
+                load_document(as_given)
+        assert main(["angle", str(path), "W", "W"]) == 2
+        assert str(path) in capsys.readouterr().err
+
+
+BIG = 10**400  # past the largest float
+
+
+class TestNumbersBeyondTheFloatRange:
+    @pytest.mark.parametrize(
+        "doc, match",
+        [
+            (minimal_doc(subspaces={"V": [[1, 0, 0]], "W": [[BIG, 0, 1]]}), "subspace 'W'"),
+            (minimal_doc(subspaces={"V": [[1, 0, 0]], "W": [[0, 0, -BIG]]}), "subspace 'W'"),
+            ({"field": "complex", "ambient": 2, "subspaces": {"W": [[[BIG, 1], 1]]}}, "subspace 'W'"),
+            ({"field": "complex", "ambient": 2, "subspaces": {"W": [[[1, BIG], 1]]}}, "subspace 'W'"),
+            ({"field": "complex", "ambient": 2, "subspaces": {"W": [[1, BIG]]}}, "subspace 'W'"),
+            (minimal_doc(options={"rank_eps": BIG}), "option rank_eps"),
+            (minimal_doc(options={"residual_eps": -BIG}), "option residual_eps"),
+        ],
+        ids=["entry", "negative-entry", "pair-re", "pair-im", "complex-field-entry", "rank_eps", "residual_eps"],
+    )
+    def test_rejected_by_name(self, doc, match):
+        with pytest.raises(DocumentError, match=f"{match}.* too large for a float"):
+            parse_document(doc)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"field": "real", "ambient": 2, "subspaces": {"V": [[1, 0]], "W": [[%s, 1]]}}',
+            '{"field": "complex", "ambient": 2, "subspaces": {"V": [[1, 0]], "W": [[[%s, 0], 1]]}}',
+            '{"field": "real", "ambient": 2, "subspaces": {"V": [[1, 0]], "W": [[0, 1]]}, "options": {"rank_eps": %s}}',
+        ],
+        ids=["entry", "pair", "rank_eps"],
+    )
+    @pytest.mark.parametrize("command", ["angle", "principal"])
+    def test_cli_exits_2(self, tmp_path, capsys, text, command):
+        path = tmp_path / "big.json"
+        path.write_text(text % BIG)
+        assert main([command, str(path), "V", "W"]) == 2
+        assert "too large for a float" in capsys.readouterr().err
+
+
+def parse_per_entry(obj):
+    """The bases of ``obj`` as they were built before the flat decode: one
+    ``decode_entry`` call per entry, one list per vector, one array per subspace."""
+    field = Field(obj["field"])
+    return {
+        name: np.array([[decode_entry(x, field) for x in vec] for vec in vectors], dtype=field.dtype).T
+        for name, vectors in obj["subspaces"].items()
+    }
+
+
+class IntSubclass(int):
+    pass
+
+
+def random_entry(rng, field):
+    kind = rng.integers(8 if field is Field.COMPLEX else 7)
+    if kind == 0:
+        return int(rng.integers(-(2**62), 2**62)) * int(rng.choice([1, 2**11, 2**40, 2**80])) + int(rng.integers(-3, 4))
+    if kind == 1:
+        return int(rng.integers(-5, 6))
+    if kind == 2:
+        return float(rng.choice([-0.0, 0.0, 1e-310, 2.0**53 + 1]))
+    if kind == 3:
+        return float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300))
+    if kind == 4:
+        return np.float64(rng.standard_normal())
+    if kind == 5:
+        return IntSubclass(int(rng.integers(-(2**62), 2**62)) * 2**10)
+    if kind == 6:
+        return 2**63 + int(rng.integers(-2, 3)) if rng.integers(2) else -(2**64) - 1
+    return [random_entry(rng, Field.REAL), random_entry(rng, Field.REAL)]
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX], ids=lambda f: f.value)
+@pytest.mark.parametrize("seed", range(40))
+def test_flat_decode_matches_the_per_entry_decode_bit_for_bit(field, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    obj = {
+        "field": field.value,
+        "ambient": n,
+        "subspaces": {
+            name: [[random_entry(rng, field) for _ in range(n)] for _ in range(int(rng.integers(1, 5)))]
+            for name in ("V", "W", "U")
+        },
+    }
+    expected = parse_per_entry(obj)
+    doc = parse_document(obj)
+    assert list(doc.subspaces) == list(expected)
+    for name, basis in doc.subspaces.items():
+        assert basis.dtype == expected[name].dtype and basis.shape == expected[name].shape
+        assert basis.tobytes() == expected[name].tobytes()
+
+
+class TestMalformedEntries:
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (True, "bad vector entry True: expected a number or [re, im]"),
+            ("1", "bad vector entry '1': expected a number or [re, im]"),
+            (None, "bad vector entry None: expected a number or [re, im]"),
+            ([[1, 2], 3], "bad vector entry [[1, 2], 3]: expected a number or [re, im]"),
+            ([1, 2, 3], "bad vector entry [1, 2, 3]: expected a number or [re, im]"),
+            ([1, True], "bad vector entry [1, True]: expected a number or [re, im]"),
+        ],
+    )
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_message_unchanged(self, entry, message, field):
+        obj = {"field": field, "ambient": 3, "subspaces": {"V": [[1, 0, 0], [0, 1, entry]]}}
+        with pytest.raises(DocumentError) as raised:
+            parse_document(obj)
+        assert str(raised.value) == message
+
+    def test_a_pair_over_the_reals_message_unchanged(self):
+        with pytest.raises(DocumentError) as raised:
+            parse_document(minimal_doc(subspaces={"V": [[0, 0, 0], [0, [1, 2], 0]]}))
+        assert str(raised.value) == "[re, im] entries are only allowed when field is 'complex'"
+
+    def test_errors_are_reported_in_document_order(self):
+        # a bad entry before a vector of the wrong length is reported first, and the other way round
+        with pytest.raises(DocumentError, match="bad vector entry 'x'"):
+            parse_document(minimal_doc(subspaces={"V": [[1, "x", 0], [1, 0]]}))
+        with pytest.raises(DocumentError, match="every vector must have length 3"):
+            parse_document(minimal_doc(subspaces={"V": [[1, 0], [1, "x", 0]]}))
+        with pytest.raises(DocumentError, match="every vector must have length 3"):
+            parse_document(minimal_doc(subspaces={"V": [[1, 0, 0], 7]}))

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,3 +105,29 @@ def test_repeated_examples_print_the_same_bytes(capsys):
         assert main(["examples", "--json"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# the package under SRC imported as ``ga_alias``, where no ``grassmann_angles`` can be imported
+ALIASED_GALLERY = """
+import importlib.util, sys
+from pathlib import Path
+assert importlib.util.find_spec("grassmann_angles") is None
+init = Path(sys.argv[1]) / "grassmann_angles" / "__init__.py"
+spec = importlib.util.spec_from_file_location("ga_alias", init, submodule_search_locations=[str(init.parent)])
+sys.modules["ga_alias"] = module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+from ga_alias.gallery import run_gallery
+results = run_gallery()
+assert results and all(r.passed() for r in results) and "grassmann_angles" not in sys.modules
+print(len(results))
+"""
+
+
+def test_the_gallery_reads_its_own_package_under_another_name(tmp_path):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    out = subprocess.run(
+        [sys.executable, "-c", ALIASED_GALLERY, str(SRC)], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) == len(CASE_IDS)
