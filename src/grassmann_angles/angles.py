@@ -119,12 +119,14 @@ def _real_scalar(z: complex | float, dominant: np.ndarray, context: str) -> floa
     return z.real
 
 
+def _report(cosine: float, method: AngleMethod) -> AngleReport:
+    return AngleReport(math.acos(cosine), cosine, method)
+
+
 def _report_from_cos_sq(cos_sq: float, method: AngleMethod) -> AngleReport:
     if cos_sq < -NEGATIVE_COS_SQ_SLACK:
         raise NumericalConsistencyError(f"squared cosine came out at {cos_sq}, well below 0")
-    clamped = min(max(cos_sq, 0.0), 1.0)
-    cosine = math.sqrt(clamped)
-    return AngleReport(value=math.acos(cosine), cosine=cosine, method=method)
+    return _report(math.sqrt(min(max(cos_sq, 0.0), 1.0)), method)
 
 
 def _basis_matrix(mat: np.ndarray) -> np.ndarray:
@@ -201,9 +203,8 @@ def grassmann_angle_principal(v: Subspace, w: Subspace) -> AngleReport:
     product 1 when v is zero), pi/2 when dim v > dim w."""
     _require_same_space(v, w)
     if v.dim > w.dim:
-        return AngleReport(math.pi / 2, 0.0, AngleMethod.PRINCIPAL_PRODUCT)
-    cosine = float(np.prod(principal_cosines(v, w)))
-    return AngleReport(math.acos(cosine), cosine, AngleMethod.PRINCIPAL_PRODUCT)
+        return _report(0.0, AngleMethod.PRINCIPAL_PRODUCT)
+    return _report(float(np.prod(principal_cosines(v, w))), AngleMethod.PRINCIPAL_PRODUCT)
 
 
 def grassmann_angle_equal_dim(basis_v, basis_w, field: Field | None = None) -> AngleReport:
@@ -234,7 +235,7 @@ def grassmann_angle_any_dim(basis_v, basis_w, field: Field | None = None) -> Ang
     """
     mv, mw = _paired_bases(basis_v, basis_w, field)
     if mv.shape[1] > mw.shape[1]:
-        return AngleReport(math.pi / 2, 0.0, AngleMethod.ANY_DIM_FORMULA)
+        return _report(0.0, AngleMethod.ANY_DIM_FORMULA)
     a = gram(mw, mw)
     b = gram(mw, mv)
     gv = gram(mv, mv)
@@ -255,10 +256,9 @@ def complementary_angle(v: Subspace, w: Subspace) -> AngleReport:
     """
     _require_same_space(v, w)
     if v.dim > v.ambient_dim - w.dim:
-        return AngleReport(math.pi / 2, 0.0, AngleMethod.COMPLEMENTARY_PROJECTION)
+        return _report(0.0, AngleMethod.COMPLEMENTARY_PROJECTION)
     sines = np.linalg.svd(v.onb - w.onb @ gram(w.onb, v.onb), compute_uv=False)
-    cosine = min(float(np.prod(sines)), 1.0)
-    return AngleReport(math.acos(cosine), cosine, AngleMethod.COMPLEMENTARY_PROJECTION)
+    return _report(min(float(np.prod(sines)), 1.0), AngleMethod.COMPLEMENTARY_PROJECTION)
 
 
 def complementary_angle_formula(basis_v, basis_w, field: Field | None = None) -> AngleReport:

@@ -179,4 +179,6 @@ def load_document(path) -> InputDocument:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"document {path} is not valid JSON: {exc}") from None
+    except ValueError as exc:  # an integer past Python's limit on the digits it converts
+        raise DocumentError(f"document {path} has a number too long to read: {exc}") from None
     return parse_document(obj)

@@ -18,7 +18,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import DomainError, MultiIndexError, NumericalConsistencyError
-from .fields import DEFAULT_TOLERANCE, Field, Tolerance, _is_integer, as_basis, unshared
+from .fields import DEFAULT_TOLERANCE, Field, Tolerance, _is_integer, as_basis
 from .linalg import _column_exponents, _validate_multi_index, det, gram, orthonormalize
 from .subspaces import _index_stack
 
@@ -101,20 +101,15 @@ class Blade:
 
     def __init__(self, factors, field: Field | None = None, coefficient=1.0, ambient_dim: int | None = None):
         mat, field = as_basis(factors, field, ambient_dim)
-        mat = unshared(mat, factors)
         _require_ambient_cap(mat.shape[0])
         if mat.shape[1] > GRADE_LIMIT:
             raise DomainError(f"grade {mat.shape[1]} exceeds the cap of {GRADE_LIMIT}")
-        if field is Field.COMPLEX:
-            coefficient = complex(coefficient)
-        else:
-            c = complex(coefficient)
-            if c.imag != 0.0:
-                raise DomainError("complex coefficient over the real field")
-            coefficient = c.real
-        self.factors = mat
+        c = complex(coefficient)
+        if field is Field.REAL and c.imag != 0.0:
+            raise DomainError("complex coefficient over the real field")
+        self.factors = mat.copy(order="K")  # a copy, never the caller's array
         self.field = field
-        self.coefficient = coefficient
+        self.coefficient = c if field is Field.COMPLEX else c.real
 
     @classmethod
     def scalar(cls, value, ambient_dim: int, field: Field) -> "Blade":

@@ -77,7 +77,8 @@ def _is_integer(value) -> bool:
 
 def as_field_array(data, field: Field) -> np.ndarray:
     """Coerce array-like data to the dtype of ``field``, copying only when the
-    dtype changes: the result may be ``data`` itself (see ``unshared``).
+    dtype changes: the result may be ``data`` itself, so a value that stores
+    it takes its own copy (``Subspace``, ``Blade``).
 
     Complex data in a REAL context raises instead of silently dropping the
     imaginary parts.
@@ -86,14 +87,6 @@ def as_field_array(data, field: Field) -> np.ndarray:
     if field is Field.REAL and np.iscomplexobj(arr):
         raise DimensionMismatchError("complex entries are not allowed over the real field")
     return arr.astype(field.dtype, copy=False)
-
-
-def unshared(arr: np.ndarray, source) -> np.ndarray:
-    """``arr``, coerced from the caller's ``source`` by ``as_field_array``,
-    copied when that shared the caller's memory (an ndarray source whose
-    dtype needed no change), so that an object storing it does not change
-    when the caller's array does."""
-    return arr.copy(order="K") if isinstance(source, np.ndarray) and arr.dtype == source.dtype else arr
 
 
 def as_basis(vectors, field: Field | None = None, ambient_dim: int | None = None) -> tuple[np.ndarray, Field]:

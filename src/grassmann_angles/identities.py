@@ -289,9 +289,7 @@ def check_partition_converse(partition: Partition, w: Subspace, tol: Tolerance =
 
 
 def _random_composition(rng, total: int, allow_zero: bool = True) -> list[int]:
-    """Random part sizes summing to ``total``."""
-    if total == 0:
-        return [0]
+    """Random part sizes summing to ``total`` >= 1."""
     k = int(rng.integers(1, total + 1))
     cuts = np.sort(rng.choice(np.arange(1, total), size=k - 1, replace=False)) if k > 1 else np.array([], int)
     dims = np.diff(np.concatenate([[0], cuts, [total]])).tolist()

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .fields import DEFAULT_TOLERANCE, Field, Tolerance, _is_integer, as_basis, as_field_array, unshared
+from .fields import DEFAULT_TOLERANCE, Field, Tolerance, _is_integer, as_basis, as_field_array
 from .linalg import gram, orthonormalize
 
 if TYPE_CHECKING:
@@ -50,12 +50,12 @@ class Subspace:
     __slots__ = ("ambient_dim", "field", "onb")
 
     def __init__(self, onb: np.ndarray, field: Field, *, _validate: bool = True):
-        """Subspace with the orthonormal columns ``onb``, stored as a copy if it
-        is the caller's array.  The package itself passes ``_validate=False``
+        """Subspace with the orthonormal columns ``onb``, stored as a copy of
+        the caller's array.  The package itself passes ``_validate=False``
         with an array of the field's dtype that no caller holds; it is stored
         as it is, or compacted if it is a view."""
         if _validate:
-            onb = unshared(as_field_array(onb, field), onb)
+            onb = as_field_array(onb, field).copy(order="K")
         elif not (onb.flags.c_contiguous or onb.flags.f_contiguous):
             onb = onb.copy(order="K")  # a view would pin its whole base array, and BLAS rounds strided data differently
         if onb.ndim != 2:

@@ -685,6 +685,19 @@ class TestNonFiniteAndExtremeInput:
             with pytest.raises(GrassmannError):
                 call()
 
+    @pytest.mark.parametrize(
+        "call, error, match",
+        [
+            (lambda: grassmann_angle_equal_dim(np.zeros((3, 0)), np.eye(3)[:, :1]), DegenerateBasisError, "one vector"),
+            (lambda: grassmann_angle_any_dim(LINE_R4, [np.ones(3)]), DimensionMismatchError, "ambient dimensions differ"),
+            (lambda: vector_angle(np.ones(3), np.ones(4)), DimensionMismatchError, "vectors of equal length"),
+        ],
+        ids=["no-columns", "ambient", "vector-lengths"],
+    )
+    def test_malformed_bases_are_rejected_by_name(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
     def test_empty_basis_is_degenerate_on_every_input_path(self):
         for call in (
             lambda: Subspace.from_spanning([]),

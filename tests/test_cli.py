@@ -105,6 +105,12 @@ class TestAngleCommand:
         assert payload["cos"] == pytest.approx(-1.0)
         assert payload["value_radians"] == pytest.approx(math.pi)
 
+    def test_oriented_degrees_on_a_real_pair(self, capsys):
+        code, out, _ = run_cli(capsys, "angle", R4_DOC, "W", "Wperp", "--oriented", "--degrees", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["value_degrees"] == math.degrees(payload["value_radians"]) == 90.0
+
     def test_oriented_complex_encodes_pair(self, capsys):
         code, out, _ = run_cli(capsys, "angle", COMPLEX_DOC, "V", "W", "--oriented", "--json")
         assert code == 0

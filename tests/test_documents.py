@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import zipfile
 from importlib import resources
 
@@ -114,6 +115,11 @@ class TestParseDocument:
         with pytest.raises(DocumentError):
             parse_document(minimal_doc(options={"rank_eps": 2.0}))
 
+    @pytest.mark.parametrize("obj", [[], "doc", None, 3])
+    def test_a_document_that_is_not_an_object_rejected(self, obj):
+        with pytest.raises(DocumentError, match="document must be a JSON object"):
+            parse_document(obj)
+
 
 LINE_DOC = {"field": "real", "ambient": 1, "subspaces": {"V": [[1]], "W": [[2]]}}
 
@@ -130,6 +136,9 @@ class TestFieldTypes:
             ({"options": {"residual_eps": "1e-3"}}, "residual_eps"),
             ({"options": {"rank_eps": True}}, "rank_eps"),
             ({"options": {"residual_eps": True}}, "residual_eps"),
+            ({"subspaces": {"V": []}}, "subspace 'V' must be a nonempty list of vectors"),
+            ({"subspaces": {"V": {"x": [1]}}}, "subspace 'V' must be a nonempty list of vectors"),
+            ({"options": [["degrees", True]]}, "'options' must be an object"),
         ],
     )
     def test_wrong_types_rejected(self, overrides, match):
@@ -216,6 +225,16 @@ class TestLoadDocument:
         path.write_text("{not json")
         with pytest.raises(DocumentError):
             load_document(path)
+
+    def test_an_integer_past_the_digit_limit_is_a_document_error(self, tmp_path, capsys):
+        # 5001 digits: past Python's int-string limit where it has one, else past the float range
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(minimal_doc()).replace("[[1, 0, 0]", "[[1" + "0" * 5000 + ", 0, 0]", 1))
+        with pytest.raises(DocumentError) as info:
+            load_document(path)
+        assert main(["angle", str(path), "V", "W"]) == 2
+        if hasattr(sys, "get_int_max_str_digits"):
+            assert str(path) in str(info.value) and str(path) in capsys.readouterr().err
 
     def test_a_path_that_is_not_a_path_is_a_type_error(self):
         # an int is never opened as a file descriptor

@@ -67,6 +67,11 @@ class TestMultiIndices:
             MultiIndex((0, 1), 4)
         with pytest.raises(MultiIndexError):
             MultiIndex((1, 5), 4)
+        with pytest.raises(MultiIndexError, match="ambient must be nonnegative, got -1"):
+            MultiIndex((), -1)
+
+    def test_iterates_over_its_indices(self):
+        assert list(MultiIndex((1, 3), 4)) == [1, 3] and list(MultiIndex((), 0)) == []
 
     @pytest.mark.parametrize(
         "indices, ambient", [((1.7, 2.2), 4), ((True, 2), 4), ((1.0, 2.0), 4), ((1, 2), 2.5), ((1, 2), True)]
@@ -169,6 +174,32 @@ class TestWedge:
     def test_field_mismatch_raises(self):
         with pytest.raises(DomainError):
             wedge(Blade([e(3, 0)]), Blade([e(3, 1, Field.COMPLEX)], field=Field.COMPLEX))
+
+    def test_ambient_mismatch_raises(self):
+        with pytest.raises(DomainError, match="ambient dimensions differ: 3 vs 4"):
+            wedge(Blade([e(3, 0)]), Blade([e(4, 1)]))
+
+
+class TestCoefficient:
+    @pytest.mark.parametrize(
+        "field, coefficient, stored",
+        [
+            (Field.REAL, 2, 2.0),
+            (Field.REAL, -1.5 + 0j, -1.5),
+            (Field.REAL, np.complex128(3.0), 3.0),
+            (Field.COMPLEX, 2, 2 + 0j),
+            (Field.COMPLEX, np.float64(-0.5), -0.5 + 0j),
+            (Field.COMPLEX, 1 - 2j, 1 - 2j),
+        ],
+    )
+    def test_coerced_to_a_python_scalar_of_the_field(self, field, coefficient, stored):
+        c = Blade([e(3, 0, field)], field=field, coefficient=coefficient).coefficient
+        assert c == stored and type(c) is type(stored)
+
+    @pytest.mark.parametrize("coefficient", [1j, 1 + 1e-300j, np.complex128(2 - 1j)])
+    def test_a_complex_coefficient_over_the_reals_rejected(self, coefficient):
+        with pytest.raises(DomainError, match="complex coefficient over the real field"):
+            Blade([e(3, 0)], coefficient=coefficient)
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_norm_submultiplicative(self, field):
@@ -388,6 +419,11 @@ class TestCoordinateBlades:
         out = coordinate_blades(np.eye(3), 0)
         (_, blade), = out.blades.items()
         assert blade.grade == 0 and blade.coefficient == 1.0
+
+    @pytest.mark.parametrize("p", [-1, 4])
+    def test_grade_out_of_range_rejected(self, p):
+        with pytest.raises(MultiIndexError, match=f"grade must satisfy 0 <= p <= 3, got {p}"):
+            coordinate_blades(np.eye(3), p)
 
     def test_orthonormal_family(self):
         out = coordinate_blades(np.eye(3), 2)

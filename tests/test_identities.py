@@ -134,6 +134,23 @@ class TestCoordinatePythagorean:
             check_coordinate_pythagorean(v, skew)
 
 
+@pytest.mark.parametrize(
+    "check, match",
+    [
+        (lambda: check_coordinate_pythagorean(FULL_R3, np.diag([1.0, 0.0, 1.0])), "basis vectors must be nonzero"),
+        (lambda: check_coordinate_pythagorean(Subspace.zero(3, REAL), np.eye(3)), "the subspace must be nonzero"),
+        (lambda: check_weighted_average(Subspace.zero(3, REAL), FULL_R3, FULL_R3), "all three subspaces must be nonzero"),
+        (lambda: check_weighted_average(FULL_R3, FULL_R3, Subspace.zero(3, REAL)), "all three subspaces must be nonzero"),
+        (lambda: check_partition_converse(Partition((Subspace.zero(3, REAL),)), FULL_R3), "need nonzero subspaces"),
+        (lambda: check_partition_converse(axes_partition(3), Subspace.zero(3, REAL)), "need nonzero subspaces"),
+    ],
+    ids=["zero-basis-vector", "pythagorean", "weighted-u", "weighted-w", "converse-parent", "converse-w"],
+)
+def test_zero_inputs_are_rejected_by_name(check, match):
+    with pytest.raises(DomainError, match=match):
+        check()
+
+
 class TestBinomialIdentities:
     def test_line_against_planes_sums_to_two(self):
         line = Subspace.from_spanning([[1.0, 2.0, 3.0]])

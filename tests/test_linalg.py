@@ -56,6 +56,15 @@ class TestDet:
 
 
 class TestLaplaceExpansion:
+    @pytest.mark.parametrize(
+        "m, match",
+        [(np.ones((2, 3)), r"needs a square matrix, got \(2, 3\)"), (np.eye(11), "capped at 10x10")],
+        ids=["non-square", "past-cap"],
+    )
+    def test_rejected_by_name(self, m, match):
+        with pytest.raises(DimensionMismatchError, match=match):
+            laplace_expand_det(m, (1,))
+
     def test_cofactor_base_case(self):
         a, b, c, d = 3.5, -1.25, 2.0, 0.75
         m = np.array([[a, b], [c, d]])
@@ -100,6 +109,9 @@ class TestLaplaceExpansion:
         assert laplace_expand_det(np.diag([2.0, 3.0, 5.0]), np.array([1, 3])) == pytest.approx(30.0)
 
 
+B21, C12 = np.zeros((2, 1)), np.zeros((1, 2))  # off-diagonal blocks of a 2 + 1 split
+
+
 class TestSchurDet:
     def test_block_diagonal(self):
         rng = rng_from_seed(2)
@@ -133,6 +145,20 @@ class TestSchurDet:
     def test_nonconformable_raises(self):
         with pytest.raises(DimensionMismatchError):
             schur_det(np.eye(2), np.zeros((3, 1)), np.zeros((1, 2)), np.eye(1))
+
+    @pytest.mark.parametrize(
+        "blocks, pivot, error, match",
+        [
+            ((np.ones((2, 3)), B21, C12, np.eye(1)), "A", DimensionMismatchError, "blocks A and D must be square"),
+            ((np.eye(2), B21, C12, np.ones((1, 2))), "D", DimensionMismatchError, "blocks A and D must be square"),
+            ((np.eye(2), B21, C12, np.eye(1)), "B", ValueError, "pivot must be 'A' or 'D'"),
+            ((np.eye(1), np.eye(1), np.eye(1), np.ones(1)), "A", DimensionMismatchError, "expected a 2-D matrix"),
+        ],
+        ids=["A", "D", "pivot", "1-D"],
+    )
+    def test_malformed_blocks_rejected_by_name(self, blocks, pivot, error, match):
+        with pytest.raises(error, match=match):
+            schur_det(*blocks, pivot=pivot)
 
 
 class TestOrthonormalize:

@@ -6,10 +6,11 @@ matrix at a time."""
 import numpy as np
 import pytest
 
-from grassmann_angles import run_suite
+from grassmann_angles import DomainError, Subspace, run_suite
 from grassmann_angles.fields import Field
 from grassmann_angles.sampling import (
     _haar,
+    random_blade,
     random_matrix,
     random_orthogonal_basis,
     random_partition,
@@ -136,3 +137,19 @@ def test_one_qr_per_trial(suite, monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: calls.append(np.shape(a)) or qr(a, *args, **kw))
     checks = run_suite(suite, n_max=8, trials=50, seed=5)
     assert len(calls) == len(checks) == 100
+
+
+@pytest.mark.parametrize(
+    "draw, match",
+    [
+        (lambda rng: random_partition(rng, Field.REAL, 3, [1, 1]), r"\[1, 1\] do not partition a 3-dimensional"),
+        (lambda rng: random_partition(rng, Field.REAL, 3, [4, -1]), r"\[4, -1\] do not partition a 3-dimensional"),
+        (lambda rng: split_subspace(rng, Subspace.full(3, Field.REAL), [2, 2]), "do not partition a 3-dimensional"),
+        (lambda rng: random_blade(rng, Field.REAL, 3, 0), "cannot build a grade-0 blade in dimension 3"),
+        (lambda rng: random_blade(rng, Field.COMPLEX, 3, 4), "cannot build a grade-4 blade in dimension 3"),
+    ],
+    ids=["short", "negative", "split", "grade-0", "grade-4"],
+)
+def test_sizes_out_of_range_are_rejected_by_name(draw, match):
+    with pytest.raises(DomainError, match=match):
+        draw(rng_from_seed(0))

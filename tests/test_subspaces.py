@@ -54,6 +54,24 @@ class TestSubspaceConstruction:
         with pytest.raises(DomainError):
             Subspace(np.array([[1.0, 1.0], [0.0, 1.0]]), Field.REAL)
 
+    @pytest.mark.parametrize(
+        "call, error, match",
+        [
+            (lambda: Subspace(np.array([1.0, 0.0]), Field.REAL), DimensionMismatchError, "2-D column matrix"),
+            (lambda: Subspace(np.eye(2, 3), Field.REAL), DimensionMismatchError, "3 basis columns in ambient"),
+            (lambda: Subspace([[1j], [0.0]], Field.REAL), DimensionMismatchError, "complex entries are not allowed"),
+            (lambda: Subspace.from_spanning([np.eye(2)]), DomainError, "basis vectors must be 1-D"),
+            (lambda: Tolerance(residual_eps=1.0), ValueError, r"residual_eps must be in \(0, 1\)"),
+            (lambda: Tolerance(residual_eps=0.0), ValueError, r"residual_eps must be in \(0, 1\)"),
+            (lambda: direct_sum(), DomainError, "direct_sum needs at least one part"),
+            (lambda: Partition(()), DomainError, "a partition needs at least one part"),
+        ],
+        ids=["1-D", "too-many-columns", "complex-over-reals", "2-D-vector", "residual-1", "residual-0", "sum", "parts"],
+    )
+    def test_malformed_inputs_rejected_by_name(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
     @pytest.mark.parametrize("field", FIELDS)
     @pytest.mark.parametrize("k", [2, 5])
     def test_writing_into_the_callers_array_leaves_the_subspace(self, field, k):
@@ -115,6 +133,10 @@ class TestProjectBlade:
         nu = Blade(w.onb[:, :2])
         pnu = project_blade(nu, w)
         assert abs(blade_inner(pnu, nu) - blade_inner(nu, nu)) < 1e-12
+
+    def test_a_scalar_blade_is_returned_as_it_is(self):
+        nu = Blade.scalar(-2.0, 3, Field.REAL)
+        assert project_blade(nu, Subspace.from_spanning([[1.0, 0.0, 0.0]])) is nu
 
     def test_orthogonal_factor_kills_blade(self):
         w = Subspace.from_spanning([[1.0, 0.0, 0.0]])
@@ -258,6 +280,8 @@ class TestComplementWithin:
         u = random_subspace(rng, Field.REAL, 5, 1)
         with pytest.raises(DomainError):
             orthogonal_complement_within(u, v)
+        with pytest.raises(DomainError, match="a 2-dimensional space cannot sit inside a 1-dimensional one"):
+            orthogonal_complement_within(v, u)
 
     @pytest.mark.parametrize("n, field", [(5, Field.REAL), (4, Field.COMPLEX)])
     def test_requires_the_same_space(self, n, field):
