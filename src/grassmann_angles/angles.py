@@ -300,6 +300,6 @@ def oriented_grassmann_cos(nu: Blade, omega: Blade, tol: Tolerance = DEFAULT_TOL
 
     if nu.grade != omega.grade:
         raise DomainError(f"oriented angle needs equal grades, got {nu.grade} and {omega.grade}")
-    exterior._require_compatible(nu, omega)
+    _require_same_space(nu, omega)
     return exterior._oriented_cos_of_frames(exterior._unit_frame(nu, tol), exterior._unit_frame(omega, tol))
 

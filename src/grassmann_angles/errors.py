@@ -6,7 +6,9 @@ class GrassmannError(Exception):
 
 
 class DimensionMismatchError(GrassmannError, ValueError):
-    """Operands have incompatible shapes, ambient dimensions, or scalar fields."""
+    """Operands have incompatible shapes, ambient dimensions, or scalar fields:
+    two operands from different spaces (subspaces, blades or contractions),
+    complex data or a complex blade coefficient over the reals, ragged vectors."""
 
 
 class MultiIndexError(GrassmannError, IndexError):
@@ -31,7 +33,9 @@ class NumericalConsistencyError(GrassmannError, ArithmeticError):
 
 class DomainError(GrassmannError, ValueError):
     """Input is outside an operation's mathematical domain (zero vector,
-    zero subspace, grade mismatch, non-orthogonal partition, U not inside V...)."""
+    zero subspace, grade mismatch, non-orthogonal partition, U not inside V...),
+    past a size cap (ambient dimension, blade grade, the Laplace oracle's
+    10x10), or an option outside its range (a Tolerance eps, a Schur pivot)."""
 
 
 class DocumentError(GrassmannError, ValueError):

@@ -17,10 +17,10 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import DomainError, MultiIndexError, NumericalConsistencyError
+from .errors import DimensionMismatchError, DomainError, MultiIndexError, NumericalConsistencyError
 from .fields import DEFAULT_TOLERANCE, Field, Tolerance, _is_integer, as_basis
 from .linalg import _column_exponents, _validate_multi_index, det, gram, orthonormalize
-from .subspaces import _index_stack
+from .subspaces import _index_stack, _require_same_space
 
 # Combinatorial guard rails: C(16, 8) = 12870 keeps every enumeration cheap.
 AMBIENT_LIMIT = 16
@@ -106,7 +106,7 @@ class Blade:
             raise DomainError(f"grade {mat.shape[1]} exceeds the cap of {GRADE_LIMIT}")
         c = complex(coefficient)
         if field is Field.REAL and c.imag != 0.0:
-            raise DomainError("complex coefficient over the real field")
+            raise DimensionMismatchError("complex coefficient over the real field")
         self.factors = mat.copy(order="K")  # a copy, never the caller's array
         self.field = field
         self.coefficient = c if field is Field.COMPLEX else c.real
@@ -137,13 +137,6 @@ class Blade:
         return f"Blade(grade={self.grade}, ambient={self.ambient_dim}, field={self.field.value})"
 
 
-def _require_compatible(a: Blade, b: "Blade | Contraction"):
-    if a.field is not b.field:
-        raise DomainError(f"mixed scalar fields: {a.field.value} vs {b.field.value}")
-    if a.ambient_dim != b.ambient_dim:
-        raise DomainError(f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}")
-
-
 def _unit_frame(blade: Blade, tol: Tolerance) -> tuple[complex | float, np.ndarray]:
     """``(c / |c|, Q)`` for the blade ``c * (f_1 ^ ... ^ f_p)``, with Q from ``orthonormalize(F)``;
     ``(0.0, zeros like F)`` for a zero blade (c = 0, or rank < grade), never None.
@@ -160,7 +153,7 @@ def _unit_frame(blade: Blade, tol: Tolerance) -> tuple[complex | float, np.ndarr
 
 def wedge(a: Blade, b: Blade) -> Blade:
     """Exterior product; grade-0 blades act as scalar multipliers."""
-    _require_compatible(a, b)
+    _require_same_space(a, b)
     return Blade(
         np.hstack([a.factors, b.factors]),
         field=a.field,
@@ -202,7 +195,7 @@ def blade_inner(a: Blade, b: Blade) -> complex | float:
     default rule of ``Blade.is_zero``).  Conjugate-linear in the first
     argument over the complex field.
     """
-    _require_compatible(a, b)
+    _require_same_space(a, b)
     value = 0.0
     if a.grade == b.grade:
         (phase_a, norm_a, q_a), (phase_b, norm_b, q_b) = _polar(a), _polar(b)
@@ -260,7 +253,7 @@ class Contraction:
     def inner_with(self, mu: Blade) -> complex | float:
         """``<mu, nu _| omega> = sum_I c_I <mu, q_Ihat>``, linear in the
         contraction; mu is judged zero by the default rule, as in ``blade_inner``."""
-        _require_compatible(mu, self)
+        _require_same_space(mu, self)
         value = 0.0
         if self.terms and mu.grade == self.grade:
             phase, norm, q = _polar(mu)
@@ -300,7 +293,7 @@ def contract(nu: Blade, omega: Blade, tol: Tolerance = DEFAULT_TOLERANCE) -> Con
     is a minor of Q_nu* Q, all in one stacked determinant (none when
     grade(nu) > grade(omega); one, the blade inner product, at equal grades).
     """
-    _require_compatible(nu, omega)
+    _require_same_space(nu, omega)
     phase, norm, q = _polar(omega, tol)
     phase_nu, norm_nu, q_nu = _polar(nu, tol)
     # |w| |nu| = m m_nu 2^e may pass the largest float where a term, times a minor, does not;

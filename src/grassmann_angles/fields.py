@@ -40,9 +40,9 @@ class Tolerance:
 
     def __post_init__(self):
         if not (0.0 < self.rank_eps < 1.0):
-            raise ValueError(f"rank_eps must be in (0, 1), got {self.rank_eps}")
+            raise DomainError(f"rank_eps must be in (0, 1), got {self.rank_eps}")
         if not (0.0 < self.residual_eps < 1.0):
-            raise ValueError(f"residual_eps must be in (0, 1), got {self.residual_eps}")
+            raise DomainError(f"residual_eps must be in (0, 1), got {self.residual_eps}")
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -102,6 +102,8 @@ def as_basis(vectors, field: Field | None = None, ambient_dim: int | None = None
         cols = [np.asarray(v) for v in vectors]
         if any(c.ndim != 1 for c in cols):
             raise DomainError("basis vectors must be 1-D")
+        if len({len(c) for c in cols}) > 1:
+            raise DimensionMismatchError(f"basis vectors have different lengths: {[len(c) for c in cols]}")
         if cols:
             mat = np.column_stack(cols)
         elif ambient_dim is None:

@@ -31,7 +31,6 @@ from .exterior import (
     _minors,
     _oriented_cos_of_frames,
     _require_ambient_cap,
-    _require_compatible,
     _unit_frame,
 )
 from .fields import DEFAULT_TOLERANCE, SUITE_NAMES, Field, Tolerance, _is_integer, as_basis
@@ -58,6 +57,7 @@ from .subspaces import (
     _index_stack,
     _orthonormality_defect,
     _projected_parts,
+    _require_same_space,
     _require_subset,
     _stacked_cos_squared,
     principal_decomposition,
@@ -185,7 +185,7 @@ def check_oriented_sum(nu: Blade, omega: Blade, basis, tol: Tolerance = DEFAULT_
     """
     if nu.grade != omega.grade or nu.grade < 1:
         raise DomainError("need two nonzero blades of the same positive grade")
-    _require_compatible(nu, omega)
+    _require_same_space(nu, omega)
     units = _orthogonal_basis_matrix(basis, nu.field, nu.ambient_dim)
     frames = _unit_frame(nu, tol), _unit_frame(omega, tol)
     lhs = _oriented_cos_of_frames(*frames)  # raises on a zero blade

@@ -117,7 +117,7 @@ def laplace_expand_det(m, cols) -> complex | float:
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(f"Laplace expansion needs a square matrix, got {arr.shape}")
     if q > _COFACTOR_LIMIT:
-        raise DimensionMismatchError(f"Laplace oracle is capped at {_COFACTOR_LIMIT}x{_COFACTOR_LIMIT}")
+        raise DomainError(f"Laplace oracle is capped at {_COFACTOR_LIMIT}x{_COFACTOR_LIMIT}")
     j_idx = _validate_multi_index(cols, q)
     p = len(j_idx)
     if not 1 <= p < q:
@@ -153,7 +153,7 @@ def schur_det(a, b, c, d, pivot: str = "A", tol: Tolerance = DEFAULT_TOLERANCE) 
             f"off-diagonal blocks must be {qq}x{pp} and {pp}x{qq}, got {b.shape} and {c.shape}"
         )
     if pivot not in ("A", "D"):
-        raise ValueError(f"pivot must be 'A' or 'D', got {pivot!r}")
+        raise DomainError(f"pivot must be 'A' or 'D', got {pivot!r}")
 
     block = a if pivot == "A" else d
     if block.shape[0] > 0:

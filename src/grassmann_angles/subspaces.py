@@ -31,16 +31,12 @@ from .fields import DEFAULT_TOLERANCE, Field, Tolerance, _is_integer, as_basis, 
 from .linalg import gram, orthonormalize
 
 if TYPE_CHECKING:
-    from .exterior import Blade
+    from .exterior import Blade, Contraction
 
-# Looser than machine epsilon: subset checks go through projections whose
-# error compounds, and arccos near 0 loses half the digits anyway.
-_SUBSET_RESIDUAL = 1e-8
-
-# Input-validation defect for "is this really orthogonal" checks.  Fixed
-# policy, deliberately not tied to the tunable grading tolerance: loosening
-# or tightening how identities are graded must not change which inputs are
-# accepted as orthogonal.
+# The one round-off threshold for exact relations: "is this really orthogonal"
+# and "is this really contained".  Looser than machine epsilon, as products
+# compound error.  Fixed policy, not tied to the tunable grading tolerance:
+# how identities are graded must not change which inputs are accepted.
 ORTHOGONALITY_DEFECT = 1e-8
 
 
@@ -99,7 +95,7 @@ class Subspace:
 
         return Blade(self.onb, field=self.field, ambient_dim=self.ambient_dim)
 
-    def contains(self, vector, tol: float = _SUBSET_RESIDUAL) -> bool:
+    def contains(self, vector, tol: float = ORTHOGONALITY_DEFECT) -> bool:
         v = as_field_array(np.asarray(vector), self.field)
         return float(np.linalg.norm(v - project(v, self))) <= tol * max(1.0, float(np.linalg.norm(v)))
 
@@ -118,7 +114,8 @@ def _orthonormality_defect(mat: np.ndarray) -> float:
     return float(np.abs(gram(mat, mat) - np.eye(mat.shape[1])).max(initial=0.0))
 
 
-def _require_same_space(a: Subspace | Blade, b: Subspace):
+def _require_same_space(a: Subspace | Blade | Contraction, b: Subspace | Blade | Contraction):
+    """DimensionMismatchError unless a and b share a field and an ambient dimension."""
     if a.field is not b.field:
         raise DimensionMismatchError(f"mixed scalar fields: {a.field.value} vs {b.field.value}")
     if a.ambient_dim != b.ambient_dim:
@@ -281,7 +278,7 @@ def _require_subset(u: Subspace, v: Subspace):
     if u.dim > v.dim:
         raise DomainError(f"a {u.dim}-dimensional space cannot sit inside a {v.dim}-dimensional one")
     residual = u.onb - v.onb @ gram(v.onb, u.onb)
-    if float(np.abs(residual).max(initial=0.0)) > _SUBSET_RESIDUAL:
+    if float(np.abs(residual).max(initial=0.0)) > ORTHOGONALITY_DEFECT:
         raise DomainError("the first subspace is not contained in the second")
 
 

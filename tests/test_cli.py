@@ -274,6 +274,11 @@ class TestVerifyCommand:
         )
         assert code == 1 and "FAILED" in out
 
+    def test_a_tolerance_outside_the_unit_interval_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--trials", "1", "--tolerance", "2")
+        assert code == 2 and out == ""
+        assert err == "error: residual_eps must be in (0, 1), got 2.0\n"
+
     def test_infeasible_parameters(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--n", "9")
         assert code == 2

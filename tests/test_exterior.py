@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from grassmann_angles import (
     Blade,
     Contraction,
+    DimensionMismatchError,
     DomainError,
     MultiIndex,
     MultiIndexError,
@@ -172,11 +173,11 @@ class TestWedge:
         assert wedge(a, b).grade == 3
 
     def test_field_mismatch_raises(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DimensionMismatchError):
             wedge(Blade([e(3, 0)]), Blade([e(3, 1, Field.COMPLEX)], field=Field.COMPLEX))
 
     def test_ambient_mismatch_raises(self):
-        with pytest.raises(DomainError, match="ambient dimensions differ: 3 vs 4"):
+        with pytest.raises(DimensionMismatchError, match="ambient dimensions differ: 3 vs 4"):
             wedge(Blade([e(3, 0)]), Blade([e(4, 1)]))
 
 
@@ -198,7 +199,7 @@ class TestCoefficient:
 
     @pytest.mark.parametrize("coefficient", [1j, 1 + 1e-300j, np.complex128(2 - 1j)])
     def test_a_complex_coefficient_over_the_reals_rejected(self, coefficient):
-        with pytest.raises(DomainError, match="complex coefficient over the real field"):
+        with pytest.raises(DimensionMismatchError, match="complex coefficient over the real field"):
             Blade([e(3, 0)], coefficient=coefficient)
 
     @pytest.mark.parametrize("field", FIELDS)

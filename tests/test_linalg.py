@@ -57,12 +57,15 @@ class TestDet:
 
 class TestLaplaceExpansion:
     @pytest.mark.parametrize(
-        "m, match",
-        [(np.ones((2, 3)), r"needs a square matrix, got \(2, 3\)"), (np.eye(11), "capped at 10x10")],
+        "m, error, match",
+        [
+            (np.ones((2, 3)), DimensionMismatchError, r"needs a square matrix, got \(2, 3\)"),
+            (np.eye(11), DomainError, "capped at 10x10"),
+        ],
         ids=["non-square", "past-cap"],
     )
-    def test_rejected_by_name(self, m, match):
-        with pytest.raises(DimensionMismatchError, match=match):
+    def test_rejected_by_name(self, m, error, match):
+        with pytest.raises(error, match=match):
             laplace_expand_det(m, (1,))
 
     def test_cofactor_base_case(self):
