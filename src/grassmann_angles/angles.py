@@ -15,6 +15,13 @@ others (so each is a cross-check oracle for the rest), and reports an
 into [0, 1] before sqrt/arccos; negative values beyond round-off raise
 NumericalConsistencyError so genuine bugs cannot hide behind a clamp.
 
+A raw-basis route (equal-dim, any-dim, the complementary Schur formula) is a
+basis check followed by a formula kernel: ``_paired_bases`` checks both
+bases on every call, and the private kernel (``_equal_dim``, ``_any_dim``,
+``_complementary_formula``) trusts the checked matrices it is given, so a
+caller that holds them already (``InputDocument._checked_basis``) calls the
+kernel alone.
+
 The oriented cosine of two blades is read off their orthonormal frames, so
 it needs no rescaling on extreme scales and no zero test of its own.  It is
 the one route that imports ``exterior``, when it is called.
@@ -213,7 +220,11 @@ def grassmann_angle_equal_dim(basis_v, basis_w, field: Field | None = None) -> A
     With the Gram matrices A (of the w's), D (of the v's) and the cross
     matrix B = (<w_i, v_j>):   cos^2 = |det B|^2 / (det A det D).
     """
-    mv, mw = _paired_bases(basis_v, basis_w, field)
+    return _equal_dim(*_paired_bases(basis_v, basis_w, field))
+
+
+def _equal_dim(mv: np.ndarray, mw: np.ndarray) -> AngleReport:
+    """The equal-dimension formula on two checked basis matrices of one space."""
     if mv.shape[1] != mw.shape[1]:
         raise DimensionMismatchError(
             f"equal-dimension formula needs equal basis sizes, got {mv.shape[1]} and {mw.shape[1]}"
@@ -233,7 +244,11 @@ def grassmann_angle_any_dim(basis_v, basis_w, field: Field | None = None) -> Ang
     matrix B* A^-1 B is rank-deficient, so the angle is exactly pi/2 and no
     arithmetic is attempted.
     """
-    mv, mw = _paired_bases(basis_v, basis_w, field)
+    return _any_dim(*_paired_bases(basis_v, basis_w, field))
+
+
+def _any_dim(mv: np.ndarray, mw: np.ndarray) -> AngleReport:
+    """The any-dimension formula on two checked basis matrices of one space."""
     if mv.shape[1] > mw.shape[1]:
         return _report(0.0, AngleMethod.ANY_DIM_FORMULA)
     a = gram(mw, mw)
@@ -264,7 +279,11 @@ def complementary_angle(v: Subspace, w: Subspace) -> AngleReport:
 def complementary_angle_formula(basis_v, basis_w, field: Field | None = None) -> AngleReport:
     """Complementary angle from arbitrary bases via a Schur complement:
     cos^2 = det(A - B D^-1 B*) / det A."""
-    mv, mw = _paired_bases(basis_v, basis_w, field)
+    return _complementary_formula(*_paired_bases(basis_v, basis_w, field))
+
+
+def _complementary_formula(mv: np.ndarray, mw: np.ndarray) -> AngleReport:
+    """The Schur complement formula on two checked basis matrices of one space."""
     a = gram(mw, mw)
     b = gram(mw, mv)
     d = gram(mv, mv)

@@ -20,7 +20,8 @@ un-orthonormalized).  A parsed document is an immutable value: its basis
 arrays are read-only and its subspace table is a read-only mapping.  It
 derives each named subspace once, on the first ``subspace(name)`` call, and
 hands every later call the same ``Subspace``, whose orthonormal basis is
-read-only as well.
+read-only as well.  In the same way it checks each raw basis once, for the
+determinant formulas, and shares the read-only checked matrix.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .angles import _basis_matrix
 from .errors import DocumentError
 from .fields import DEFAULT_TOLERANCE, Field, Tolerance, _is_integer
 from .subspaces import Subspace
@@ -52,6 +54,7 @@ class InputDocument:
     subspaces: Mapping[str, np.ndarray]  # name -> (ambient, k) matrix of raw basis columns
     options: DocumentOptions = dataclass_field(default_factory=DocumentOptions)
     _spans: dict[str, Subspace] = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
+    _checked: dict[str, np.ndarray] = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def basis(self, name: str) -> np.ndarray:
         try:
@@ -72,6 +75,18 @@ class InputDocument:
             span.onb.flags.writeable = False
             self._spans[name] = span
         return span
+
+    def _checked_basis(self, name: str) -> np.ndarray:
+        """``name``'s basis as the determinant formulas take it, checked on the
+        first call by ``angles._basis_matrix`` and shared, read-only, by every
+        later one; a basis that fails the check raises DegenerateBasisError on
+        every call and is never kept."""
+        checked = self._checked.get(name)
+        if checked is None:
+            checked = _basis_matrix(self.basis(name))
+            checked.flags.writeable = False
+            self._checked[name] = checked
+        return checked
 
 
 _PLAIN = (int, float)  # the entry types that go into an array as they are

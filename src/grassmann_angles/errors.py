@@ -8,7 +8,8 @@ class GrassmannError(Exception):
 class DimensionMismatchError(GrassmannError, ValueError):
     """Operands have incompatible shapes, ambient dimensions, or scalar fields:
     two operands from different spaces (subspaces, blades or contractions),
-    complex data or a complex blade coefficient over the reals, ragged vectors."""
+    complex data or a complex blade coefficient over the reals, ragged or
+    non-1-D basis vectors, a coordinate basis that is not n x n."""
 
 
 class MultiIndexError(GrassmannError, IndexError):

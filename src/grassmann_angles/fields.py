@@ -101,7 +101,7 @@ def as_basis(vectors, field: Field | None = None, ambient_dim: int | None = None
     else:
         cols = [np.asarray(v) for v in vectors]
         if any(c.ndim != 1 for c in cols):
-            raise DomainError("basis vectors must be 1-D")
+            raise DimensionMismatchError("basis vectors must be 1-D")
         if len({len(c) for c in cols}) > 1:
             raise DimensionMismatchError(f"basis vectors have different lengths: {[len(c) for c in cols]}")
         if cols:

@@ -12,7 +12,10 @@ every parsed document it is read-only, so no caller can change what later
 callers get.  A document derives each named subspace on its first
 ``subspace(name)`` call and hands every later call the same read-only
 ``Subspace``, so a cold run orthonormalizes 6 (document, name) pairs and a
-later run none.
+later run none.  Cases 3.2, 3.5, 3.8 and 3.9 evaluate the determinant
+formulas by their kernels on the matrices of ``_checked_basis``, which a
+document also checks once per name and shares read-only: a cold run makes 6
+orthonormalizations and 4 basis checks, and a warm run makes none.
 The 4.x cases sum squared cosines over coordinate subspaces; they take all
 terms from one Gram matrix in one stacked determinant, as the identity
 checkers do, instead of one angle route call per coordinate subspace.
@@ -27,13 +30,7 @@ from importlib import resources
 
 import numpy as np
 
-from .angles import (
-    complementary_angle_formula,
-    complementary_angle_orthonormal,
-    grassmann_angle_any_dim,
-    grassmann_angle_equal_dim,
-    vector_angle,
-)
+from .angles import _any_dim, _complementary_formula, _equal_dim, complementary_angle_orthonormal, vector_angle
 from .documents import InputDocument, load_document
 from .errors import DocumentError
 from .subspaces import _coordinate_cos_squared, complement, principal_decomposition
@@ -92,7 +89,7 @@ def load_case_document(name: str) -> InputDocument:
 
 def _case_3_2() -> list[GalleryCheck]:
     doc = load_case_document("complex_planes.json")
-    formula = grassmann_angle_equal_dim(doc.basis("V"), doc.basis("W"), field=doc.field)
+    formula = _equal_dim(doc._checked_basis("V"), doc._checked_basis("W"))
     hermitian = vector_angle(doc.basis("v_line")[:, 0], doc.basis("w_line")[:, 0], field=doc.field).hermitian
     return [
         GalleryCheck("cos of the plane pair via the equal-dimension determinant formula", _COS_THIRD, formula.cosine),
@@ -102,8 +99,8 @@ def _case_3_2() -> list[GalleryCheck]:
 
 def _case_3_5() -> list[GalleryCheck]:
     doc = load_case_document("line_plane_r4.json")
-    forward = grassmann_angle_any_dim(doc.basis("V"), doc.basis("W"), field=doc.field)
-    backward = grassmann_angle_any_dim(doc.basis("W"), doc.basis("V"), field=doc.field)
+    mv, mw = doc._checked_basis("V"), doc._checked_basis("W")
+    forward, backward = _any_dim(mv, mw), _any_dim(mw, mv)
     return [
         GalleryCheck("line-to-plane angle in degrees", 45.0, forward.degrees),
         GalleryCheck("plane-to-line angle in degrees (forced by dimensions)", 90.0, backward.degrees),
@@ -113,8 +110,8 @@ def _case_3_5() -> list[GalleryCheck]:
 def _case_3_8() -> list[GalleryCheck]:
     doc = load_case_document("line_plane_r4.json")
     v, w = doc.subspace("V"), doc.subspace("W")
-    eq11_vw = complementary_angle_formula(doc.basis("V"), doc.basis("W"), field=doc.field)
-    eq11_wv = complementary_angle_formula(doc.basis("W"), doc.basis("V"), field=doc.field)
+    mv, mw = doc._checked_basis("V"), doc._checked_basis("W")
+    eq11_vw, eq11_wv = _complementary_formula(mv, mw), _complementary_formula(mw, mv)
     eq12 = complementary_angle_orthonormal(v, w)
     # compare principal angles through their cosines: arccos would smear the
     # exact 0-degree angle by the square root of the round-off
@@ -134,7 +131,7 @@ def _case_3_8() -> list[GalleryCheck]:
 
 def _case_3_9() -> list[GalleryCheck]:
     doc = load_case_document("complex_planes.json")
-    eq11 = complementary_angle_formula(doc.basis("V"), doc.basis("W"), field=doc.field)
+    eq11 = _complementary_formula(doc._checked_basis("V"), doc._checked_basis("W"))
     eq12 = complementary_angle_orthonormal(doc.subspace("V"), doc.subspace("W"))
     # the shared line forces a 90-degree complementary angle; its squared
     # cosine (the formulas' native output) is where full precision lives

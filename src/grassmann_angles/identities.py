@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .angles import complementary_angle, grassmann_angle
-from .errors import DomainError
+from .errors import DimensionMismatchError, DomainError
 from .exterior import (
     AMBIENT_LIMIT,
     Blade,
@@ -104,7 +104,7 @@ def _orthogonal_basis_matrix(basis, field: Field, n: int) -> np.ndarray:
     divided by its norm."""
     mat, _ = as_basis(basis, field)
     if mat.shape != (n, n):
-        raise DomainError(f"need {n} basis vectors of dimension {n}, got shape {mat.shape}")
+        raise DimensionMismatchError(f"need {n} basis vectors of dimension {n}, got shape {mat.shape}")
     mat = scale_columns(mat)
     norms = np.linalg.norm(mat, axis=0)
     if not norms.all():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import sys
@@ -7,7 +8,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from grassmann_angles import DocumentError
+from grassmann_angles import DegenerateBasisError, DimensionMismatchError, DocumentError, angles
 from grassmann_angles.cli import main
 from grassmann_angles.documents import decode_entry, load_document, parse_document
 from grassmann_angles.fields import Field
@@ -382,3 +383,63 @@ class TestMalformedEntries:
             parse_document(minimal_doc(subspaces={"V": [[1, 0], [1, "x", 0]]}))
         with pytest.raises(DocumentError, match="every vector must have length 3"):
             parse_document(minimal_doc(subspaces={"V": [[1, 0, 0], 7]}))
+
+
+BUNDLED = ["complex_planes.json", "line_plane_r4.json", "line_r3.json", "plane_r3.json"]
+# each public raw-basis route and the formula kernel behind it
+RAW_ROUTES = [
+    (angles.grassmann_angle_equal_dim, angles._equal_dim),
+    (angles.grassmann_angle_any_dim, angles._any_dim),
+    (angles.complementary_angle_formula, angles._complementary_formula),
+]
+DEPENDENT_DOC = minimal_doc(subspaces={"V": [[1, 0, 0], [2, 0, 0]], "W": [[0, 1, 0], [0, 0, 1]]})
+
+
+def bundled(name):
+    return load_document(resources.files("grassmann_angles").joinpath("data", name))
+
+
+def report_bits(report):
+    return report.value.hex(), report.cosine.hex(), report.method, report.residual.hex()
+
+
+class TestCheckedBasis:
+    def test_a_dependent_basis_raises_on_every_call_and_is_never_kept(self):
+        doc = parse_document(DEPENDENT_DOC)
+        for _ in range(2):
+            with pytest.raises(DegenerateBasisError, match="linearly dependent"):
+                doc._checked_basis("V")
+        assert doc._checked == {}
+
+    def test_a_dependent_basis_is_still_an_input_error_of_angle(self, capsys, tmp_path):
+        path = tmp_path / "dependent.json"
+        path.write_text(json.dumps(DEPENDENT_DOC))
+        assert main(["angle", str(path), "V", "W", "--method", "any-dim"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: basis vectors are linearly dependent, too ill-conditioned or not finite\n"
+
+    # 1e200 puts the Gram determinant past 2^500, so the check returns a rescaled copy
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_a_checked_matrix_is_shared_and_refuses_writes(self, scale):
+        doc = parse_document(minimal_doc(subspaces={"V": [[scale, 0, 0], [0, scale, 0]]}))
+        checked = doc._checked_basis("V")
+        assert doc._checked_basis("V") is checked
+        with pytest.raises(ValueError):
+            checked[0, 0] = 7.0
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_public_routes_match_their_kernels_on_checked_matrices(self, name):
+        doc = bundled(name)
+        defined = 0
+        for v, w in itertools.product(doc.subspaces, repeat=2):
+            for route, kernel in RAW_ROUTES:
+                try:
+                    public = route(doc.basis(v), doc.basis(w), field=doc.field)
+                except DimensionMismatchError:  # the equal-dim formula on bases of different sizes
+                    with pytest.raises(DimensionMismatchError):
+                        kernel(doc._checked_basis(v), doc._checked_basis(w))
+                    continue
+                assert report_bits(kernel(doc._checked_basis(v), doc._checked_basis(w))) == report_bits(public)
+                defined += 1
+        assert defined >= 2 * len(doc.subspaces) ** 2

@@ -31,7 +31,7 @@ from grassmann_angles import (
     wedge,
 )
 from grassmann_angles.fields import Field
-from grassmann_angles.identities import check_oriented_sum
+from grassmann_angles.identities import check_coordinate_pythagorean, check_oriented_sum
 
 
 def blade(field, n):
@@ -80,8 +80,12 @@ def test_operands_from_different_spaces_are_one_fault(operation, fault):
          "pivot must be 'A' or 'D', got 'B'"),
         (lambda: Tolerance(rank_eps=1.0), DomainError, r"rank_eps must be in \(0, 1\), got 1.0"),
         (lambda: Tolerance(residual_eps=0.0), DomainError, r"residual_eps must be in \(0, 1\), got 0.0"),
+        (lambda: Subspace.from_spanning([np.eye(2)]), DimensionMismatchError, "basis vectors must be 1-D"),
+        (lambda: check_coordinate_pythagorean(subspace(Field.REAL, 3), np.eye(2)), DimensionMismatchError,
+         r"need 3 basis vectors of dimension 3, got shape \(2, 2\)"),
     ],
-    ids=["complex-coefficient", "laplace-cap", "schur-pivot", "rank-eps", "residual-eps"],
+    ids=["complex-coefficient", "laplace-cap", "schur-pivot", "rank-eps", "residual-eps", "2-D-vector",
+         "coordinate-basis-shape"],
 )
 def test_each_fault_has_its_documented_type(build, error, message):
     with pytest.raises(error, match=message) as exc:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grassmann_angles import Subspace
+from grassmann_angles import Subspace, angles, documents
 from grassmann_angles.cli import main
 from grassmann_angles.gallery import CASE_IDS, load_case_document, run_gallery
 
@@ -97,6 +97,26 @@ def test_each_named_subspace_is_orthonormalized_once(monkeypatch):
     assert len(calls) == 6  # 8 subspace calls on 6 distinct (document, name) pairs
     assert [r.to_dict() for r in run_gallery()] == first
     assert len(calls) == 6
+
+
+def test_each_raw_basis_is_checked_once(monkeypatch):
+    basis_matrix = angles._basis_matrix
+    checked = []
+
+    def counted(mat):
+        checked.append(mat)
+        return basis_matrix(mat)
+
+    # the check as the public routes and the documents reach it
+    monkeypatch.setattr(angles, "_basis_matrix", counted)
+    monkeypatch.setattr(documents, "_basis_matrix", counted)
+    load_case_document.cache_clear()
+    first = [r.to_dict() for r in run_gallery()]
+    pairs = [(doc, name) for doc in ("line_plane_r4.json", "complex_planes.json") for name in ("V", "W")]
+    assert len(checked) == 4  # 6 formula calls on 4 distinct (document, name) pairs
+    assert {id(m) for m in checked} == {id(load_case_document(doc).basis(name)) for doc, name in pairs}
+    assert [r.to_dict() for r in run_gallery()] == first
+    assert len(checked) == 4
 
 
 def test_repeated_examples_print_the_same_bytes(capsys):

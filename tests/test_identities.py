@@ -269,7 +269,7 @@ class TestOrientedSum:
 )
 def test_coordinate_sums_need_a_full_basis_of_the_space(checker, shape):
     # orthogonal columns, but n x (n - 1) or (n + 1) x (n + 1) in R^4
-    with pytest.raises(DomainError, match=re.escape(f"need 4 basis vectors of dimension 4, got shape {shape}")):
+    with pytest.raises(DimensionMismatchError, match=re.escape(f"need 4 basis vectors of dimension 4, got shape {shape}")):
         checker(np.eye(*shape))
 
 

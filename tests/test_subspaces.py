@@ -60,7 +60,7 @@ class TestSubspaceConstruction:
             (lambda: Subspace(np.array([1.0, 0.0]), Field.REAL), DimensionMismatchError, "2-D column matrix"),
             (lambda: Subspace(np.eye(2, 3), Field.REAL), DimensionMismatchError, "3 basis columns in ambient"),
             (lambda: Subspace([[1j], [0.0]], Field.REAL), DimensionMismatchError, "complex entries are not allowed"),
-            (lambda: Subspace.from_spanning([np.eye(2)]), DomainError, "basis vectors must be 1-D"),
+            (lambda: Subspace.from_spanning([np.eye(2)]), DimensionMismatchError, "basis vectors must be 1-D"),
             (lambda: Tolerance(residual_eps=1.0), ValueError, r"residual_eps must be in \(0, 1\)"),
             (lambda: Tolerance(residual_eps=0.0), ValueError, r"residual_eps must be in \(0, 1\)"),
             (lambda: direct_sum(), DomainError, "direct_sum needs at least one part"),
