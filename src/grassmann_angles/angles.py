@@ -19,7 +19,7 @@ A raw-basis route (equal-dim, any-dim, the complementary Schur formula) is a
 basis check followed by a formula kernel: ``_paired_bases`` checks both
 bases on every call, and the private kernel (``_equal_dim``, ``_any_dim``,
 ``_complementary_formula``) trusts the checked matrices it is given, so a
-caller that holds them already (``InputDocument._checked_basis``) calls the
+caller that holds them already (the gallery, on the bundled bases) calls the
 kernel alone.
 
 The oriented cosine of two blades is read off their orthonormal frames, so

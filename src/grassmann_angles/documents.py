@@ -11,7 +11,8 @@ Schema::
 
 A document is UTF-8 JSON.  A vector is a list of n entries; an entry is a
 number or, over the complex field only, a two-element ``[re, im]`` array,
-and a number beyond the float range is an input error.  Each subspace is
+and a number beyond the float range (``1e400`` too, which ``json`` reads as
+infinity) or a NaN is an input error.  Each subspace is
 decoded in one flat pass over its entries: a plain ``int`` or ``float``
 goes into the array as it is, and every other entry goes through
 ``decode_entry``, the one rule for what an entry may be.  Raw basis
@@ -20,8 +21,7 @@ un-orthonormalized).  A parsed document is an immutable value: its basis
 arrays are read-only and its subspace table is a read-only mapping.  It
 derives each named subspace once, on the first ``subspace(name)`` call, and
 hands every later call the same ``Subspace``, whose orthonormal basis is
-read-only as well.  In the same way it checks each raw basis once, for the
-determinant formulas, and shares the read-only checked matrix.
+read-only as well.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .angles import _basis_matrix
 from .errors import DocumentError
 from .fields import DEFAULT_TOLERANCE, Field, Tolerance, _is_integer
 from .subspaces import Subspace
@@ -54,7 +53,6 @@ class InputDocument:
     subspaces: Mapping[str, np.ndarray]  # name -> (ambient, k) matrix of raw basis columns
     options: DocumentOptions = dataclass_field(default_factory=DocumentOptions)
     _spans: dict[str, Subspace] = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
-    _checked: dict[str, np.ndarray] = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def basis(self, name: str) -> np.ndarray:
         try:
@@ -75,18 +73,6 @@ class InputDocument:
             span.onb.flags.writeable = False
             self._spans[name] = span
         return span
-
-    def _checked_basis(self, name: str) -> np.ndarray:
-        """``name``'s basis as the determinant formulas take it, checked on the
-        first call by ``angles._basis_matrix`` and shared, read-only, by every
-        later one; a basis that fails the check raises DegenerateBasisError on
-        every call and is never kept."""
-        checked = self._checked.get(name)
-        if checked is None:
-            checked = _basis_matrix(self.basis(name))
-            checked.flags.writeable = False
-            self._checked[name] = checked
-        return checked
 
 
 _PLAIN = (int, float)  # the entry types that go into an array as they are
@@ -145,6 +131,11 @@ def parse_document(obj) -> InputDocument:
             basis = np.array(entries, dtype=field.dtype).reshape(len(vectors), ambient).T
         except OverflowError:
             raise DocumentError(f"subspace {name!r}: a number is too large for a float") from None
+        # json reads 1e400 as inf; x - x is 0 for a finite x, real or complex, and NaN for inf or NaN
+        if not all(x - x == 0 for x in entries):
+            nan = any(x != x for x in entries)
+            problem = "an entry is not finite (NaN)" if nan else "a number is too large for a float"
+            raise DocumentError(f"subspace {name!r}: {problem}")
         basis.flags.writeable = False
         subspaces[name] = basis
 

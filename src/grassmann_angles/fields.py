@@ -75,6 +75,12 @@ def _is_integer(value) -> bool:
     return type(value) is int or isinstance(value, np.integer)
 
 
+def _require_ambient_dim(ambient_dim):
+    """DomainError unless ``ambient_dim`` is a nonnegative integer (a bool is not, nor is 2.0)."""
+    if not (_is_integer(ambient_dim) and ambient_dim >= 0):
+        raise DomainError(f"ambient dimension must be a nonnegative integer, got {ambient_dim!r}")
+
+
 def as_field_array(data, field: Field) -> np.ndarray:
     """Coerce array-like data to the dtype of ``field``, copying only when the
     dtype changes: the result may be ``data`` itself, so a value that stores
@@ -94,8 +100,11 @@ def as_basis(vectors, field: Field | None = None, ambient_dim: int | None = None
 
     A 2-D array passes through; a sequence of 1-D vectors is stacked as
     columns.  An empty sequence needs ``ambient_dim``, else it raises
-    DegenerateBasisError.
+    DegenerateBasisError; a given ``ambient_dim`` must be a nonnegative
+    integer (DomainError) equal to the vectors' length (DimensionMismatchError).
     """
+    if ambient_dim is not None:
+        _require_ambient_dim(ambient_dim)
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
         mat = vectors
     else:
@@ -110,6 +119,8 @@ def as_basis(vectors, field: Field | None = None, ambient_dim: int | None = None
             raise DegenerateBasisError("an empty basis needs an explicit ambient dimension")
         else:
             mat = np.zeros((ambient_dim, 0))
+    if ambient_dim is not None and mat.shape[0] != ambient_dim:
+        raise DimensionMismatchError(f"basis vectors of dimension {mat.shape[0]} in ambient dimension {ambient_dim}")
     if field is None:
         field = Field.COMPLEX if np.iscomplexobj(mat) else Field.REAL
     return as_field_array(mat, field), field

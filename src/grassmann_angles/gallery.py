@@ -13,9 +13,9 @@ callers get.  A document derives each named subspace on its first
 ``subspace(name)`` call and hands every later call the same read-only
 ``Subspace``, so a cold run orthonormalizes 6 (document, name) pairs and a
 later run none.  Cases 3.2, 3.5, 3.8 and 3.9 evaluate the determinant
-formulas by their kernels on the matrices of ``_checked_basis``, which a
-document also checks once per name and shares read-only: a cold run makes 6
-orthonormalizations and 4 basis checks, and a warm run makes none.
+formulas by their kernels on the bundled bases as the documents hold them,
+which pass the routes' basis check unchanged (a test pins this): a cold run
+makes 6 orthonormalizations and no basis check, and a warm run neither.
 The 4.x cases sum squared cosines over coordinate subspaces; they take all
 terms from one Gram matrix in one stacked determinant, as the identity
 checkers do, instead of one angle route call per coordinate subspace.
@@ -89,7 +89,7 @@ def load_case_document(name: str) -> InputDocument:
 
 def _case_3_2() -> list[GalleryCheck]:
     doc = load_case_document("complex_planes.json")
-    formula = _equal_dim(doc._checked_basis("V"), doc._checked_basis("W"))
+    formula = _equal_dim(doc.basis("V"), doc.basis("W"))
     hermitian = vector_angle(doc.basis("v_line")[:, 0], doc.basis("w_line")[:, 0], field=doc.field).hermitian
     return [
         GalleryCheck("cos of the plane pair via the equal-dimension determinant formula", _COS_THIRD, formula.cosine),
@@ -99,7 +99,7 @@ def _case_3_2() -> list[GalleryCheck]:
 
 def _case_3_5() -> list[GalleryCheck]:
     doc = load_case_document("line_plane_r4.json")
-    mv, mw = doc._checked_basis("V"), doc._checked_basis("W")
+    mv, mw = doc.basis("V"), doc.basis("W")
     forward, backward = _any_dim(mv, mw), _any_dim(mw, mv)
     return [
         GalleryCheck("line-to-plane angle in degrees", 45.0, forward.degrees),
@@ -110,7 +110,7 @@ def _case_3_5() -> list[GalleryCheck]:
 def _case_3_8() -> list[GalleryCheck]:
     doc = load_case_document("line_plane_r4.json")
     v, w = doc.subspace("V"), doc.subspace("W")
-    mv, mw = doc._checked_basis("V"), doc._checked_basis("W")
+    mv, mw = doc.basis("V"), doc.basis("W")
     eq11_vw, eq11_wv = _complementary_formula(mv, mw), _complementary_formula(mw, mv)
     eq12 = complementary_angle_orthonormal(v, w)
     # compare principal angles through their cosines: arccos would smear the
@@ -131,7 +131,7 @@ def _case_3_8() -> list[GalleryCheck]:
 
 def _case_3_9() -> list[GalleryCheck]:
     doc = load_case_document("complex_planes.json")
-    eq11 = _complementary_formula(doc._checked_basis("V"), doc._checked_basis("W"))
+    eq11 = _complementary_formula(doc.basis("V"), doc.basis("W"))
     eq12 = complementary_angle_orthonormal(doc.subspace("V"), doc.subspace("W"))
     # the shared line forces a 90-degree complementary angle; its squared
     # cosine (the formulas' native output) is where full precision lives

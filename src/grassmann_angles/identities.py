@@ -119,10 +119,11 @@ def check_line_partition(line: Subspace, partition: Partition, tol: Tolerance = 
     """Squared angle cosines of a line against an orthogonal partition of the
     whole space sum to 1 (the direction-cosine identity, any dimension,
     either field)."""
+    parent = partition.parent()
+    _require_same_space(line, parent)
     if line.dim != 1:
         raise DomainError(f"need a line, got dimension {line.dim}")
-    parent = partition.parent()
-    if parent.dim != line.ambient_dim or parent.ambient_dim != line.ambient_dim:
+    if parent.dim != line.ambient_dim:
         raise DomainError("partition must decompose the full ambient space")
     terms = [grassmann_angle(line, part).cos_squared for part in partition.parts]
     witness = f"line in dim {line.ambient_dim} ({line.field.value}), parts {[p.dim for p in partition.parts]}"

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import DomainError
 from .exterior import Blade
-from .fields import Field, _is_integer
-from .subspaces import Partition, Subspace, _require_ambient_dim
+from .fields import Field, _is_integer, _require_ambient_dim
+from .subspaces import Partition, Subspace
 
 # Rejection loops give up with DomainError after this many draws.  The
 # hardest request, a well-separated 16 x 16 blade, accepts ~1 draw in 3000.

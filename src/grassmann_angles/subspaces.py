@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .fields import DEFAULT_TOLERANCE, Field, Tolerance, _is_integer, as_basis, as_field_array
+from .fields import DEFAULT_TOLERANCE, Field, Tolerance, _require_ambient_dim, as_basis, as_field_array
 from .linalg import gram, orthonormalize
 
 if TYPE_CHECKING:
@@ -103,12 +103,6 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, field={self.field.value})"
 
 
-def _require_ambient_dim(ambient_dim):
-    """DomainError unless ``ambient_dim`` is a nonnegative integer (a bool is not, nor is 2.0)."""
-    if not (_is_integer(ambient_dim) and ambient_dim >= 0):
-        raise DomainError(f"ambient dimension must be a nonnegative integer, got {ambient_dim!r}")
-
-
 def _orthonormality_defect(mat: np.ndarray) -> float:
     """Largest entry of ``|mat* mat - 1|``; 0 for no columns, not finite if an entry is not."""
     return float(np.abs(gram(mat, mat) - np.eye(mat.shape[1])).max(initial=0.0))
@@ -123,10 +117,12 @@ def _require_same_space(a: Subspace | Blade | Contraction, b: Subspace | Blade |
 
 
 def project(v, w: Subspace) -> np.ndarray:
-    """Orthogonal projection of a vector onto w."""
+    """Orthogonal projection of a vector onto w; an entry that is not finite raises DomainError."""
     vec = as_field_array(np.asarray(v), w.field)
     if vec.shape != (w.ambient_dim,):
         raise DimensionMismatchError(f"vector of shape {vec.shape} in ambient dimension {w.ambient_dim}")
+    if not np.isfinite(vec).all():
+        raise DomainError("entries must be finite (no NaN or infinity)")
     return w.onb @ (w.onb.conj().T @ vec)
 
 

@@ -15,6 +15,7 @@ from grassmann_angles import (
     DimensionMismatchError,
     DomainError,
     GrassmannError,
+    Partition,
     Subspace,
     Tolerance,
     blade_inner,
@@ -31,7 +32,7 @@ from grassmann_angles import (
     wedge,
 )
 from grassmann_angles.fields import Field
-from grassmann_angles.identities import check_coordinate_pythagorean, check_oriented_sum
+from grassmann_angles.identities import check_coordinate_pythagorean, check_line_partition, check_oriented_sum
 
 
 def blade(field, n):
@@ -55,6 +56,7 @@ PAIRWISE = {
     "complementary_angle": lambda a, b: complementary_angle(subspace(*a), subspace(*b)),
     "principal_decomposition": lambda a, b: principal_decomposition(subspace(*a), subspace(*b)),
     "direct_sum": lambda a, b: direct_sum(subspace(*a), subspace(*b)),
+    "check_line_partition": lambda a, b: check_line_partition(subspace(*a), Partition((Subspace.full(b[1], b[0]),))),
 }
 
 FAULTS = {
@@ -83,9 +85,17 @@ def test_operands_from_different_spaces_are_one_fault(operation, fault):
         (lambda: Subspace.from_spanning([np.eye(2)]), DimensionMismatchError, "basis vectors must be 1-D"),
         (lambda: check_coordinate_pythagorean(subspace(Field.REAL, 3), np.eye(2)), DimensionMismatchError,
          r"need 3 basis vectors of dimension 3, got shape \(2, 2\)"),
+        (lambda: Blade.scalar(1.0, 2.0, Field.REAL), DomainError,
+         "ambient dimension must be a nonnegative integer, got 2.0"),
+        (lambda: Blade([], field=Field.REAL, ambient_dim=True), DomainError,
+         "ambient dimension must be a nonnegative integer, got True"),
+        (lambda: Blade.scalar(1.0, -1, Field.REAL), DomainError,
+         "ambient dimension must be a nonnegative integer, got -1"),
+        (lambda: Blade([[1.0, 0.0, 0.0]], ambient_dim=5), DimensionMismatchError,
+         "basis vectors of dimension 3 in ambient dimension 5"),
     ],
     ids=["complex-coefficient", "laplace-cap", "schur-pivot", "rank-eps", "residual-eps", "2-D-vector",
-         "coordinate-basis-shape"],
+         "coordinate-basis-shape", "float-ambient", "bool-ambient", "negative-ambient", "ambient-mismatch"],
 )
 def test_each_fault_has_its_documented_type(build, error, message):
     with pytest.raises(error, match=message) as exc:

@@ -125,6 +125,14 @@ class TestProject:
         with pytest.raises(DimensionMismatchError):
             project(np.ones(3), Subspace.full(4, Field.REAL))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "call", [lambda w: project([np.nan, 0.0], w), lambda w: w.contains([np.inf, 0.0])], ids=["project", "contains"]
+    )
+    def test_an_entry_that_is_not_finite_is_rejected(self, call):
+        with pytest.raises(DomainError, match=r"entries must be finite \(no NaN or infinity\)"):
+            call(Subspace.from_spanning([[1.0, 0.0]]))
+
 
 class TestProjectBlade:
     def test_contained_blade_unchanged(self):
