@@ -9,9 +9,10 @@ angles satisfy.
 
 Importing the package loads only the modules the angle routes run on:
 ``errors``, ``fields``, ``linalg``, ``subspaces`` and ``angles``.  The names
-it exports from ``exterior`` (blades) and ``identities`` (the checkers and
-``run_suite``) load their module on first access, through the module
-``__getattr__`` below, and are looked up there again on every access.
+it exports from ``exterior`` (blades), ``identities`` (the checkers and
+``run_suite``) and ``sampling`` (``random_instance``) load their module on
+first access, through the module ``__getattr__`` below, and are looked up
+there again on every access.
 """
 
 import importlib
@@ -88,11 +89,10 @@ _LAZY = dict.fromkeys(
         "check_partition_chain",
         "check_partition_converse",
         "check_weighted_average",
-        "random_instance",
         "run_suite",
     ),
     f"{__name__}.identities",
-)
+) | {"random_instance": f"{__name__}.sampling"}
 
 
 def __getattr__(name: str):

@@ -4,7 +4,8 @@ Every checker validates its geometric preconditions (raising DomainError
 otherwise), evaluates both sides of its identity numerically, and returns an
 :class:`IdentityCheck` whose ``passed`` flag is exactly
 ``residual <= residual_eps``.  The ``run_suite`` driver feeds the checkers
-seeded random configurations for either field.
+seeded random configurations for either field, drawn by the builders of
+``sampling``, the module of the public ``random_instance``.
 
 The checkers that sum over coordinate subspaces (pythagorean, binomial,
 oriented-sum, weighted-average) do not call an angle route per term: they
@@ -35,8 +36,6 @@ from .exterior import (
 )
 from .fields import DEFAULT_TOLERANCE, SUITE_NAMES, Field, Tolerance, _is_integer, as_basis
 from .linalg import gram, scale_columns
-# random_instance is re-exported: the seeded generators are part of this
-# module's public surface alongside the checkers
 from .sampling import (
     MAX_DRAWS,
     _haar,
@@ -44,7 +43,6 @@ from .sampling import (
     _span,
     _within,
     random_blade,
-    random_instance,  # noqa: F401
     random_matrix,
     random_orthogonal_basis,
     rng_from_seed,
@@ -74,7 +72,6 @@ __all__ = [
     "check_direct_sum",
     "check_partition_chain",
     "check_partition_converse",
-    "random_instance",
     "SUITE_NAMES",
     "run_suite",
 ]
@@ -405,12 +402,9 @@ def _grouped_principal_partition(rng, e_basis: np.ndarray, field) -> Partition:
     p = e_basis.shape[1]
     order = rng.permutation(p)
     dims = _random_composition(rng, p, allow_zero=False)
-    parts, start = [], 0
-    for d in dims:
-        cols = np.sort(order[start : start + d])
-        parts.append(Subspace(e_basis[:, cols], field, _validate=False))
-        start += d
-    return Partition(tuple(parts))
+    # the columns order[start : start + d] of each group, in increasing order
+    idx = np.lexsort((order, np.repeat(np.arange(len(dims)), dims)))
+    return _parts(e_basis[:, order[idx]], field, dims)
 
 
 def _trial_converse(rng, field, n_max, tol):
@@ -423,10 +417,8 @@ def _trial_converse(rng, field, n_max, tol):
         # mixing the extreme principal vectors by 45 degrees breaks both sides
         g1 = (e_basis[:, 0] + e_basis[:, p - 1]) / np.sqrt(2.0)
         g2 = (e_basis[:, 0] - e_basis[:, p - 1]) / np.sqrt(2.0)
-        rotated = [Subspace(g1[:, None], field, _validate=False), Subspace(g2[:, None], field, _validate=False)]
-        if p > 2:
-            rotated.append(Subspace(e_basis[:, 1 : p - 1], field, _validate=False))
-        cases.append(check_partition_converse(Partition(tuple(rotated)), w, tol))
+        rotated = np.concatenate([g1[:, None], g2[:, None], e_basis[:, 1 : p - 1]], axis=1)
+        cases.append(check_partition_converse(_parts(rotated, field, [1, 1, p - 2] if p > 2 else [1, 1]), w, tol))
     return _check("converse", max(c.residual for c in cases), " | ".join(c.witness for c in cases), tol)
 
 

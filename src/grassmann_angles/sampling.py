@@ -14,8 +14,10 @@ in one ``_haar`` call, which takes one stacked ``np.linalg.qr`` per size.
 numpy's stacked QR runs the same LAPACK routine on each matrix, so every
 unitary, and every subspace and partition read off one, is bit for bit the
 one a QR per draw gives, and the random stream is the same as drawing and
-factoring one at a time.  The suite trials of ``identities`` use it this way;
-the public generators here are each one draw and one ``_haar`` call.
+factoring one at a time.  The suite trials of ``identities`` use it this way,
+the generators here each make one draw and one ``_haar`` call, and both read
+subspaces, subspaces of a subspace and partitions off the unitaries through
+``_span``, ``_within`` and ``_parts`` alone.
 """
 
 from __future__ import annotations
@@ -40,7 +42,10 @@ def _require_integers(what: str, *values) -> tuple:
 
 
 def rng_from_seed(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise DomainError(f"seed must be a nonnegative integer or a tuple of them, got {seed!r}") from None
 
 
 def random_matrix(rng: np.random.Generator, field: Field, rows: int, cols: int) -> np.ndarray:
@@ -59,6 +64,8 @@ def _conditioned_matrix(rng: np.random.Generator, field: Field, rows: int, cols:
     an empty draw has no condition number, so both sizes must be at least 1."""
     if min(_require_integers("dimensions", rows, cols)) < 1:
         raise DomainError(f"a conditioned draw needs sizes of at least 1, got {rows} x {cols}")
+    if not cond_limit >= 1:  # no matrix has a condition number below 1 (and NaN bounds nothing)
+        raise DomainError(f"condition number limit must be at least 1, got {cond_limit!r}")
     for _ in range(MAX_DRAWS):
         m = random_matrix(rng, field, rows, cols)
         s = np.linalg.svd(m, compute_uv=False)
@@ -101,14 +108,6 @@ def _parts(columns: np.ndarray, field: Field, dims) -> Partition:
     return Partition(tuple(parts))
 
 
-def _require_parts(dims, total: int) -> list[int]:
-    """``dims`` as ints; DomainError unless they are nonnegative integers summing to ``total``."""
-    dims = [int(d) for d in _require_integers("part dimensions", *dims)]
-    if any(d < 0 for d in dims) or sum(dims) != total:
-        raise DomainError(f"part dimensions {dims} do not partition a {total}-dimensional space")
-    return dims
-
-
 def random_unitary(rng: np.random.Generator, field: Field, n: int) -> np.ndarray:
     """Haar random orthogonal/unitary matrix (QR with phase fix)."""
     return _haar([random_matrix(rng, field, n, n)])[0]
@@ -121,28 +120,6 @@ def random_subspace(rng: np.random.Generator, field: Field, n: int, dim: int) ->
     if dim == 0:
         return Subspace.zero(n, field)
     return _span(random_unitary(rng, field, n), field, dim)
-
-
-def random_subspace_within(rng: np.random.Generator, parent: Subspace, dim: int) -> Subspace:
-    """Random dim-dimensional subspace of ``parent``."""
-    _require_integers("dimensions", dim)
-    return _within(parent, random_subspace(rng, parent.field, parent.dim, dim))
-
-
-def random_partition(rng: np.random.Generator, field: Field, n: int, dims) -> Partition:
-    """Orthogonal partition of the full n-dimensional space with the given
-    part dimensions (zeros allowed); the dims must sum to n."""
-    _require_integers("dimensions", n)
-    _require_ambient_dim(n)
-    dims = _require_parts(dims, n)
-    return _parts(random_subspace(rng, field, n, n).onb, field, dims)
-
-
-def split_subspace(rng: np.random.Generator, parent: Subspace, dims) -> Partition:
-    """Orthogonal partition of ``parent`` into parts of the given dimensions."""
-    dims = _require_parts(dims, parent.dim)
-    mix = random_subspace(rng, parent.field, parent.dim, parent.dim).onb
-    return _parts(parent.onb @ mix, parent.field, dims)
 
 
 def random_orthogonal_basis(rng: np.random.Generator, field: Field, n: int) -> np.ndarray:
@@ -173,6 +150,7 @@ def random_instance(field: Field, n: int, dims, seed) -> list[Subspace]:
     """Independent generic subspaces of the given dimensions, reproducible
     from the seed."""
     n, *dims = map(int, _require_integers("dimensions", n, *dims))
+    _require_ambient_dim(n)
     rng = rng_from_seed(seed)
     if any(not 0 <= d <= n for d in dims):
         raise DomainError(f"dimensions {dims} are infeasible in ambient dimension {n}")

@@ -3,6 +3,7 @@ import math
 import exact
 import numpy as np
 import pytest
+from generators import random_subspace_within
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,7 +43,6 @@ from grassmann_angles.sampling import (
     random_matrix,
     random_mixing,
     random_subspace,
-    random_subspace_within,
     random_unitary,
     rng_from_seed,
 )

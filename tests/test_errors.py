@@ -28,6 +28,7 @@ from grassmann_angles import (
     oriented_grassmann_cos,
     principal_decomposition,
     project_blade,
+    random_instance,
     schur_det,
     wedge,
 )
@@ -93,9 +94,16 @@ def test_operands_from_different_spaces_are_one_fault(operation, fault):
          "ambient dimension must be a nonnegative integer, got -1"),
         (lambda: Blade([[1.0, 0.0, 0.0]], ambient_dim=5), DimensionMismatchError,
          "basis vectors of dimension 3 in ambient dimension 5"),
+        (lambda: random_instance(Field.REAL, -1, [], seed=1), DomainError,
+         "ambient dimension must be a nonnegative integer, got -1"),
+        (lambda: random_instance(Field.REAL, 3, [1], seed=-1), DomainError,
+         "seed must be a nonnegative integer or a tuple of them, got -1"),
+        (lambda: random_instance(Field.REAL, 3, [1], seed=1.5), DomainError,
+         "seed must be a nonnegative integer or a tuple of them, got 1.5"),
     ],
     ids=["complex-coefficient", "laplace-cap", "schur-pivot", "rank-eps", "residual-eps", "2-D-vector",
-         "coordinate-basis-shape", "float-ambient", "bool-ambient", "negative-ambient", "ambient-mismatch"],
+         "coordinate-basis-shape", "float-ambient", "bool-ambient", "negative-ambient", "ambient-mismatch",
+         "instance-negative-ambient", "instance-negative-seed", "instance-float-seed"],
 )
 def test_each_fault_has_its_documented_type(build, error, message):
     with pytest.raises(error, match=message) as exc:

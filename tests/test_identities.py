@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from generators import random_partition, random_subspace_within, split_subspace
 
 from grassmann_angles import (
     Blade,
@@ -40,12 +41,9 @@ from grassmann_angles.sampling import (
     random_matrix,
     random_mixing,
     random_orthogonal_basis,
-    random_partition,
     random_subspace,
-    random_subspace_within,
     random_unitary,
     rng_from_seed,
-    split_subspace,
 )
 
 FIELDS = (Field.REAL, Field.COMPLEX)
@@ -682,14 +680,10 @@ class TestRandomInstance:
     @pytest.mark.parametrize(
         "draw, got",
         [
-            pytest.param(lambda rng: split_subspace(rng, FULL_R3, [1.7, 2.2]), "[1.7, 2.2]", id="split_subspace-float"),
             pytest.param(lambda rng: random_instance(REAL, 4, [1.9, True], 0), "[4, 1.9, True]", id="random_instance"),
-            pytest.param(lambda rng: random_partition(rng, REAL, 2, [True, True]), "[True, True]", id="random_partition"),
-            pytest.param(lambda rng: random_partition(rng, REAL, True, [1]), "[True]", id="random_partition-n"),
             pytest.param(lambda rng: random_subspace(rng, REAL, 4, 2.5), "[4, 2.5]", id="random_subspace-float"),
             pytest.param(lambda rng: random_subspace(rng, REAL, 4, True), "[4, True]", id="random_subspace-bool"),
             pytest.param(lambda rng: random_subspace(rng, REAL, 4.0, 2), "[4.0, 2]", id="random_subspace-n"),
-            pytest.param(lambda rng: random_subspace_within(rng, FULL_R3, True), "[True]", id="random_subspace_within"),
             pytest.param(lambda rng: random_orthogonal_basis(rng, REAL, True), "[True, True]", id="random_orthogonal_basis"),
             pytest.param(lambda rng: random_blade(rng, REAL, 3, True), "[3, True]", id="random_blade"),
             pytest.param(lambda rng: random_mixing(rng, REAL, 2.0), "[2.0, 2.0]", id="random_mixing"),
@@ -725,6 +719,15 @@ class TestRandomInstance:
         with pytest.raises(DomainError):
             random_mixing(rng_from_seed(0), Field.REAL, 2, cond_limit=1.0)
 
+    @pytest.mark.parametrize("cond_limit", [math.nan, 0.5])
+    def test_unmeetable_condition_limit_rejected_before_drawing(self, cond_limit):
+        # no matrix has a condition number below 1: reject at once, not after MAX_DRAWS SVDs
+        rng = rng_from_seed(0)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError, match=f"^condition number limit must be at least 1, got {cond_limit}$"):
+            random_mixing(rng, Field.REAL, 3, cond_limit=cond_limit)
+        assert rng.bit_generator.state == state
+
     def test_blade_draw_gives_up(self, monkeypatch):
         monkeypatch.setattr(sampling, "MAX_DRAWS", 0)
         with pytest.raises(DomainError, match="^no 4 x 2 draw had condition number <= 10.0 in 0 draws$"):
@@ -733,7 +736,7 @@ class TestRandomInstance:
     @pytest.mark.parametrize("dim", [-1, 4])
     def test_subspace_within_too_small_parent_rejected(self, dim):
         with pytest.raises(DomainError, match=f"^cannot fit a {dim}-dimensional subspace in dimension 3$"):
-            random_subspace_within(rng_from_seed(0), FULL_R3, dim)
+            random_subspace(rng_from_seed(0), REAL, 3, dim)
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_zero_dimensional_draws(self, field):

@@ -1,24 +1,24 @@
 """The Haar draws: one stacked QR per size gives the unitaries of one QR per
-draw bit for bit, and every public generator gives the arrays and leaves the
-random stream of the reference formulas below, which draw and factor one
-matrix at a time."""
+draw bit for bit, and every generator (the package's, and the test helpers of
+``generators`` over its private ``_within`` and ``_parts``) gives the arrays
+and leaves the random stream of the reference formulas below, which draw and
+factor one matrix at a time."""
 
 import numpy as np
 import pytest
+from generators import random_partition, random_subspace_within, split_subspace
 
 from grassmann_angles import DomainError, Subspace, run_suite
 from grassmann_angles.fields import Field
+from grassmann_angles.identities import _grouped_principal_partition, _random_composition
 from grassmann_angles.sampling import (
     _haar,
     random_blade,
     random_matrix,
     random_orthogonal_basis,
-    random_partition,
     random_subspace,
-    random_subspace_within,
     random_unitary,
     rng_from_seed,
-    split_subspace,
 )
 
 FIELDS = (Field.REAL, Field.COMPLEX)
@@ -129,6 +129,34 @@ def test_generators_match_one_qr_per_draw(name, field):
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
+def ref_grouped_partition(rng, e_basis, field):
+    """The converse trial's partition as built one group at a time, each group's columns sorted."""
+    p = e_basis.shape[1]
+    order = rng.permutation(p)
+    dims = _random_composition(rng, p, allow_zero=False)
+    parts, start = [], 0
+    for d in dims:
+        parts.append(Subspace(e_basis[:, np.sort(order[start : start + d])], field, _validate=False).onb)
+        start += d
+    return parts
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_grouped_principal_partition_matches_one_group_at_a_time(field):
+    for seed in SEEDS:
+        rng = rng_from_seed(seed)
+        n = int(rng.integers(1, 9))
+        e_basis = random_unitary(rng, field, n)[:, : int(rng.integers(1, n + 1))].copy(order="CF"[seed % 2])
+        ref = rng_from_seed(seed)
+        ref.bit_generator.state = rng.bit_generator.state
+        got = [part.onb for part in _grouped_principal_partition(rng, e_basis, field).parts]
+        expected = ref_grouped_partition(ref, e_basis, field)
+        assert len(got) == len(expected) and all(map(same_bits, got, expected))
+        # the memory order matches too: BLAS may round the two orders differently
+        assert [a.flags.f_contiguous for a in got] == [b.flags.f_contiguous for b in expected]
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("suite", ["line-partition", "pythagorean", "binomial"])
 def test_one_qr_per_trial(suite, monkeypatch):
     # each trial factors all its draws in one stacked QR (binomial's V = 0 draws nothing)
@@ -142,13 +170,10 @@ def test_one_qr_per_trial(suite, monkeypatch):
 @pytest.mark.parametrize(
     "draw, match",
     [
-        (lambda rng: random_partition(rng, Field.REAL, 3, [1, 1]), r"\[1, 1\] do not partition a 3-dimensional"),
-        (lambda rng: random_partition(rng, Field.REAL, 3, [4, -1]), r"\[4, -1\] do not partition a 3-dimensional"),
-        (lambda rng: split_subspace(rng, Subspace.full(3, Field.REAL), [2, 2]), "do not partition a 3-dimensional"),
         (lambda rng: random_blade(rng, Field.REAL, 3, 0), "cannot build a grade-0 blade in dimension 3"),
         (lambda rng: random_blade(rng, Field.COMPLEX, 3, 4), "cannot build a grade-4 blade in dimension 3"),
     ],
-    ids=["short", "negative", "split", "grade-0", "grade-4"],
+    ids=["grade-0", "grade-4"],
 )
 def test_sizes_out_of_range_are_rejected_by_name(draw, match):
     with pytest.raises(DomainError, match=match):

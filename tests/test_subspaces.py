@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from generators import random_subspace_within, split_subspace
 
 from grassmann_angles import (
     Blade,
@@ -24,13 +25,7 @@ from grassmann_angles import (
 )
 from grassmann_angles.fields import DEFAULT_TOLERANCE, Field, Tolerance
 from grassmann_angles.linalg import gram
-from grassmann_angles.sampling import (
-    random_matrix,
-    random_subspace,
-    random_subspace_within,
-    rng_from_seed,
-    split_subspace,
-)
+from grassmann_angles.sampling import random_matrix, random_subspace, rng_from_seed
 
 FIELDS = (Field.REAL, Field.COMPLEX)
 
