@@ -7,14 +7,16 @@ otherwise), evaluates both sides of its identity numerically, and returns an
 seeded random configurations for either field, drawn by the builders of
 ``sampling``, the module of the public ``random_instance``.
 
-The checkers that sum over coordinate subspaces (pythagorean, binomial,
-oriented-sum, weighted-average) do not call an angle route per term: they
-take the projection matrices of all C(n, p) terms out of one Gram matrix
-and evaluate them in one stacked determinant.  Every operand there is
-orthonormal: the orthogonal bases are normalized first (after
-``linalg.scale_columns``, so no norm over- or underflows) and the blades are
-replaced by their unit frames, so the determinant loses nothing to
-conditioning or scale.
+The converse checker reads everything off one projection matrix W* V: it
+tests the parts' projections, in W's coordinates, for orthogonality, and
+takes the part cosines as products of principal cosines.  The checkers that
+sum over coordinate subspaces (pythagorean, binomial, oriented-sum,
+weighted-average) do not call an angle route per term: they take the
+projection matrices of all C(n, p) terms out of one Gram matrix and evaluate
+them in one stacked determinant.  Every operand there is orthonormal: the
+orthogonal bases are normalized first (after ``linalg.scale_columns``, so no
+norm over- or underflows) and the blades are replaced by their unit frames,
+so the determinant loses nothing to conditioning or scale.
 """
 
 from __future__ import annotations
@@ -26,14 +28,7 @@ import numpy as np
 
 from .angles import complementary_angle, grassmann_angle
 from .errors import DimensionMismatchError, DomainError
-from .exterior import (
-    AMBIENT_LIMIT,
-    Blade,
-    _minors,
-    _oriented_cos_of_frames,
-    _require_ambient_cap,
-    _unit_frame,
-)
+from .exterior import AMBIENT_LIMIT, Blade, _minors, _oriented_cos_of_frames, _require_ambient_cap, _unit_frame
 from .fields import DEFAULT_TOLERANCE, SUITE_NAMES, Field, Tolerance, _is_integer, as_basis
 from .linalg import gram, scale_columns
 from .sampling import (
@@ -54,7 +49,6 @@ from .subspaces import (
     _coordinate_cos_squared,
     _index_stack,
     _orthonormality_defect,
-    _projected_parts,
     _require_same_space,
     _require_subset,
     _stacked_cos_squared,
@@ -261,24 +255,35 @@ def check_partition_converse(partition: Partition, w: Subspace, tol: Tolerance =
     parent = partition.parent()
     if parent.dim < 1 or w.dim < 1:
         raise DomainError("need nonzero subspaces")
-    stacked = _projected_parts(partition, w, tol)
+    _require_same_space(parent, w)
+    return _converse(parent.onb, [p.dim for p in partition.parts], w, tol)
+
+
+def _converse(columns: np.ndarray, dims: list[int], w: Subspace, tol: Tolerance) -> IdentityCheck:
+    """``check_partition_converse`` on V's orthonormal ``columns`` in blocks of widths ``dims``, trusted as given:
+    one SVD per block of b = W* V gives its projection in W's coordinates and its principal cosines."""
+    b = gram(w.onb, columns)
+    projected, product, start = [], 1.0, 0
+    for d in dims:
+        u, s, _ = np.linalg.svd(b[:, start : start + d], full_matrices=False)
+        projected.append(u[:, : np.count_nonzero(s > tol.rank_eps)])
+        product *= math.prod(np.minimum(s, 1.0).tolist()) if d <= w.dim else 0.0  # s >= 0
+        start += d
+    stacked = np.concatenate(projected, axis=1)
     principal = _orthonormality_defect(stacked) <= ORTHOGONALITY_DEFECT
-    # principal: the projected parts are an orthonormal basis of Proj_W(V)
-    projected_dim = stacked.shape[1] if principal else project_subspace(parent, w, tol).dim
-    if projected_dim < parent.dim:
+    # the rank of Proj_W(V): principal, the projected parts are an orthonormal basis of it
+    rank = stacked.shape[1] if principal else np.count_nonzero(np.linalg.svd(b, compute_uv=False) > tol.rank_eps)
+    if rank < columns.shape[1]:
         return IdentityCheck("converse", math.inf, False, "precondition violated: V is partially orthogonal to W")
-    product = math.prod(grassmann_angle(part, w).cosine for part in partition.parts)
-    diff = abs(grassmann_angle(parent, w).cosine - product)
+    cos_sq = float(_stacked_cos_squared(b[None])[0])  # grassmann_angle's cosine of V, clamped as there
+    diff = abs(math.sqrt(min(max(cos_sq, 0.0), 1.0)) - product)
     if principal:
         residual, outcome = diff, "principal partition, product rule"
     elif diff <= ORTHOGONALITY_DEFECT:
         residual, outcome = math.inf, "NON-principal partition but the product rule held"
     else:
         residual, outcome = 0.0, f"non-principal partition, product rule off by {diff:.3e} as it should be"
-    witness = (
-        f"parts {[p.dim for p in partition.parts]} vs dim {w.dim} in {w.ambient_dim} "
-        f"({w.field.value}): {outcome}"
-    )
+    witness = f"parts {dims} vs dim {w.dim} in {w.ambient_dim} ({w.field.value}): {outcome}"
     return _check("converse", residual, witness, tol)
 
 
@@ -375,7 +380,7 @@ _MIN_COSINE, _MIN_GAP = 0.3, 0.15  # _principal_pair's margins: smallest princip
 
 
 def _principal_pair(rng, field, n, p):
-    """The principal decomposition of V w.r.t. W, and W, for dim V = p <= dim W = q < n
+    """V's principal basis ``e_basis`` w.r.t. W, and W, for dim V = p <= dim W = q < n
     (or p = q = n = 2, where V = W is the plane and every partition is principal): V
     nowhere near partially orthogonal to W and, if q < n and p >= 2, two well-separated
     principal cosines.
@@ -390,35 +395,30 @@ def _principal_pair(rng, field, n, p):
         w = _span(qw, field, q)
         decomposition = principal_decomposition(_span(qv, field, p), w)
         cosines = decomposition.cosines
-        if cosines[-1] < _MIN_COSINE:
-            continue
-        if p >= 2 and q < n and (cosines[0] - cosines[-1]) < _MIN_GAP:
-            continue
-        return decomposition, w
+        if cosines[-1] >= _MIN_COSINE and (p < 2 or q == n or cosines[0] - cosines[-1] >= _MIN_GAP):
+            return decomposition.e_basis, w
     raise DomainError(f"no subspace pair in dimension {n} met the margins in {MAX_DRAWS} draws")
 
 
-def _grouped_principal_partition(rng, e_basis: np.ndarray, field) -> Partition:
+def _grouped_principal_partition(rng, e_basis: np.ndarray) -> tuple[np.ndarray, list[int]]:
     p = e_basis.shape[1]
     order = rng.permutation(p)
     dims = _random_composition(rng, p, allow_zero=False)
-    # the columns order[start : start + d] of each group, in increasing order
+    # the columns order[start : start + d] of each group of width d, in increasing order, and the widths
     idx = np.lexsort((order, np.repeat(np.arange(len(dims)), dims)))
-    return _parts(e_basis[:, order[idx]], field, dims)
+    return e_basis[:, order[idx]], dims
 
 
 def _trial_converse(rng, field, n_max, tol):
     n = int(rng.integers(3, n_max + 1)) if n_max >= 3 else 2
     p = int(rng.integers(2, n)) if n >= 3 else 2  # p <= n-1 leaves room for q < n
-    decomposition, w = _principal_pair(rng, field, n, p)
-    e_basis = decomposition.e_basis
-    cases = [check_partition_converse(_grouped_principal_partition(rng, e_basis, field), w, tol)]
+    e_basis, w = _principal_pair(rng, field, n, p)
+    cases = [_converse(*_grouped_principal_partition(rng, e_basis), w, tol)]
     if w.dim < n:
         # mixing the extreme principal vectors by 45 degrees breaks both sides
-        g1 = (e_basis[:, 0] + e_basis[:, p - 1]) / np.sqrt(2.0)
-        g2 = (e_basis[:, 0] - e_basis[:, p - 1]) / np.sqrt(2.0)
-        rotated = np.concatenate([g1[:, None], g2[:, None], e_basis[:, 1 : p - 1]], axis=1)
-        cases.append(check_partition_converse(_parts(rotated, field, [1, 1, p - 2] if p > 2 else [1, 1]), w, tol))
+        first, last = e_basis[:, :1], e_basis[:, p - 1 : p]
+        mixed = [(first + last) / math.sqrt(2), (first - last) / math.sqrt(2), e_basis[:, 1 : p - 1]]
+        cases.append(_converse(np.concatenate(mixed, axis=1), [1, 1, p - 2] if p > 2 else [1, 1], w, tol))
     return _check("converse", max(c.residual for c in cases), " | ".join(c.witness for c in cases), tol)
 
 

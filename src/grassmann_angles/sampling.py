@@ -149,6 +149,8 @@ def random_mixing(rng: np.random.Generator, field: Field, dim: int, cond_limit: 
 def random_instance(field: Field, n: int, dims, seed) -> list[Subspace]:
     """Independent generic subspaces of the given dimensions, reproducible
     from the seed."""
+    if not isinstance(field, Field):
+        raise DomainError(f"field must be a Field, got {field!r}")
     n, *dims = map(int, _require_integers("dimensions", n, *dims))
     _require_ambient_dim(n)
     rng = rng_from_seed(seed)

@@ -310,14 +310,10 @@ class Partition:
         return self._parent
 
 
-def _projected_parts(partition: Partition, w: Subspace, tol: Tolerance) -> np.ndarray:
-    """The ``project_subspace`` bases of the parts, stacked in order: one SVD per part."""
-    return np.hstack([project_subspace(p, w, tol).onb for p in partition.parts])
-
-
 def is_principal_partition(partition: Partition, w: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Whether an orthogonal partition of some subspace is principal w.r.t. w,
     i.e. the projected parts are pairwise orthogonal: their stacked bases pass
     ``direct_sum``'s ORTHOGONALITY_DEFECT, so only ``tol.rank_eps`` (cutting
     each projection) matters, never the grading tolerance."""
-    return _orthonormality_defect(_projected_parts(partition, w, tol)) <= ORTHOGONALITY_DEFECT
+    stacked = np.hstack([project_subspace(p, w, tol).onb for p in partition.parts])  # one SVD per part
+    return _orthonormality_defect(stacked) <= ORTHOGONALITY_DEFECT

@@ -100,10 +100,14 @@ def test_operands_from_different_spaces_are_one_fault(operation, fault):
          "seed must be a nonnegative integer or a tuple of them, got -1"),
         (lambda: random_instance(Field.REAL, 3, [1], seed=1.5), DomainError,
          "seed must be a nonnegative integer or a tuple of them, got 1.5"),
+        (lambda: random_instance("real", 3, [1], 0), DomainError, "^field must be a Field, got 'real'$"),
+        (lambda: random_instance(None, 3, [1], 0), DomainError, "^field must be a Field, got None$"),
+        (lambda: random_instance("real", 3, [0], 0), DomainError, "^field must be a Field, got 'real'$"),
     ],
     ids=["complex-coefficient", "laplace-cap", "schur-pivot", "rank-eps", "residual-eps", "2-D-vector",
          "coordinate-basis-shape", "float-ambient", "bool-ambient", "negative-ambient", "ambient-mismatch",
-         "instance-negative-ambient", "instance-negative-seed", "instance-float-seed"],
+         "instance-negative-ambient", "instance-negative-seed", "instance-float-seed", "instance-string-field",
+         "instance-none-field", "instance-string-field-zero-dim"],
 )
 def test_each_fault_has_its_documented_type(build, error, message):
     with pytest.raises(error, match=message) as exc:

@@ -24,6 +24,7 @@ from grassmann_angles import (
     coordinate_blades,
     direct_sum,
     grassmann_angle,
+    is_principal_partition,
     multi_indices,
     oriented_grassmann_cos,
     principal_decomposition,
@@ -436,6 +437,25 @@ class TestPartitionChain:
             assert check_partition_chain(partition, w).residual == expected
 
 
+@pytest.fixture(scope="module")
+def converse_draws():
+    """Per field, each (columns, dims, w, tol, result) the converse trials hand their kernel,
+    over seeds 0-3 at n_max=8 and 50 trials each."""
+    draws = {field: [] for field in FIELDS}
+    kernel = identities._converse
+
+    def record(columns, dims, w, tol):
+        out = kernel(columns, dims, w, tol)
+        draws[w.field].append((columns, dims, w, tol, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, "_converse", record)
+        for seed in range(4):
+            run_suite("converse", n_max=8, trials=50, seed=seed)
+    return draws
+
+
 class TestPartitionConverse:
     def _pair(self, rng, field):
         while True:
@@ -515,6 +535,14 @@ class TestPartitionConverse:
         assert not out.passed and math.isinf(out.residual)
         assert "precondition" in out.witness
 
+    @pytest.mark.parametrize("widths", [[2], [1, 1]])
+    def test_partial_orthogonality_within_dim_w_reported(self, widths):
+        # V = span(e1, e3) meets W = span(e1, e2) only along e1, with dim V <= dim W: the
+        # rank cut drops e3's zero projection, whether e3 sits in a part of its own or not
+        eye = np.eye(4)
+        out = check_partition_converse(sampling._parts(eye[:, [0, 2]], REAL, widths), Subspace(eye[:, :2], REAL))
+        assert not out.passed and out.witness == "precondition violated: V is partially orthogonal to W"
+
     def test_partial_orthogonality_of_a_non_principal_partition_reported(self):
         # V = span(e1, e3) meets W = span(e1, e2) only along e1; both parts
         # (e1 +- e3)/sqrt(2) project onto e1, so the partition is not principal
@@ -527,6 +555,41 @@ class TestPartitionConverse:
         out = check_partition_converse(Partition(parts), w)
         assert not out.passed and math.isinf(out.residual)
         assert out.witness == "precondition violated: V is partially orthogonal to W"
+
+    def test_suite_builds_no_direct_sum(self, monkeypatch):
+        # the trial hands the kernel column matrices: no Partition, so no direct_sum check
+        calls = []
+        build = subspaces.direct_sum
+        monkeypatch.setattr(subspaces, "direct_sum", lambda *parts: calls.append(parts) or build(*parts))
+        checks = run_suite("converse", trials=20)
+        assert len(checks) == 40 and all(c.passed for c in checks) and not calls
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_kernel_input_meets_the_public_checkers_precondition(self, field, converse_draws):
+        # each column matrix the trial hands the kernel is one direct_sum accepts, and the
+        # kernel's result is the public checker's on the partition into its blocks
+        for columns, dims, w, tol, out in converse_draws[field]:
+            assert subspaces._orthonormality_defect(columns) <= subspaces.ORTHOGONALITY_DEFECT
+            assert sum(dims) == columns.shape[1]
+            assert out == check_partition_converse(sampling._parts(columns, field, dims), w, tol)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_kernel_agrees_with_the_public_routes(self, field, converse_draws):
+        # independent cross-check: the principal test by projections in n dimensions, and
+        # the product rule from one grassmann_angle call per part and one for the parent
+        assert len(converse_draws[field]) >= 200
+        principal_seen = 0
+        for columns, dims, w, _, out in converse_draws[field]:
+            bounds = np.cumsum([0, *dims])
+            parts = [Subspace(columns[:, lo:hi], field) for lo, hi in zip(bounds, bounds[1:])]
+            principal = out.witness.split(": ", 1)[1] == "principal partition, product rule"
+            assert principal == is_principal_partition(Partition(tuple(parts)), w)
+            if principal:
+                principal_seen += 1
+                product = math.prod(grassmann_angle(part, w).cosine for part in parts)
+                expected = abs(grassmann_angle(direct_sum(*parts), w).cosine - product)
+                assert abs(out.residual - expected) <= 1e-15
+        assert 0 < principal_seen < len(converse_draws[field])
 
     @pytest.mark.parametrize("residual_eps", [0.1, 0.5])
     def test_loose_grading_passes_the_suite(self, residual_eps):
@@ -714,9 +777,10 @@ class TestRandomInstance:
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.onb, y.onb)
 
-    def test_unmeetable_rejection_loop_gives_up(self):
-        # no 2 x 2 Gaussian draw has condition number exactly 1
-        with pytest.raises(DomainError):
+    def test_unmeetable_rejection_loop_gives_up(self, monkeypatch):
+        # no 2 x 2 Gaussian draw has condition number exactly 1: the loop runs every draw
+        monkeypatch.setattr(sampling, "MAX_DRAWS", 50)
+        with pytest.raises(DomainError, match="^no 2 x 2 draw had condition number <= 1.0 in 50 draws$"):
             random_mixing(rng_from_seed(0), Field.REAL, 2, cond_limit=1.0)
 
     @pytest.mark.parametrize("cond_limit", [math.nan, 0.5])
