@@ -131,9 +131,13 @@ def _report(cosine: float, method: AngleMethod) -> AngleReport:
 
 
 def _report_from_cos_sq(cos_sq: float, method: AngleMethod) -> AngleReport:
+    return _report(_clamped_cos(cos_sq), method)
+
+
+def _clamped_cos(cos_sq: float) -> float:
     if cos_sq < -NEGATIVE_COS_SQ_SLACK:
         raise NumericalConsistencyError(f"squared cosine came out at {cos_sq}, well below 0")
-    return _report(math.sqrt(min(max(cos_sq, 0.0), 1.0)), method)
+    return math.sqrt(min(max(cos_sq, 0.0), 1.0))
 
 
 def _basis_matrix(mat: np.ndarray) -> np.ndarray:
@@ -201,8 +205,12 @@ def grassmann_angle(v: Subspace, w: Subspace) -> AngleReport:
     dim v > dim w, in particular when w is zero and v is not.
     """
     _require_same_space(v, w)
-    cos_sq = float(_stacked_cos_squared(gram(w.onb, v.onb)[None])[0])
-    return _report_from_cos_sq(cos_sq, AngleMethod.PROJECTION)
+    return _report(_projection_cos(gram(w.onb, v.onb)), AngleMethod.PROJECTION)
+
+
+def _projection_cos(b: np.ndarray) -> float:
+    """``grassmann_angle``'s kernel: sqrt(det(b* b)) for b = W* V between orthonormal bases, clamped."""
+    return _clamped_cos(float(_stacked_cos_squared(b[None])[0]))
 
 
 def grassmann_angle_principal(v: Subspace, w: Subspace) -> AngleReport:
@@ -270,10 +278,15 @@ def complementary_angle(v: Subspace, w: Subspace) -> AngleReport:
     give the same angle independently.
     """
     _require_same_space(v, w)
-    if v.dim > v.ambient_dim - w.dim:
-        return _report(0.0, AngleMethod.COMPLEMENTARY_PROJECTION)
-    sines = np.linalg.svd(v.onb - w.onb @ gram(w.onb, v.onb), compute_uv=False)
-    return _report(min(float(np.prod(sines)), 1.0), AngleMethod.COMPLEMENTARY_PROJECTION)
+    return _report(_complementary_cos(v.onb, w.onb), AngleMethod.COMPLEMENTARY_PROJECTION)
+
+
+def _complementary_cos(v: np.ndarray, w: np.ndarray) -> float:
+    """``complementary_angle``'s kernel on orthonormal bases v and w of one space."""
+    if v.shape[1] > v.shape[0] - w.shape[1]:
+        return 0.0
+    sines = np.linalg.svd(v - w @ gram(w, v), compute_uv=False)
+    return min(float(np.prod(sines)), 1.0)
 
 
 def complementary_angle_formula(basis_v, basis_w, field: Field | None = None) -> AngleReport:

@@ -9,7 +9,12 @@ seeded random configurations for either field, drawn by the builders of
 
 The converse checker reads everything off one projection matrix W* V: it
 tests the parts' projections, in W's coordinates, for orthogonality, and
-takes the part cosines as products of principal cosines.  The checkers that
+takes the part cosines as products of principal cosines.  The partition-chain
+checker (direct-sum is its two-part case) reads each part and tail as a column block of
+V's basis, and it and line-partition take their cosines from the array kernels that the
+public routes end in, bit for bit.  The converse and chain trials call private kernels
+on column matrices and build no Partition, but the chain trials keep ``direct_sum``'s
+orthogonality rule.  The checkers that
 sum over coordinate subspaces (pythagorean, binomial, oriented-sum,
 weighted-average) do not call an angle route per term: they take the
 projection matrices of all C(n, p) terms out of one Gram matrix and evaluate
@@ -21,12 +26,13 @@ so the determinant loses nothing to conditioning or scale.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .angles import complementary_angle, grassmann_angle
+from .angles import _complementary_cos, _projection_cos, grassmann_angle
 from .errors import DimensionMismatchError, DomainError
 from .exterior import AMBIENT_LIMIT, Blade, _minors, _oriented_cos_of_frames, _require_ambient_cap, _unit_frame
 from .fields import DEFAULT_TOLERANCE, SUITE_NAMES, Field, Tolerance, _is_integer, as_basis
@@ -47,13 +53,13 @@ from .subspaces import (
     Partition,
     Subspace,
     _coordinate_cos_squared,
+    _image,
     _index_stack,
     _orthonormality_defect,
+    _require_pairwise_orthogonal,
     _require_same_space,
     _require_subset,
     _stacked_cos_squared,
-    principal_decomposition,
-    project_subspace,
 )
 
 __all__ = [
@@ -116,7 +122,7 @@ def check_line_partition(line: Subspace, partition: Partition, tol: Tolerance = 
         raise DomainError(f"need a line, got dimension {line.dim}")
     if parent.dim != line.ambient_dim:
         raise DomainError("partition must decompose the full ambient space")
-    terms = [grassmann_angle(line, part).cos_squared for part in partition.parts]
+    terms = [_projection_cos(gram(part.onb, line.onb)) ** 2 for part in partition.parts]  # cos^2 of (line, part)
     witness = f"line in dim {line.ambient_dim} ({line.field.value}), parts {[p.dim for p in partition.parts]}"
     return _check("line-partition", abs(sum(terms) - 1.0), witness, tol)
 
@@ -202,7 +208,8 @@ def check_weighted_average(u: Subspace, v: Subspace, w: Subspace, tol: Tolerance
         raise DomainError("all three subspaces must be nonzero")
     _require_ambient_cap(v.ambient_dim)
     _require_subset(u, v)
-    e_basis = principal_decomposition(v, w).e_basis
+    _require_same_space(v, w)
+    e_basis = v.onb @ np.linalg.svd(gram(w.onb, v.onb))[2].conj().T  # principal_decomposition's, from its one SVD
     lhs = grassmann_angle(u, w).cos_squared
     rows = _index_stack(v.dim, u.dim)
     weights = np.clip(_stacked_cos_squared(gram(e_basis, u.onb)[rows]), 0.0, 1.0)  # V_I* U
@@ -227,16 +234,22 @@ def check_partition_chain(partition: Partition, w: Subspace, tol: Tolerance = DE
     """k-part extension of the direct-sum rule, for the parts V_i of V: cos(V, W) = prod_i
     cos(V_i, W) times prod_{i<k} cos_perp(P(V_i), P(V_i+1 + ... + V_k)), P the projection
     onto W; each tail is a trailing column block of the partition's stored direct sum V."""
-    parts, parent = partition.parts, partition.parent()
-    lhs = grassmann_angle(parent, w).cosine
-    rhs, start = 1.0, 0
-    for part in parts:
-        rhs *= grassmann_angle(part, w).cosine
-    for part in parts[:-1]:
-        start += part.dim
-        tail = Subspace(parent.onb[:, start:], parent.field, _validate=False)
-        rhs *= complementary_angle(project_subspace(part, w, tol), project_subspace(tail, w, tol)).cosine
-    witness = f"parts {[p.dim for p in parts]} vs dim {w.dim} in {w.ambient_dim} ({w.field.value})"
+    parent = partition.parent()
+    _require_same_space(parent, w)
+    return _chain(parent.onb, [p.dim for p in partition.parts], w, tol)
+
+
+def _chain(columns: np.ndarray, dims: list[int], w: Subspace, tol: Tolerance) -> IdentityCheck:
+    """``check_partition_chain`` on V's orthonormal ``columns`` in blocks of widths ``dims``, trusted as given;
+    each part and tail is a contiguous copy, as a Subspace stores it, so each cosine is its route's bit for bit."""
+    lhs = _projection_cos(gram(w.onb, columns))
+    bounds = [0, *itertools.accumulate(dims)]
+    parts = [np.ascontiguousarray(columns[:, lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    rhs = math.prod(_projection_cos(gram(w.onb, part)) for part in parts)
+    for part, start in zip(parts[:-1], bounds[1:]):
+        tail = np.ascontiguousarray(columns[:, start:])
+        rhs *= _complementary_cos(_image(part, w.onb, tol.rank_eps), _image(tail, w.onb, tol.rank_eps))
+    witness = f"parts {dims} vs dim {w.dim} in {w.ambient_dim} ({w.field.value})"
     return _check("partition-chain", abs(lhs - rhs), witness, tol)
 
 
@@ -275,8 +288,7 @@ def _converse(columns: np.ndarray, dims: list[int], w: Subspace, tol: Tolerance)
     rank = stacked.shape[1] if principal else np.count_nonzero(np.linalg.svd(b, compute_uv=False) > tol.rank_eps)
     if rank < columns.shape[1]:
         return IdentityCheck("converse", math.inf, False, "precondition violated: V is partially orthogonal to W")
-    cos_sq = float(_stacked_cos_squared(b[None])[0])  # grassmann_angle's cosine of V, clamped as there
-    diff = abs(math.sqrt(min(max(cos_sq, 0.0), 1.0)) - product)
+    diff = abs(_projection_cos(b) - product)  # grassmann_angle's cosine of V
     if principal:
         residual, outcome = diff, "principal partition, product rule"
     elif diff <= ORTHOGONALITY_DEFECT:
@@ -294,8 +306,8 @@ def _converse(columns: np.ndarray, dims: list[int], w: Subspace, tol: Tolerance)
 def _random_composition(rng, total: int, allow_zero: bool = True) -> list[int]:
     """Random part sizes summing to ``total`` >= 1."""
     k = int(rng.integers(1, total + 1))
-    cuts = np.sort(rng.choice(np.arange(1, total), size=k - 1, replace=False)) if k > 1 else np.array([], int)
-    dims = np.diff(np.concatenate([[0], cuts, [total]])).tolist()
+    cuts = sorted((rng.choice(total - 1, size=k - 1, replace=False) + 1).tolist()) if k > 1 else []
+    dims = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, total])]
     if allow_zero and rng.uniform() < 0.15:
         dims.insert(int(rng.integers(0, len(dims) + 1)), 0)
     return dims
@@ -350,30 +362,30 @@ def _trial_weighted_average(rng, field, n_max, tol):
 
 
 def _split_trial(rng, field, n, p, dims_of):
-    """A trial's Haar p-dimensional parent split into parts of the widths ``dims_of(rng)``, and a
-    Haar W of random dimension, from one ``_haar`` call after all their draws in stream order."""
+    """A trial's Haar p-dimensional parent as orthonormal columns held to ``direct_sum``'s rule, its part widths
+    ``dims_of(rng)`` and a Haar W of random dimension, from one ``_haar`` call after all their draws in stream order."""
     draws = [random_matrix(rng, field, n, n)]
     dims = dims_of(rng)
     draws.append(random_matrix(rng, field, p, p))
     q = int(rng.integers(1, n + 1))
     draws.append(random_matrix(rng, field, n, n))
     qv, mix, qw = _haar(draws)
-    return _parts(_span(qv, field, p).onb @ mix, field, dims), _span(qw, field, q)
+    columns = _span(qv, field, p).onb @ mix
+    _require_pairwise_orthogonal(columns)
+    return columns, dims, _span(qw, field, q)
 
 
 def _trial_direct_sum(rng, field, n_max, tol):
     n = int(rng.integers(2, n_max + 1))
     d1 = int(rng.integers(1, n))
     d2 = int(rng.integers(1, n - d1 + 1))
-    partition, w = _split_trial(rng, field, n, d1 + d2, lambda rng: [d1, d2])
-    return check_partition_chain(partition, w, tol)  # check_direct_sum on the parts, built once
+    return _chain(*_split_trial(rng, field, n, d1 + d2, lambda rng: [d1, d2]), tol)  # check_direct_sum's kernel
 
 
 def _trial_partition_chain(rng, field, n_max, tol):
     n = int(rng.integers(2, n_max + 1))
     p = int(rng.integers(2, n + 1))
-    partition, w = _split_trial(rng, field, n, p, lambda rng: _random_composition(rng, p))
-    return check_partition_chain(partition, w, tol)
+    return _chain(*_split_trial(rng, field, n, p, lambda rng: _random_composition(rng, p)), tol)
 
 
 _MIN_COSINE, _MIN_GAP = 0.3, 0.15  # _principal_pair's margins: smallest principal cosine, spread
@@ -392,21 +404,24 @@ def _principal_pair(rng, field, n, p):
     for _ in range(MAX_DRAWS):
         q = int(rng.integers(p, n)) if p < n else p
         qv, qw = _haar([random_matrix(rng, field, n, n) for _ in range(2)])
-        w = _span(qw, field, q)
-        decomposition = principal_decomposition(_span(qv, field, p), w)
-        cosines = decomposition.cosines
+        v, w = _span(qv, field, p), _span(qw, field, q)
+        _, s, vt = np.linalg.svd(gram(w.onb, v.onb))
+        cosines = np.cos(np.arccos(np.clip(s, 0.0, 1.0)))  # principal_decomposition's, bit for bit
         if cosines[-1] >= _MIN_COSINE and (p < 2 or q == n or cosines[0] - cosines[-1] >= _MIN_GAP):
-            return decomposition.e_basis, w
+            return v.onb @ vt.conj().T, w  # its e_basis
     raise DomainError(f"no subspace pair in dimension {n} met the margins in {MAX_DRAWS} draws")
 
 
 def _grouped_principal_partition(rng, e_basis: np.ndarray) -> tuple[np.ndarray, list[int]]:
     p = e_basis.shape[1]
-    order = rng.permutation(p)
+    order = rng.permutation(p).tolist()
     dims = _random_composition(rng, p, allow_zero=False)
     # the columns order[start : start + d] of each group of width d, in increasing order, and the widths
-    idx = np.lexsort((order, np.repeat(np.arange(len(dims)), dims)))
-    return e_basis[:, order[idx]], dims
+    columns, start = [], 0
+    for d in dims:
+        columns += sorted(order[start : start + d])
+        start += d
+    return e_basis[:, columns], dims
 
 
 def _trial_converse(rng, field, n_max, tol):
@@ -449,10 +464,11 @@ def run_suite(
 
     ``suites`` is a name, an iterable of names, or "all"; ``field`` of None
     runs both fields.  Each (suite, field, trial) cell gets its own derived
-    seed, so reports are reproducible and insensitive to the order cells run.
+    seed, so reports are reproducible and insensitive to the order cells run.  A suite
+    named more than once runs once, where it is first named, so row names stay unique.
     Raises DomainError before any trial runs unless ``trials >= 1``, ``1 <= n_max <= 16``
-    and ``seed >= 0`` are integers (a bool is not) and ``field`` is a Field or None, and on
-    an empty selection, an unknown name, or a suite that needs ``n_max >= 2``.
+    and ``seed >= 0`` are integers (a bool is not), ``field`` is a Field or None and ``tol``
+    a Tolerance, and on an empty selection, an unknown name, or a suite that needs ``n_max >= 2``.
     """
     for arg, value in (("trials", trials), ("n_max", n_max), ("seed", seed)):
         if not _is_integer(value):
@@ -465,10 +481,12 @@ def run_suite(
         raise DomainError(f"seed must be non-negative, got {seed}")
     if not (field is None or isinstance(field, Field)):
         raise DomainError(f"field must be a Field or None, got {field!r}")
+    if not isinstance(tol, Tolerance):
+        raise DomainError(f"tol must be a Tolerance, got {tol!r}")
     if isinstance(suites, str):
         names = list(SUITE_NAMES) if suites == "all" else [suites]
     else:
-        names = list(suites)
+        names = list(dict.fromkeys(suites))
     if not names:
         raise DomainError(f"no suite selected; known: {', '.join(SUITE_NAMES)}")
     for name in names:

@@ -150,9 +150,13 @@ def project_subspace(v: Subspace, w: Subspace, tol: Tolerance = DEFAULT_TOLERANC
     nearly nothing must not resurface as a normalized noise vector.
     """
     _require_same_space(v, w)
-    u, s, _ = np.linalg.svd(gram(w.onb, v.onb), full_matrices=False)
-    rank = int(np.sum(s > tol.rank_eps))
-    return Subspace(w.onb @ u[:, :rank], v.field, _validate=False)
+    return Subspace(_image(v.onb, w.onb, tol.rank_eps), v.field, _validate=False)
+
+
+def _image(v: np.ndarray, w: np.ndarray, rank_eps: float) -> np.ndarray:
+    """``project_subspace``'s kernel on orthonormal bases v and w of one space, cut at ``rank_eps``."""
+    u, s, _ = np.linalg.svd(gram(w, v), full_matrices=False)
+    return w @ u[:, : int(np.sum(s > rank_eps))]
 
 
 def complement(w: Subspace) -> Subspace:
@@ -170,10 +174,15 @@ def direct_sum(*parts: Subspace) -> Subspace:
     for p in parts[1:]:
         _require_same_space(first, p)
     stacked = np.hstack([p.onb for p in parts])
+    _require_pairwise_orthogonal(stacked)
+    return Subspace(stacked, first.field, _validate=False)
+
+
+def _require_pairwise_orthogonal(stacked: np.ndarray):
+    """``direct_sum``'s rule on the parts' stacked bases: DomainError unless they are orthonormal."""
     defect = _orthonormality_defect(stacked)
     if not defect <= ORTHOGONALITY_DEFECT:
         raise DomainError(f"parts are not pairwise orthogonal (defect {defect:.2e})")
-    return Subspace(stacked, first.field, _validate=False)
 
 
 def orthogonal_complement_within(u: Subspace, v: Subspace) -> Subspace:

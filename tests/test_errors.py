@@ -29,6 +29,7 @@ from grassmann_angles import (
     principal_decomposition,
     project_blade,
     random_instance,
+    run_suite,
     schur_det,
     wedge,
 )
@@ -103,11 +104,12 @@ def test_operands_from_different_spaces_are_one_fault(operation, fault):
         (lambda: random_instance("real", 3, [1], 0), DomainError, "^field must be a Field, got 'real'$"),
         (lambda: random_instance(None, 3, [1], 0), DomainError, "^field must be a Field, got None$"),
         (lambda: random_instance("real", 3, [0], 0), DomainError, "^field must be a Field, got 'real'$"),
+        (lambda: run_suite("binomial", trials=1, tol=None), DomainError, "^tol must be a Tolerance, got None$"),
     ],
     ids=["complex-coefficient", "laplace-cap", "schur-pivot", "rank-eps", "residual-eps", "2-D-vector",
          "coordinate-basis-shape", "float-ambient", "bool-ambient", "negative-ambient", "ambient-mismatch",
          "instance-negative-ambient", "instance-negative-seed", "instance-float-seed", "instance-string-field",
-         "instance-none-field", "instance-string-field-zero-dim"],
+         "instance-none-field", "instance-string-field-zero-dim", "suite-none-tol"],
 )
 def test_each_fault_has_its_documented_type(build, error, message):
     with pytest.raises(error, match=message) as exc:

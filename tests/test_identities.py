@@ -392,14 +392,20 @@ class TestDirectSum:
             pair = check_direct_sum(v1, v2, w).residual
             assert pair == check_partition_chain(Partition((v1, v2)), w).residual
 
-    def test_suite_builds_each_direct_sum_once(self, monkeypatch):
-        calls = []
-        build = subspaces.direct_sum
-        monkeypatch.setattr(subspaces, "direct_sum", lambda *parts: calls.append(parts) or build(*parts))
-        checks = run_suite("direct-sum", field=Field.REAL, trials=20)
-        assert len(calls) == len(checks) == 20
+    @pytest.mark.parametrize("suite", ["direct-sum", "partition-chain"])
+    def test_suite_builds_no_partition(self, suite, monkeypatch):
+        # the trials hand the chain kernel a column matrix and its widths: no Partition and no
+        # direct_sum, while they keep direct_sum's orthogonality rule (test_suite_rejects_a_skewed_mix)
+        built = []
+        build, post_init = subspaces.direct_sum, Partition.__post_init__
+        monkeypatch.setattr(subspaces, "direct_sum", lambda *parts: built.append(parts) or build(*parts))
+        monkeypatch.setattr(Partition, "__post_init__", lambda self: built.append(self) or post_init(self))
+        checks = run_suite(suite, trials=20)
+        assert len(checks) == 40 and not built
         # the suite rows carry the chain's witness: one implementation
         assert all(c.passed and c.witness.startswith("parts [") for c in checks)
+        Partition((FULL_R3,))  # the counters see a Partition and its direct_sum
+        assert len(built) == 2
 
 
 class TestPartitionChain:
@@ -435,6 +441,59 @@ class TestPartitionChain:
                 rhs *= complementary_angle(project_subspace(parts[i], w), project_subspace(tail, w)).cosine
             expected = abs(grassmann_angle(direct_sum(*parts), w).cosine - rhs)
             assert check_partition_chain(partition, w).residual == expected
+
+    @pytest.mark.parametrize("suite", ["direct-sum", "partition-chain"])
+    def test_suite_rejects_a_skewed_mix(self, suite, monkeypatch):
+        # a mix that is not unitary splits the parent into parts that are not orthogonal,
+        # which the trial rejects by direct_sum's rule before the kernel trusts them
+        haar = identities._haar
+
+        def skewed(draws):
+            qv, mix, qw = haar(draws)
+            return qv, mix + 0.1 * np.eye(len(mix), k=1), qw
+
+        monkeypatch.setattr(identities, "_haar", skewed)
+        with pytest.raises(DomainError, match=r"^parts are not pairwise orthogonal \(defect "):
+            run_suite(suite, field=REAL, trials=1)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_kernel_input_meets_the_public_checkers_precondition(self, field, chain_draws):
+        # each column matrix the trials hand the kernel is one direct_sum accepts, and the
+        # kernel's result is the public checker's on the partition into its blocks
+        assert len(chain_draws[field]) == 400
+        for columns, dims, w, tol, out in chain_draws[field]:
+            assert subspaces._orthonormality_defect(columns) <= subspaces.ORTHOGONALITY_DEFECT
+            assert out == check_partition_chain(sampling._parts(columns, field, dims), w, tol)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_kernel_matches_the_public_routes(self, field, chain_draws):
+        # the chain from one public route call per cosine, on Subspace objects, bit for bit
+        for columns, dims, w, tol, out in chain_draws[field]:
+            parts = sampling._parts(columns, field, dims).parts
+            rhs = math.prod(grassmann_angle(part, w).cosine for part in parts)
+            for i in range(len(parts) - 1):
+                tail = direct_sum(*parts[i + 1 :])
+                rhs *= complementary_angle(project_subspace(parts[i], w, tol), project_subspace(tail, w, tol)).cosine
+            assert out.residual == abs(grassmann_angle(direct_sum(*parts), w).cosine - rhs)
+
+
+@pytest.fixture(scope="module")
+def chain_draws():
+    """Per field, each (columns, dims, w, tol, result) the direct-sum and partition-chain trials
+    hand their kernel, over seeds 0-3 at n_max=8 and 50 trials each."""
+    draws = {field: [] for field in FIELDS}
+    kernel = identities._chain
+
+    def record(columns, dims, w, tol):
+        out = kernel(columns, dims, w, tol)
+        draws[w.field].append((columns, dims, w, tol, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, "_chain", record)
+        for seed in range(4):
+            run_suite(["direct-sum", "partition-chain"], n_max=8, trials=50, seed=seed)
+    return draws
 
 
 @pytest.fixture(scope="module")
@@ -595,6 +654,71 @@ class TestPartitionConverse:
     def test_loose_grading_passes_the_suite(self, residual_eps):
         checks = run_suite("converse", field=Field.REAL, n_max=3, trials=10, tol=Tolerance(residual_eps=residual_eps))
         assert all(c.passed for c in checks), [c for c in checks if not c.passed]
+
+
+# References for the converse trial's draw helpers, as they were built: compositions
+# on numpy arrays, one principal_decomposition per draw, and a lexsort grouping.
+
+
+def array_composition(rng, total, allow_zero=True):
+    k = int(rng.integers(1, total + 1))
+    cuts = np.sort(rng.choice(np.arange(1, total), size=k - 1, replace=False)) if k > 1 else np.array([], int)
+    dims = np.diff(np.concatenate([[0], cuts, [total]])).tolist()
+    if allow_zero and rng.uniform() < 0.15:
+        dims.insert(int(rng.integers(0, len(dims) + 1)), 0)
+    return dims
+
+
+def decomposition_pair(rng, field, n, p):
+    for _ in range(sampling.MAX_DRAWS):
+        q = int(rng.integers(p, n)) if p < n else p
+        qv, qw = sampling._haar([random_matrix(rng, field, n, n) for _ in range(2)])
+        w = sampling._span(qw, field, q)
+        decomposition = principal_decomposition(sampling._span(qv, field, p), w)
+        cosines = decomposition.cosines
+        if cosines[-1] >= identities._MIN_COSINE and (p < 2 or q == n or cosines[0] - cosines[-1] >= identities._MIN_GAP):
+            return decomposition.e_basis, w
+    raise AssertionError("no pair met the margins")
+
+
+def lexsort_grouping(rng, e_basis):
+    p = e_basis.shape[1]
+    order = rng.permutation(p)
+    dims = array_composition(rng, p, allow_zero=False)
+    idx = np.lexsort((order, np.repeat(np.arange(len(dims)), dims)))
+    return e_basis[:, order[idx]], dims
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestDrawHelpers:
+    @pytest.mark.parametrize("allow_zero", [True, False])
+    def test_composition_matches_the_array_form(self, allow_zero):
+        for seed in range(1000):
+            for total in range(1, 9):
+                new, old = rng_from_seed((seed, total)), rng_from_seed((seed, total))
+                dims = identities._random_composition(new, total, allow_zero)
+                assert dims == array_composition(old, total, allow_zero)
+                assert all(type(d) is int for d in dims)
+                assert new.bit_generator.state == old.bit_generator.state
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_principal_pair_and_grouping_match_the_decomposition_loop(self, field):
+        shapes = [(2, 2)] + [(n, p) for n in range(3, 9) for p in range(1, n)]
+        for seed in range(1000):
+            n, p = shapes[seed % len(shapes)]
+            new, old = rng_from_seed(seed), rng_from_seed(seed)
+            (e_basis, w), (e_old, w_old) = identities._principal_pair(new, field, n, p), decomposition_pair(old, field, n, p)
+            assert same_bits(e_basis, e_old) and same_bits(w.onb, w_old.onb)
+            assert new.bit_generator.state == old.bit_generator.state
+            (columns, dims), (columns_old, dims_old) = (
+                identities._grouped_principal_partition(new, e_basis),
+                lexsort_grouping(old, e_old),
+            )
+            assert same_bits(columns, columns_old) and dims == dims_old
+            assert new.bit_generator.state == old.bit_generator.state
 
 
 # Per-term references for the stacked checkers: one scalar route call per
@@ -885,6 +1009,8 @@ class TestRunSuite:
             ({"seed": -1}, "seed must be non-negative, got -1"),
             ({"seed": 0.5}, "seed must be an integer, got 0.5"),
             ({"field": "real"}, "field must be a Field or None, got 'real'"),
+            ({"tol": None}, "tol must be a Tolerance, got None"),
+            ({"tol": 1e-8}, "tol must be a Tolerance, got 1e-08"),
         ],
     )
     def test_malformed_arguments_rejected_before_any_trial(self, kwargs, message, monkeypatch):
@@ -917,6 +1043,13 @@ class TestRunSuite:
         checks = run_suite("all", field=None, n_max=6, trials=63, seed=31)
         assert len(checks) == 8 * 63 * 2  # just over a thousand configurations
         assert all(c.passed for c in checks), [c for c in checks if not c.passed]
+
+    def test_repeated_suite_runs_once(self):
+        # a suite named twice runs once, where it is first named, so each row name is unique
+        checks = run_suite(["converse", "pythagorean", "converse"], trials=1)
+        names = ["converse[real]#0", "converse[complex]#0", "pythagorean[real]#0", "pythagorean[complex]#0"]
+        assert [c.name for c in checks] == names
+        assert checks == run_suite(["converse", "pythagorean"], trials=1)
 
     def test_binomial_suite_hits_both_branches(self):
         checks = run_suite("binomial", field=Field.REAL, n_max=5, trials=60, seed=3)
